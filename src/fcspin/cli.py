@@ -55,6 +55,17 @@ def _positive_int(value):
     return n
 
 
+def _positive_float(value):
+    try:
+        x = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
+    if not (np.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {value!r}")
+    return x
+
+
 def _load(path, tol):
     if path == "@aklt":
         text = resources.files("fcspin.data").joinpath("aklt.kraus").read_text()
@@ -221,7 +232,7 @@ def build_parser():
     p = sub.add_parser("audit", help="run the full symmetry audit on a Kraus file")
     p.add_argument("file", help="path to a Kraus file, or @aklt for the bundle")
     p.add_argument("--window", type=_positive_int, default=2)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--samples", type=_positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_audit)
@@ -231,12 +242,12 @@ def build_parser():
     p.add_argument("--A", default="Sz")
     p.add_argument("--B", default="Sz")
     p.add_argument("--n-max", dest="n_max", type=_positive_int, default=10)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("spectrum", help="transfer-operator spectrum and gap")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("ed", help="finite-chain diagonalization oracle")

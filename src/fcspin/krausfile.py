@@ -36,9 +36,12 @@ def _parse_pair(token, lineno):
     if not m:
         raise KrausFileError(lineno, f"expected a (re,im) pair, got {token!r}")
     try:
-        return complex(float(m.group(1)), float(m.group(2)))
+        z = complex(float(m.group(1)), float(m.group(2)))
     except ValueError:
         raise KrausFileError(lineno, f"non-numeric entry in pair {token!r}")
+    if not np.isfinite(z):
+        raise KrausFileError(lineno, f"non-finite entry in pair {token!r}")
+    return z
 
 
 def _logical_lines(text):

@@ -136,3 +136,14 @@ def test_demo_aklt(capsys):
     out = capsys.readouterr().out
     assert "verdict pass" in out
     assert "delta 0.3333333333333333" in out
+
+
+@pytest.mark.parametrize("command", ["audit", "correlate", "spectrum"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_tol_rejected_at_boundary(command, tol, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "@aklt", "--tol", tol])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "--tol" in err_text
+    assert "not unital" not in err_text

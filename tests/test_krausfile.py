@@ -87,3 +87,12 @@ def test_bad_stored_rho_rejected():
     text = write_kraus(st.kraus, rho=bad_rho)
     with pytest.raises(KrausFileError):
         load_state(text)
+
+
+@pytest.mark.parametrize("entry", ["(nan,0.0)", "(inf,0)", "(0,-inf)"])
+def test_non_finite_entry_rejected(entry):
+    text = f"d 2\nk 1\nmatrix 1\n(1,0)\n# entries follow\nmatrix 2\n{entry}\n"
+    with pytest.raises(KrausFileError) as err:
+        read_kraus(text)
+    assert err.value.line == 7
+    assert "non-finite" in err.value.message

@@ -1,9 +1,15 @@
 """Finite-window symmetry checks and the composite audit."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from fcspin import (
+    KrausFamily,
+    aklt_kraus,
     aklt_state,
     build_spin_rep,
     build_twist,
@@ -12,13 +18,17 @@ from fcspin import (
     check_real,
     check_reflection_positive,
     check_su2,
+    covariant_kraus,
     covariant_state,
+    direct_sum,
     find_intertwiner,
+    fixed_point,
     gauge_transform,
     product_state,
     random_fcs_state,
     theorem_audit,
 )
+from fcspin import symmetry
 from fcspin.fcs import window_expectations
 
 
@@ -185,3 +195,144 @@ def test_verdict_monotone_in_tol(aklt, twist3):
     assert loose.passed  # pass at any tolerance above the defect
     tight = check_lattice_twist(st, twist3, 2, tol=1e-12)
     assert tight.defect == loose.defect
+
+
+# ---- NaN-safe verdicts ---------------------------------------------------------
+
+def _nan_at_length_two(monkeypatch):
+    real = symmetry.window_expectations
+
+    def patched(state, length):
+        W = real(state, length).copy()
+        if length == 2:
+            W[0, 0] = np.nan
+        return W
+
+    monkeypatch.setattr(symmetry, "window_expectations", patched)
+
+
+@pytest.mark.parametrize("check", [
+    lambda st, rep, tw: check_real(st, 2),
+    lambda st, rep, tw: check_lattice_twist(st, tw, 2),
+    lambda st, rep, tw: check_su2(st, rep, 2, 2),
+], ids=["real", "lattice-twist", "su2"])
+def test_nan_window_defect_never_passes(check, aklt, rep3, twist3, monkeypatch):
+    _nan_at_length_two(monkeypatch)
+    v = check(aklt, rep3, twist3)
+    assert v.status == "fail"
+    assert np.isnan(v.defect)
+
+
+def test_kraus_twist_nan_residual_never_passes(aklt, twist3, monkeypatch):
+    monkeypatch.setattr(symmetry, "_twist_residual",
+                        lambda W, C, targets: (float("nan"), 1.0 + 0j))
+    v = check_kraus_twist_relation(aklt, twist3)
+    assert v.status == "fail"
+    assert np.isnan(v.defect)
+
+
+# ---- the direct solve of the twisted-adjoint relation ---------------------------
+
+def _haar_unitary(k, rng):
+    z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _perturbed_covariant(s, j, eps, rng):
+    """Covariant family plus eps-sized noise, made unital again by QR."""
+    V = covariant_kraus(s, j).stacked()
+    V = V + eps * (rng.normal(size=V.shape) + 1j * rng.normal(size=V.shape))
+    iso = np.concatenate([v.conj().T for v in V])  # rows of the v_i*
+    q, r = np.linalg.qr(iso)
+    q = q * np.sign(np.diag(r).real)
+    k = V.shape[1]
+    return fixed_point(KrausFamily(tuple(b.conj().T for b in q.reshape(-1, k, k))))
+
+
+def _with_gauge(st, seed):
+    return gauge_transform(st, _haar_unitary(st.k, np.random.default_rng(seed)))
+
+
+def _twist_for(st):
+    return build_twist(build_spin_rep(st.d))
+
+
+NEAR_THRESHOLD = [(1, Fraction(1, 2)), (1, Fraction(3, 2)), (2, 2)]
+RANDOM_NEGATIVES = [(3, 2), (3, 3), (3, 8), (5, 6), (5, 8), (7, 8)]  # (d, k)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-5])
+@pytest.mark.parametrize("s, j", NEAR_THRESHOLD)
+def test_kraus_twist_near_threshold_indeterminate(s, j, eps):
+    st = _perturbed_covariant(s, j, eps, np.random.default_rng(17))
+    v = check_kraus_twist_relation(st, _twist_for(st))
+    assert v.status == "indeterminate"
+    assert v.details["lower_bound"] <= v.defect
+
+
+def _direct_sums():
+    pairs = [(aklt_kraus(), aklt_kraus()),
+             (covariant_kraus(1, Fraction(1, 2)), covariant_kraus(1, 1))]
+    out = []
+    for a, b in pairs:
+        st = fixed_point(direct_sum(a, b))
+        out += [st, _with_gauge(st, 3)]
+    return out
+
+
+@pytest.mark.parametrize("st", _direct_sums(),
+                         ids=["aklt+aklt", "aklt+aklt-gauge",
+                              "cov+cov", "cov+cov-gauge"])
+def test_kraus_twist_direct_sums_pass(st):
+    v = check_kraus_twist_relation(st, _twist_for(st))
+    assert v.passed
+    assert v.details["multiplicity"] > 1
+    W = v.details["gauge"]
+    assert np.abs(W @ W.conj().T - np.eye(st.k)).max() < 1e-12
+
+
+@pytest.mark.parametrize("phi, status", [(1e-4, "indeterminate"), (0.1, "fail")])
+def test_kraus_twist_direct_sum_mismatched_phases(phi, status):
+    # e^{i phi} on the second summand moves its phase to -e^{-2i phi}: no
+    # single phase fits both blocks, the best joint gauge misses by ~phi
+    b = KrausFamily(tuple(np.exp(1j * phi) * v for v in covariant_kraus(1, 1).v))
+    st = _with_gauge(fixed_point(direct_sum(covariant_kraus(1, Fraction(1, 2)), b)), 5)
+    v = check_kraus_twist_relation(st, _twist_for(st))
+    assert v.status == status
+    assert 0.5 * phi <= v.defect <= 2 * phi
+    assert v.details["lower_bound"] <= v.defect
+
+
+@pytest.mark.parametrize("d, k", RANDOM_NEGATIVES)
+def test_kraus_twist_random_negatives_certified(d, k):
+    for seed in range(3):
+        st = random_fcs_state(d, k, np.random.default_rng(seed))
+        v = check_kraus_twist_relation(st, _twist_for(st))
+        assert v.status == "fail"
+        # no unitary gauge and phase come within 1e-3: the fail is a certificate
+        assert 1e-3 <= v.details["lower_bound"] <= v.defect
+
+
+def _gauge_property_families():
+    fams = [covariant_state(s, j) for s, j in
+            ((1, Fraction(1, 2)), (1, 2), (2, Fraction(3, 2)), (3, Fraction(7, 2)))]
+    fams += [random_fcs_state(d, k, np.random.default_rng(40 + d))
+             for d, k in ((3, 2), (3, 4), (5, 3))]
+    return fams
+
+
+GAUGE_FAMILIES = _gauge_property_families()
+
+
+@settings(max_examples=30, deadline=None)
+@given(index=st_.integers(0, len(GAUGE_FAMILIES) - 1),
+       seed=st_.integers(0, 2 ** 32 - 1))
+def test_kraus_twist_bond_gauge_invariant(index, seed):
+    fam = GAUGE_FAMILIES[index]
+    tw = _twist_for(fam)
+    base = check_kraus_twist_relation(fam, tw)
+    moved = check_kraus_twist_relation(_with_gauge(fam, seed), tw)
+    assert moved.status == base.status
+    assert abs(moved.defect - base.defect) <= 1e-9
+    assert moved.details["lower_bound"] <= moved.defect
