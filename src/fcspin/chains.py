@@ -16,7 +16,7 @@ from scipy.sparse.linalg import eigsh
 
 from .errors import ResourceLimitError
 from .su2 import build_spin_rep
-from .symmetry import SymmetryVerdict, _as_twist_matrix, _reflect_twist_matrix
+from .symmetry import _as_twist_matrix, _rp_gram_verdict
 
 __all__ = [
     "SpinChainSystem",
@@ -162,7 +162,10 @@ def ground(system, rel_window=1e-9, k_lowest=6):
         w, V = np.linalg.eigh(system.H.toarray())
     else:
         k = min(k_lowest, dim - 2)
-        w, V = eigsh(system.H, k=k, which="SA")
+        # a fixed start vector makes the Lanczos run, and so its output,
+        # the same on every call
+        v0 = np.random.default_rng(0).normal(size=dim)
+        w, V = eigsh(system.H, k=k, which="SA", v0=v0)
         order = np.argsort(w)
         w, V = w[order], V[:, order]
     e0 = float(w[0])
@@ -192,7 +195,8 @@ def gibbs(system, beta):
 
 def _expect(state, op):
     if isinstance(state, ThermalState):
-        return complex(np.trace(state.rho @ op.toarray()))
+        # trace(rho op) = sum_ij op[i, j] rho[j, i], without densifying op
+        return complex(op.multiply(state.rho.T).sum())
     psi = np.asarray(state).reshape(-1)
     return complex(psi.conj() @ (op @ psi))
 
@@ -231,38 +235,24 @@ def correlation_profile(system, state, r_max):
 
 
 def rp_gram_check(system, state, twist, tol=1e-9):
-    """Reflection-positivity Gram matrix about the central bond.
+    """Reflection-positivity Gram check about the central bond.
 
     state may be a ThermalState, an inverse temperature (a Gibbs state is
-    built), or a pure-state vector.  The Gram matrix pairs each matrix
-    unit on the right half-chain with its reflected, twisted, conjugated
-    image on the left half; the verdict requires min eigenvalue >= -tol.
+    built), or a pure-state vector.  Its density matrix, transposed, is the
+    window tensor W[I, J] = omega(|e_I><e_J|) of the whole chain, and the
+    verdict is the one check_reflection_positive gives that window.
     """
     if system.n % 2 != 0:
         raise ValueError("reflection about the central bond needs an even chain")
     if isinstance(state, (int, float)):
         state = gibbs(system, float(state))
     r0 = _as_twist_matrix(twist, system.d)
-    m = system.n // 2
-    D = system.d ** m
     if isinstance(state, ThermalState):
         rho = state.rho
     else:
         psi = np.asarray(state, dtype=complex).reshape(-1)
         rho = np.outer(psi, psi.conj())
-    rho4 = rho.reshape(D, D, D, D)
-    Rr = _reflect_twist_matrix(r0, m)
-    G = np.einsum("ma,lb,lymx->abxy", Rr.conj(), Rr, rho4,
-                  optimize=True).reshape(D * D, D * D)
-    herm_defect = float(np.abs(G - G.conj().T).max())
-    G = (G + G.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(G).min())
-    defect = max(0.0, -min_eig)
-    status = "pass" if defect <= tol and herm_defect <= 100 * tol else "fail"
-    return SymmetryVerdict(
-        name="reflection-positive", window=m, defect=defect, tol=tol,
-        status=status, details={"min_eig": min_eig, "herm_defect": herm_defect},
-    )
+    return _rp_gram_verdict(rho.T, r0, system.n // 2, tol)
 
 
 def gap_scan(d, J, n_list, periodic=True, model="xxx"):

@@ -184,8 +184,7 @@ def cmd_ed(args):
         print(f"{row.r},{_fmt(row.total)},{_fmt(row.zz)}")
     if args.rp:
         tw = build_twist(build_spin_rep(args.d))
-        beta = args.beta if args.beta is not None else 1.0
-        verdict = rp_gram_check(system, beta, tw)
+        verdict = rp_gram_check(system, state if args.beta is not None else 1.0, tw)
         print(f"rp_status {verdict.status}")
         print(f"rp_min_eig {_fmt(verdict.details['min_eig'])}")
         return EXIT_PASS if verdict.passed else EXIT_FAIL
@@ -258,10 +257,12 @@ def build_parser():
     p.add_argument("--open", action="store_true",
                    help="open boundary conditions (default periodic)")
     p.add_argument("--beta", type=float, default=None,
-                   help="use the Gibbs state at this inverse temperature")
+                   help="use the Gibbs state at this inverse temperature "
+                        "(default: correlations of the ground state)")
     p.add_argument("--r-max", dest="r_max", type=_positive_int, default=None)
     p.add_argument("--rp", action="store_true",
-                   help="run the reflection-positivity Gram check")
+                   help="run the reflection-positivity Gram check on the "
+                        "Gibbs state at --beta (beta = 1 without --beta)")
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("demo-aklt", help="end-to-end run on the bundled family")

@@ -106,13 +106,12 @@ class ModularData:
     The GNS space is realized as k x k matrices y (the vector of an algebra
     element a is a rho^{1/2}) with the Hilbert-Schmidt inner product; the
     cyclic vector is rho^{1/2}.  Delta acts by y -> rho y rho^{-1} and the
-    modular conjugation by the antilinear map y -> y* (descriptor Jconj).
+    modular conjugation by the antilinear map y -> y*.
     The duals vtilde_k act from the right: y -> y (rho^{1/2} v_k rho^{-1/2}).
     """
 
     gns_dim: int
     Delta: np.ndarray
-    Jconj: str
     vtilde: tuple
     rho: np.ndarray
     delta_defect: float = field(default=0.0)
@@ -265,7 +264,7 @@ def _rho_roots(rho):
 
 
 def modular_data(state):
-    """Delta, the conjugation descriptor, and the dual family vtilde."""
+    """Delta, its defect from the identity, and the dual family vtilde."""
     rho = state.rho
     k = state.k
     sq, inv_sq, inv = _rho_roots(rho)
@@ -275,7 +274,6 @@ def modular_data(state):
     return ModularData(
         gns_dim=k * k,
         Delta=Delta,
-        Jconj="antilinear adjoint y -> y* on the Hilbert-Schmidt GNS space",
         vtilde=vtilde,
         rho=rho,
         delta_defect=defect,

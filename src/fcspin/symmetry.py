@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .fcs import max_window_entries, modular_data, window_expectations
-from .su2 import TwistMatrix, build_spin_rep, build_twist, random_group_elements
+from .su2 import TwistMatrix, compute_mu, random_group_elements
 from .transfer import build_transfer, decay_certificate, gap
 
 __all__ = [
@@ -162,28 +162,17 @@ def check_lattice_twist(state, twist, m, tol=1e-9):
     return _verdict("lattice-twist", m, _worst(details), tol, details)
 
 
-def check_reflection_positive(state, twist, m, tol=1e-9):
-    """Positivity of the twisted-reflection Gram form on length-m windows.
+def _rp_gram_verdict(W, r0, m, tol):
+    """Reflection-positivity verdict of a length-2m window tensor W.
 
-    The Gram matrix over the matrix-unit basis of a length-m window pairs
-    each basis element against its twisted mirror image on the opposite
-    side of the bond; the verdict requires the (hermitized) matrix to have
-    smallest eigenvalue >= -tol.
+    The Gram matrix over the matrix-unit basis of the right half pairs each
+    basis element against its twisted mirror image on the left half; the
+    verdict requires the (hermitized) matrix to have smallest eigenvalue
+    >= -tol.
     """
-    r0 = _as_twist_matrix(twist, state.d)
-    d = state.d
-    if m == 0:
-        return SymmetryVerdict(name="reflection-positive", window=0, defect=0.0,
-                               tol=tol, status="pass",
-                               details={"min_eig": 1.0, "herm_defect": 0.0})
-    if (d ** m) ** 4 > max_window_entries() ** 2:
-        raise ResourceLimitError(
-            f"reflection-positivity Gram at window {m}, d={d} exceeds the cap"
-        )
-    D = d ** m
-    W4 = window_expectations(state, 2 * m).reshape(D, D, D, D)
+    D = r0.shape[0] ** m
     Rr = _reflect_twist_matrix(r0, m)
-    G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, W4,
+    G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, W.reshape(D, D, D, D),
                   optimize=True).reshape(D * D, D * D)
     herm_defect = float(np.abs(G - G.conj().T).max())
     G = (G + G.conj().T) / 2
@@ -194,6 +183,21 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
         name="reflection-positive", window=m, defect=defect, tol=tol,
         status=status, details={"min_eig": min_eig, "herm_defect": herm_defect},
     )
+
+
+def check_reflection_positive(state, twist, m, tol=1e-9):
+    """Positivity of the twisted-reflection Gram form on length-m windows."""
+    r0 = _as_twist_matrix(twist, state.d)
+    d = state.d
+    if m == 0:
+        return SymmetryVerdict(name="reflection-positive", window=0, defect=0.0,
+                               tol=tol, status="pass",
+                               details={"min_eig": 1.0, "herm_defect": 0.0})
+    if (d ** m) ** 4 > max_window_entries() ** 2:
+        raise ResourceLimitError(
+            f"reflection-positivity Gram at window {m}, d={d} exceeds the cap"
+        )
+    return _rp_gram_verdict(window_expectations(state, 2 * m), r0, m, tol)
 
 
 def check_su2(state, rep, samples, m, tol=1e-8, rng=None):
@@ -227,6 +231,18 @@ def check_su2(state, rep, samples, m, tol=1e-8, rng=None):
             val = float(np.abs(A.T @ W - W @ A.conj()).max()) / scale
             details[(length, "generator", label)] = val
     return _verdict("su2-invariant", m, _worst(details), tol, details)
+
+
+def _real_form(twist, d):
+    """The real matrix zeta * r0 of a TwistMatrix, or of a bare unitary
+    involution r0 whose conjugate is +-r0 (ValueError otherwise)."""
+    if isinstance(twist, TwistMatrix):
+        if twist.d != d:
+            raise ValueError(f"twist dimension {twist.d} != physical dimension {d}")
+        return twist.real_form
+    r0 = _as_twist_matrix(twist, d)
+    mu = compute_mu(TwistMatrix(d=d, r0=r0, zeta=1.0 + 0j, mu=1))
+    return r0.real if mu == 1 else r0.imag  # zeta = 1 or -i, as in build_twist
 
 
 def _polar_unitary(M):
@@ -268,7 +284,8 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
 
     Decides whether there exist a bond unitary W and a phase lam with
     v_i* = lam * W c_i W* for all i, where c_i = sum_j r[j, i] v_j and r is
-    the real form of the twist.  For unitary W and |lam| = 1,
+    the real form of the twist (a TwistMatrix, or a bare unitary involution
+    r0 with conj(r0) = +-r0).  For unitary W and |lam| = 1,
 
         sum_i ||v_i* W - lam W c_i||_F^2 = 2k - 2 Re(lam <vec W, Q vec W>),
 
@@ -288,13 +305,10 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     unitary W and phase can beat: sqrt(2 (1 - w) / d), with w an upper bound
     on the numerical radius.
     """
-    tw = twist if isinstance(twist, TwistMatrix) else build_twist(build_spin_rep(state.d))
-    if tw.d != state.d:
-        raise ValueError(f"twist dimension {tw.d} != physical dimension {state.d}")
     d, k = state.d, state.k
     V = state.kraus.stacked()
     targets = V.conj().transpose(0, 2, 1)
-    C = _twist_combination(state.kraus, tw.real_form)
+    C = _twist_combination(state.kraus, _real_form(twist, d))
     # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
     # sum_i tr(W* v_i W c_i) for row-major vec
     Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)

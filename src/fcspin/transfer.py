@@ -63,10 +63,7 @@ class DecayCertificate:
     beta_max: float
     anorm: float
     bnorm: float
-    anorm_op: float
-    bnorm_op: float
     selfadjoint: bool
-    fitted_c: float
     verdict: str
     violations: tuple
     reason: str = ""
@@ -82,7 +79,7 @@ def build_transfer(state):
     return TransferOperator(k=state.k, matrix=mat, cyclic=sq.reshape(-1), state=state)
 
 
-def check_selfadjoint(t, tol=1e-9):
+def check_selfadjoint(t):
     """Spectral-norm defect ||T - T*|| in the GNS inner product."""
     defect = float(np.linalg.norm(t.matrix - t.matrix.conj().T, 2))
     return defect
@@ -92,10 +89,10 @@ def _sort_eigs(w):
     return tuple(sorted(w, key=lambda z: (-abs(z), -z.real, -z.imag)))
 
 
-def _complement(cyclic):
-    n = cyclic.size
-    Q, _ = np.linalg.qr(cyclic.reshape(-1, 1), mode="complete")
-    return Q[:, 1:]
+def _restricted(t):
+    """T on the orthogonal complement of the cyclic vector, in a QR basis."""
+    Q, _ = np.linalg.qr(t.cyclic.reshape(-1, 1), mode="complete")
+    return Q[:, 1:].conj().T @ t.matrix @ Q[:, 1:]
 
 
 def gap(t, tol=1e-9):
@@ -107,8 +104,7 @@ def gap(t, tol=1e-9):
     """
     w = np.linalg.eigvals(t.matrix)
     fixed_mult = int(np.sum(np.abs(w - 1.0) <= tol))
-    comp = _complement(t.cyclic)
-    wc = np.linalg.eigvals(comp.conj().T @ t.matrix @ comp)
+    wc = np.linalg.eigvals(_restricted(t))
     delta = 1.0 if fixed_mult > 1 else float(np.abs(wc).max()) if wc.size else 0.0
     delta = min(max(delta, 0.0), 1.0)
     return GapReport(
@@ -128,67 +124,64 @@ def _insertions(state, A, B):
     # sigma_A with trace(sigma_A x) = omega(A (x) ...) = sum A_ij tr(rho v_i x v_j*)
     sigma_A = np.einsum("ij,jba,bc,icd->ad", A, V.conj(), rho, V, optimize=True)
     xB = np.einsum("ij,iab,jcb->ac", B, V, V.conj(), optimize=True)
-    wA = complex(np.trace(sigma_A))
-    wB = complex(np.trace(rho @ xB))
-    sigma_Ac = sigma_A - wA * rho
-    xBc = xB - wB * np.eye(state.k)
-    return sigma_Ac, xBc, wA, wB
+    sigma_Ac = sigma_A - np.trace(sigma_A) * rho
+    xBc = xB - np.trace(rho @ xB) * np.eye(state.k)
+    return sigma_Ac, xBc
+
+
+def _correlations(state, sigma_Ac, xBc, n_max):
+    """Connected correlations for n = 1..n_max from one sweep y <- Mc y,
+    with Mc the transfer matrix minus its fixed-point projector."""
+    M = transfer_matrix(state.kraus)
+    P = np.outer(np.eye(state.k).reshape(-1), state.rho.reshape(-1).conj())
+    Mc = M - P
+    a = sigma_Ac.T.reshape(-1)
+    y = xBc.reshape(-1)
+    corr = [complex(a @ y)]  # trace(sigma_Ac Z) for Z = unvec(y)
+    for _ in range(n_max - 1):
+        y = Mc @ y
+        corr.append(complex(a @ y))
+    return corr
 
 
 def two_point(state, A, B, n):
     """Connected correlation omega(A theta^n(B)) - omega(A) omega(B), n >= 1."""
     if n < 1:
         raise ValueError("two_point requires n >= 1 (disjoint supports)")
-    sigma_Ac, xBc, _, _ = _insertions(state, A, B)
-    M = transfer_matrix(state.kraus)
-    P = np.outer(np.eye(state.k).reshape(-1), state.rho.reshape(-1).conj())
-    Mc = M - P
-    y = xBc.reshape(-1)
-    for _ in range(n - 1):
-        y = Mc @ y
-    # trace(sigma_Ac Z) for Z = unvec(y)
-    return complex(sigma_Ac.T.reshape(-1) @ y)
+    return _correlations(state, *_insertions(state, A, B), n)[-1]
 
 
 def decay_certificate(state, A, B, n_max, tol=1e-9):
     """Verify |corr(n)| <= delta^(n-1) ||a|| ||b|| for n = 1..n_max.
 
-    ||a||, ||b|| are the GNS-vector norms of the centered insertions (the
-    operator norms are recorded alongside).  For a non-self-adjoint T the
-    bound uses the explicit norms of the restricted transfer powers, with
-    the fitted constant reported.  A degenerate fixed space refuses a pass.
+    ||a||, ||b|| are the GNS-vector norms of the centered insertions.  For a
+    non-self-adjoint T the bound uses the explicit norms of the restricted
+    transfer powers instead.  A degenerate fixed space refuses a pass.
     """
     t = build_transfer(state)
     rep = gap(t, tol)
-    sq, inv_sq, inv = _rho_roots(state.rho)
-    sigma_Ac, xBc, _, _ = _insertions(state, A, B)
+    sq, inv_sq, _ = _rho_roots(state.rho)
+    sigma_Ac, xBc = _insertions(state, A, B)
     anorm = float(np.linalg.norm(sigma_Ac.conj().T @ inv_sq, "fro"))
     bnorm = float(np.linalg.norm(xBc @ sq, "fro"))
-    anorm_op = float(np.linalg.norm((inv @ sigma_Ac).conj().T, 2))
-    bnorm_op = float(np.linalg.norm(xBc, 2))
     selfadjoint = rep.selfadjoint_defect <= 1e-9
 
-    comp = _complement(t.cyclic)
-    Tc = comp.conj().T @ t.matrix @ comp
-    rows = []
-    power = np.eye(Tc.shape[0], dtype=complex)
-    for n in range(1, n_max + 1):
-        corr = two_point(state, A, B, n)
-        if selfadjoint:
-            bound = rep.delta ** (n - 1) * anorm * bnorm
-        else:
-            bound = float(np.linalg.norm(power, 2)) * anorm * bnorm
-        rows.append(DecayRow(n=n, corr=corr, bound=bound))
-        power = power @ Tc
+    if selfadjoint:
+        bounds = [rep.delta ** (n - 1) * anorm * bnorm for n in range(1, n_max + 1)]
+    else:
+        Tc = _restricted(t)
+        power = np.eye(Tc.shape[0], dtype=complex)
+        bounds = []
+        for _ in range(n_max):
+            bounds.append(float(np.linalg.norm(power, 2)) * anorm * bnorm)
+            power = power @ Tc
+    corr = _correlations(state, sigma_Ac, xBc, n_max)
+    rows = [DecayRow(n=n, corr=c, bound=b)
+            for n, c, b in zip(range(1, n_max + 1), corr, bounds)]
 
     scale = max(1.0, anorm * bnorm)
     violations = tuple(r.n for r in rows if abs(r.corr) > r.bound + 1e-12 * scale)
-    if rep.delta > 0:
-        fitted_c = max(r.bound / rep.delta ** r.n for r in rows) if rows else 0.0
-        beta_max = -math.log(rep.delta)
-    else:
-        fitted_c = max((abs(r.corr) for r in rows), default=0.0)
-        beta_max = math.inf
+    beta_max = -math.log(rep.delta) if rep.delta > 0 else math.inf
 
     if rep.fixed_multiplicity > 1:
         verdict, reason = "fail", "degenerate fixed space: correlations need not decay"
@@ -202,10 +195,7 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
         beta_max=beta_max,
         anorm=anorm,
         bnorm=bnorm,
-        anorm_op=anorm_op,
-        bnorm_op=bnorm_op,
         selfadjoint=selfadjoint,
-        fitted_c=fitted_c,
         verdict=verdict,
         violations=violations,
         reason=reason,

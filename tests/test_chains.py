@@ -5,6 +5,7 @@ import pytest
 
 from fcspin import build_spin_rep, build_twist
 from fcspin.chains import (
+    MAX_DENSE_DIM,
     _site_op,
     build_chain,
     correlation_profile,
@@ -16,6 +17,7 @@ from fcspin.chains import (
     two_site_expectation,
 )
 from fcspin.errors import ResourceLimitError
+from fcspin.symmetry import _reflect_twist_matrix
 
 
 def test_two_site_spectrum_d2():
@@ -191,3 +193,80 @@ def test_rp_gram_needs_even_chain():
     tw = build_twist(build_spin_rep(2))
     with pytest.raises(ValueError):
         rp_gram_check(system, 1.0, tw)
+
+
+def _rp_reference(system, rho, r0):
+    """Reference min eigenvalue and Hermiticity defect of the Gram matrix,
+    contracted from the density matrix itself rather than from the window
+    tensor rho.T that rp_gram_check shares with check_reflection_positive."""
+    m = system.n // 2
+    D = system.d ** m
+    Rr = _reflect_twist_matrix(r0, m)
+    G = np.einsum("ma,lb,lymx->abxy", Rr.conj(), Rr, rho.reshape(D, D, D, D),
+                  optimize=True).reshape(D * D, D * D)
+    herm_defect = float(np.abs(G - G.conj().T).max())
+    return float(np.linalg.eigvalsh((G + G.conj().T) / 2).min()), herm_defect
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["thermal", "open", "pure", "field"])
+@pytest.mark.parametrize("generic", [False, True])
+def test_rp_gram_matches_density_matrix_contraction(d, kind, generic):
+    # the transverse field makes rho complex; at d = 2 the half-chain m = 3
+    # is odd, so the reflected spin twist is complex as well
+    field = (0.3, 0.5, 1.5) if kind == "field" else None
+    n = 6 if d == 2 else 4
+    system = build_chain(d, n, periodic=kind != "open", field=field)
+    if kind == "pure":
+        state = ground(system).vectors[:, 0]
+        rho = np.outer(state, state.conj())
+    else:
+        state = gibbs(system, 1.3)
+        rho = state.rho
+    r0 = build_twist(build_spin_rep(d)).r0
+    if generic:
+        # a unitary involution with conj(r0) != +-r0: with a field, the Gram
+        # forms of rho and of its transpose then differ in herm_defect
+        rng = np.random.default_rng(1)
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        r0 = u @ np.diag([1.0] + [-1.0] * (d - 1)) @ u.conj().T
+    min_eig, herm_defect = _rp_reference(system, rho, r0)
+    v = rp_gram_check(system, state, r0)
+    assert abs(v.details["min_eig"] - min_eig) <= 1e-13
+    assert abs(v.details["herm_defect"] - herm_defect) <= 1e-13
+    assert v.passed == (max(0.0, -min_eig) <= 1e-9 and herm_defect <= 1e-7)
+    if not generic:
+        assert v.passed == (kind != "field")
+
+
+@pytest.mark.parametrize("d, n, beta, field", [
+    (2, 6, 0.8, None), (3, 4, 1.7, None), (2, 6, 0.8, (0.3, 0.5, 0.2)),
+])
+def test_thermal_profile_matches_dense_trace(d, n, beta, field):
+    system = build_chain(d, n, field=field)
+    state = gibbs(system, beta)
+    rep = build_spin_rep(d)
+
+    def dense(ops):
+        return complex(np.trace(state.rho @ _site_op(ops, d, n).toarray()))
+
+    for row in correlation_profile(system, state, n - 1):
+        r = row.r
+        total = sum(dense({0: S, r: S}) - dense({0: S}) * dense({r: S})
+                    for S in rep.generators())
+        zz = dense({0: rep.Sz, r: rep.Sz}) - dense({0: rep.Sz}) * dense({r: rep.Sz})
+        assert abs(row.total - total.real) <= 1e-12
+        assert abs(row.zz - zz.real) <= 1e-12
+    # an imaginary one-site factor tells rho from rho.T
+    for r in range(1, n):
+        got = two_site_expectation(system, state, rep.Sy, rep.Sz, 0, r)
+        assert abs(got - dense({0: rep.Sy, r: rep.Sz})) <= 1e-12
+
+
+def test_iterative_ground_is_deterministic():
+    system = build_chain(3, 8, model="aklt-parent")
+    assert system.dim > MAX_DENSE_DIM
+    first, second = ground(system), ground(system)
+    assert first.energy == second.energy
+    assert first.gap == second.gap
+    assert np.array_equal(first.vectors, second.vectors)

@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from fcspin import chains, cli
 from fcspin.cli import main
 from fcspin.krausfile import write_kraus
 from fcspin.states import random_unital_kraus
@@ -147,3 +148,23 @@ def test_tol_rejected_at_boundary(command, tol, capsys):
     err_text = capsys.readouterr().err
     assert "--tol" in err_text
     assert "not unital" not in err_text
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["ed", "--d", "2", "--n", "4", "--beta", "0.7", "--rp"], 1),
+    (["ed", "--d", "2", "--n", "4", "--rp"], 1),
+    (["ed", "--d", "2", "--n", "4", "--beta", "0.7"], 1),
+    (["ed", "--d", "2", "--n", "4"], 0),
+])
+def test_ed_builds_one_gibbs_state(argv, builds, monkeypatch, capsys):
+    calls = []
+    original = chains.gibbs
+
+    def counted(system, beta):
+        calls.append(beta)
+        return original(system, beta)
+
+    monkeypatch.setattr(chains, "gibbs", counted)
+    monkeypatch.setattr(cli, "gibbs", counted)
+    assert main(argv) == 0
+    assert len(calls) == builds

@@ -9,6 +9,7 @@ from hypothesis import strategies as st_
 
 from fcspin import (
     KrausFamily,
+    TwistMatrix,
     aklt_kraus,
     aklt_state,
     build_spin_rep,
@@ -336,3 +337,40 @@ def test_kraus_twist_bond_gauge_invariant(index, seed):
     assert moved.status == base.status
     assert abs(moved.defect - base.defect) <= 1e-9
     assert moved.details["lower_bound"] <= moved.defect
+
+
+def test_kraus_twist_bare_matrix_is_its_own_twist():
+    # the spin-1/2 irrep twist fails on the up-spin product state, but a
+    # bare sigma_z is a twist in its own right and must not be replaced by it
+    st = product_state(np.array([1.0, 0.0]))
+    sigma_z = np.diag([1.0, -1.0]).astype(complex)
+    wrapped = TwistMatrix(d=2, r0=sigma_z, zeta=1.0 + 0j, mu=1)
+    assert check_kraus_twist_relation(st, wrapped).status == "pass"
+    bare = check_kraus_twist_relation(st, sigma_z)
+    assert bare.status == "pass"
+    assert bare.defect == 0.0
+    assert check_kraus_twist_relation(st, build_twist(build_spin_rep(2))).status == "fail"
+
+
+@pytest.mark.parametrize("st", [
+    aklt_state(),
+    covariant_state(2, Fraction(1)),
+    random_fcs_state(2, 3, np.random.default_rng(3)),
+], ids=["aklt", "cov-2-1", "random-d2-k3"])
+def test_kraus_twist_bare_spin_twist_agrees(st):
+    tw = build_twist(build_spin_rep(st.d))
+    wrapped = check_kraus_twist_relation(st, tw)
+    bare = check_kraus_twist_relation(st, tw.r0)
+    assert bare.status == wrapped.status
+    assert abs(bare.defect - wrapped.defect) <= 1e-12
+
+
+def test_kraus_twist_bare_matrix_without_real_form_refused():
+    # a unitary involution whose conjugate is not +-itself has no real form
+    a = np.exp(1j * np.pi / 4)
+    r0 = np.array([[0.0, a], [np.conj(a), 0.0]])
+    st = product_state(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        check_kraus_twist_relation(st, r0)
+    with pytest.raises(ValueError):
+        check_kraus_twist_relation(st, np.diag([1.0, 1.0, -1.0]))

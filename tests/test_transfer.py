@@ -169,3 +169,16 @@ def test_decay_certificate_generic_state():
     cert = decay_certificate(st, Sz, Sz, 15)
     assert cert.passed
     assert 0 < cert.delta < 1
+
+
+@pytest.mark.parametrize("st", [
+    aklt_state(),
+    random_fcs_state(3, 3, np.random.default_rng(77)),
+    random_fcs_state(2, 4, np.random.default_rng(5)),
+], ids=["aklt", "random-d3-k3", "random-d2-k4"])
+def test_decay_rows_equal_two_point(st):
+    rep = build_spin_rep(st.d)
+    cert = decay_certificate(st, rep.Sz, rep.Sx, 12)
+    assert len(cert.rows) == 12
+    for row in cert.rows:
+        assert row.corr == two_point(st, rep.Sz, rep.Sx, row.n)
