@@ -234,12 +234,8 @@ def check_su2(state, rep, samples, m, tol=1e-8, rng=None):
 
 
 def _real_form(twist, d):
-    """The real matrix zeta * r0 of a TwistMatrix, or of a bare unitary
-    involution r0 whose conjugate is +-r0 (ValueError otherwise)."""
-    if isinstance(twist, TwistMatrix):
-        if twist.d != d:
-            raise ValueError(f"twist dimension {twist.d} != physical dimension {d}")
-        return twist.real_form
+    """The real matrix zeta * r0 of a unitary involution r0 (a TwistMatrix or
+    a bare matrix) whose conjugate is +-r0 (ValueError otherwise)."""
     r0 = _as_twist_matrix(twist, d)
     mu = compute_mu(TwistMatrix(d=d, r0=r0, zeta=1.0 + 0j, mu=1))
     return r0.real if mu == 1 else r0.imag  # zeta = 1 or -i, as in build_twist
