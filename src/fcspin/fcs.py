@@ -4,7 +4,10 @@ A family v_1..v_d of k x k matrices with sum_i v_i v_i* = I, together with
 an invariant faithful density matrix rho (sum_i v_i* rho v_i = rho), defines
 a translation-invariant state of the two-sided chain.  Expectations of an
 observable supported on a window of length m are computed from the window
-tensor W[I, J] = trace(rho v_{i1}..v_{im} v*_{jm}..v*_{j1}).
+tensor W[I, J] = trace(rho v_{i1}..v_{im} v*_{jm}..v*_{j1}).  It factors
+through bond space (Fannes-Nachtergaele-Werner): split at m1 = m // 2,
+W[(I1, I2), (J1, J2)] = trace((v_{J1}* rho v_{I1}) (v_{I2} v_{J2}*)), so it is
+built from two half-window factors in O(d^m k^2 + d^(2m)) memory.
 """
 
 from __future__ import annotations
@@ -39,8 +42,18 @@ MAX_WINDOW_LEN = 12
 
 
 def max_window_entries():
-    """Size cap for window tensors, overridable via FCS_MAX_DIM."""
-    return int(os.environ.get("FCS_MAX_DIM", 4_000_000))
+    """Size cap for window tensors, overridable via FCS_MAX_DIM.
+
+    Raises ValueError naming the variable unless it is a positive integer.
+    """
+    value = os.environ.get("FCS_MAX_DIM", "4000000")
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"FCS_MAX_DIM must be a positive integer, got {value!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -218,9 +231,25 @@ def evaluate_monomial(state, I, J):
     return complex(np.trace(state.rho @ left @ right))
 
 
+def _products(V, n):
+    """The d^n products v_{i1}..v_{in} as a (d^n, k, k) array, first site
+    most significant; n = 0 gives the identity alone."""
+    k = V.shape[1]
+    P = np.eye(k, dtype=complex)[None]
+    for _ in range(n):
+        P = np.matmul(P[:, None], V[None]).reshape(-1, k, k)
+    return P
+
+
 def window_expectations(state, m):
-    """The d^m x d^m tensor W[I, J] = omega(|e_I><e_J|) on a length-m window."""
-    d, k = state.d, state.k
+    """The d^m x d^m tensor W[I, J] = omega(|e_I><e_J|) on a length-m window.
+
+    Splitting the window at m1 = m // 2 into I = (I1, I2), J = (J1, J2),
+    W[I, J] = tr(X[I1, J1] Y[I2, J2]) with X[I1, J1] = v_{J1}* rho v_{I1}
+    and Y[I2, J2] = v_{I2} v_{J2}*, so W is one contraction over bond space
+    of two half-window factors.  Memory is O(d^m k^2 + d^(2m)).
+    """
+    d = state.d
     if m < 1:
         raise ValueError("window length must be >= 1")
     if m > MAX_WINDOW_LEN or (d ** m) ** 2 > max_window_entries():
@@ -228,17 +257,14 @@ def window_expectations(state, m):
             f"window of length {m} at d={d} exceeds the configured cap"
         )
     V = state.kraus.stacked()
-    Vc = V.conj()
-    # F[I, J] = v_{i1}..v_{im} v*_{jm}..v*_{j1}, built by prepending one site
-    F = np.einsum("iab,jcb->ijac", V, Vc)
-    dim = d
-    for _ in range(m - 1):
-        F = np.einsum("iab,xybe,jce->ixjyac", V, F.reshape(dim, dim, k, k), Vc,
-                      optimize=True)
-        dim *= d
-        F = F.reshape(dim, dim, k, k)
-    W = np.einsum("pq,xyqp->xy", state.rho, F.reshape(dim, dim, k, k), optimize=True)
-    return W
+    m1 = m // 2
+    L = _products(V, m1)
+    R = _products(V, m - m1)
+    Lh = L.conj().transpose(0, 2, 1)
+    X = np.matmul(Lh[None], (state.rho @ L)[:, None])  # X[I1, J1]
+    Y = np.matmul(R[:, None], R.conj().transpose(0, 2, 1)[None])  # Y[I2, J2]
+    W = np.tensordot(X, Y, axes=([2, 3], [3, 2]))  # W[I1, J1, I2, J2]
+    return W.transpose(0, 2, 1, 3).reshape(d ** m, d ** m)
 
 
 def evaluate_local(state, obs):

@@ -59,6 +59,7 @@ class DecayRow:
 @dataclass(frozen=True)
 class DecayCertificate:
     rows: tuple
+    gap: GapReport
     delta: float
     beta_max: float
     anorm: float
@@ -191,6 +192,7 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
         verdict, reason = "pass", ""
     return DecayCertificate(
         rows=tuple(rows),
+        gap=rep,
         delta=rep.delta,
         beta_max=beta_max,
         anorm=anorm,

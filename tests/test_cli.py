@@ -71,6 +71,12 @@ def test_audit_missing_file(capsys):
     assert main(["audit", "/nonexistent/x.kraus"]) == 2
 
 
+def test_audit_invalid_max_dim(monkeypatch, capsys):
+    monkeypatch.setenv("FCS_MAX_DIM", "abc")
+    assert main(["audit", "@aklt"]) == 2
+    assert "FCS_MAX_DIM" in capsys.readouterr().err
+
+
 def test_audit_deterministic(capsys):
     main(["audit", "@aklt", "--seed", "5"])
     first = capsys.readouterr().out

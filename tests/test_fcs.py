@@ -1,13 +1,19 @@
 """Kraus families, fixed points, window expectations, modular data."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from fcspin import (
     KrausFamily,
     aklt_kraus,
     aklt_state,
+    covariant_state,
     direct_sum,
+    gauge_transform,
     product_state,
     random_fcs_state,
     random_unital_kraus,
@@ -19,6 +25,7 @@ from fcspin.fcs import (
     evaluate_local,
     evaluate_monomial,
     fixed_point,
+    max_window_entries,
     modular_data,
     transfer_matrix,
     validate,
@@ -99,6 +106,58 @@ def test_window_resource_refusal():
     st = aklt_state()
     with pytest.raises(ResourceLimitError):
         window_expectations(st, 13)
+
+
+@pytest.mark.parametrize("family, m_max", [
+    ("random", 5),  # odd m splits the window unevenly, m = 1 has no left half
+    ("gauged-covariant", 3),
+])
+def test_window_expectations_match_monomials(family, m_max):
+    if family == "random":
+        st = random_fcs_state(2, 3, np.random.default_rng(31))
+    else:
+        st = covariant_state(1, 1.5)
+        st = gauge_transform(st, unitary_group.rvs(st.k, random_state=5))
+    d = st.d
+    previous = None
+    for m in range(1, m_max + 1):
+        W = window_expectations(st, m)
+        words = list(itertools.product(range(1, d + 1), repeat=m))
+        ref = np.array([[evaluate_monomial(st, I, J) for J in words] for I in words])
+        assert np.abs(W - ref).max() < 1e-13
+        if previous is not None:
+            traced = np.einsum("ikjk->ij", W.reshape(d ** (m - 1), d, d ** (m - 1), d))
+            assert np.abs(traced - previous).max() < 1e-13
+        previous = W
+
+
+def test_window_expectations_memory():
+    st = covariant_state(2, 3.5)  # d = 5, k = 8
+    tracemalloc.start()
+    try:
+        window_expectations(st, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # W itself is 5^8 complex entries (6.25 MB); a d^(2m) k^2 tensor is 400 MB
+    assert peak < 64e6
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
+def test_max_window_entries_invalid(value, monkeypatch):
+    monkeypatch.setenv("FCS_MAX_DIM", value)
+    with pytest.raises(ValueError, match="FCS_MAX_DIM"):
+        max_window_entries()
+    with pytest.raises(ValueError, match="FCS_MAX_DIM"):
+        window_expectations(aklt_state(), 1)
+
+
+def test_max_window_entries_override(monkeypatch):
+    monkeypatch.setenv("FCS_MAX_DIM", "81")  # 3^4 entries: window 2 fits
+    assert max_window_entries() == 81
+    assert window_expectations(aklt_state(), 2).shape == (9, 9)
+    with pytest.raises(ResourceLimitError):
+        window_expectations(aklt_state(), 3)
 
 
 def test_evaluate_local_shape_check():

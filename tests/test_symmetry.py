@@ -29,7 +29,8 @@ from fcspin import (
     random_fcs_state,
     theorem_audit,
 )
-from fcspin import symmetry
+from fcspin import symmetry, transfer
+from fcspin.errors import ResourceLimitError
 from fcspin.fcs import window_expectations
 
 
@@ -93,6 +94,13 @@ def test_reflection_positive_product_with_fixed_vector(twist3):
     st = product_state(xi)
     v = check_reflection_positive(st, twist3, 2)
     assert v.passed
+
+
+def test_reflection_positive_refused_by_window_cap(aklt, twist3, monkeypatch):
+    # the length-4 window has 3^8 = 6561 entries, above a cap of 100
+    monkeypatch.setenv("FCS_MAX_DIM", "100")
+    with pytest.raises(ResourceLimitError):
+        check_reflection_positive(aklt, twist3, 2)
 
 
 def test_su2_aklt(aklt, rep3):
@@ -182,6 +190,22 @@ def test_theorem_audit_aklt(aklt, rep3, twist3):
         "modular-trivial", "ergodic", "transfer-selfadjoint",
         "twist-adjoint-relation", "exponential-decay",
     ]
+
+
+def test_theorem_audit_builds_transfer_once(aklt, rep3, twist3, monkeypatch):
+    calls = {"build_transfer": 0, "gap": 0}
+    for name in calls:
+        real = getattr(transfer, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, name, counted)
+        monkeypatch.setattr(symmetry, name, counted, raising=False)
+    report = theorem_audit(aklt, rep3, twist3)
+    assert report.all_pass
+    assert calls == {"build_transfer": 1, "gap": 1}
 
 
 def test_theorem_audit_generic_fails(rep3, twist3):
