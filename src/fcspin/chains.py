@@ -179,8 +179,8 @@ def ground(system, rel_window=1e-9, k_lowest=6):
 
 def gibbs(system, beta):
     """Thermal state exp(-beta H)/Z via the spectral decomposition."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     if system.dim > MAX_DENSE_DIM:
         raise ResourceLimitError(
             f"Gibbs state needs a dense eigensolve; dimension {system.dim} "

@@ -2,8 +2,9 @@
 
 Subcommands: repr, audit, correlate, spectrum, ed, demo-aklt.
 Exit codes: 0 pass, 1 fail, 2 usage/parse error, 3 indeterminate,
-4 resource refusal.  Output is deterministic for fixed inputs and --seed;
-floating-point values are printed with shortest round-trip representations.
+4 resource refusal.  Output is deterministic for fixed inputs at a fixed
+BLAS thread count; floating-point values are printed with shortest
+round-trip representations.
 """
 
 from __future__ import annotations
@@ -55,15 +56,23 @@ def _positive_int(value):
     return n
 
 
-def _positive_float(value):
-    try:
-        x = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if not (np.isfinite(x) and x > 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite positive number, got {value!r}")
-    return x
+def _float_type(accept, wanted):
+    """argparse type for a finite float x with accept(x); any other value is
+    a usage error that names the option."""
+    def parse(value):
+        try:
+            x = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
+        if not (np.isfinite(x) and accept(x)):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {value!r}")
+        return x
+    return parse
+
+
+_positive_float = _float_type(lambda x: x > 0, "a finite positive number")
+_nonnegative_float = _float_type(lambda x: x >= 0, "a finite nonnegative number")
+_finite_float = _float_type(lambda x: True, "a finite number")
 
 
 def _load(path, tol):
@@ -102,9 +111,7 @@ def cmd_audit(args):
     name, state = _load(args.file, args.tol)
     rep = build_spin_rep(state.d)
     tw = build_twist(rep)
-    rng = np.random.default_rng(args.seed)
-    report = theorem_audit(state, rep, tw, windows=args.window, tol=args.tol,
-                           rng=rng, samples=args.samples)
+    report = theorem_audit(state, rep, tw, windows=args.window, tol=args.tol)
     if name:
         print(f"name {name}")
     for c in report.clauses:
@@ -232,8 +239,6 @@ def build_parser():
     p.add_argument("file", help="path to a Kraus file, or @aklt for the bundle")
     p.add_argument("--window", type=_positive_int, default=2)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
-    p.add_argument("--samples", type=_positive_int, default=6)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("correlate", help="two-point correlation table with decay bounds")
@@ -253,10 +258,10 @@ def build_parser():
     p.add_argument("--model", choices=("xxx", "aklt-parent"), default="xxx")
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--J", type=float, default=1.0)
+    p.add_argument("--J", type=_finite_float, default=1.0)
     p.add_argument("--open", action="store_true",
                    help="open boundary conditions (default periodic)")
-    p.add_argument("--beta", type=float, default=None,
+    p.add_argument("--beta", type=_nonnegative_float, default=None,
                    help="use the Gibbs state at this inverse temperature "
                         "(default: correlations of the ground state)")
     p.add_argument("--r-max", dest="r_max", type=_positive_int, default=None)

@@ -28,7 +28,6 @@ __all__ = [
     "validate",
     "fixed_point",
     "transfer_matrix",
-    "dual_transfer_matrix",
     "evaluate_monomial",
     "window_expectations",
     "evaluate_local",
@@ -164,11 +163,6 @@ def transfer_matrix(kraus):
     return sum(np.kron(v, v.conj()) for v in kraus.v)
 
 
-def dual_transfer_matrix(kraus):
-    """Matrix of x -> sum_i v_i* x v_i on row-major vec(x)."""
-    return sum(np.kron(v.conj().T, v.T) for v in kraus.v)
-
-
 def _fixed_space_projector(M, tol):
     """Spectral projector of M onto the eigenvalue-1 eigenspace."""
     w, V = np.linalg.eig(M)
@@ -191,7 +185,7 @@ def fixed_point(kraus, tol=1e-9):
     if not rep.passed:
         raise ValueError(f"Kraus family is not unital, defect {rep.defect:g}")
     k = kraus.k
-    P, mult = _fixed_space_projector(dual_transfer_matrix(kraus), tol)
+    P, mult = _fixed_space_projector(transfer_matrix(kraus).conj().T, tol)
     rho_vec = P @ (np.eye(k) / k).reshape(-1)
     rho = rho_vec.reshape(k, k)
     rho = (rho + rho.conj().T) / 2

@@ -127,7 +127,7 @@ def test_criterion_3_one_site_law():
     passing = 0
     worst = 0.0
     for st in states:
-        if not check_su2(st, build_spin_rep(st.d), 4, 2, tol=1e-8).passed:
+        if not check_su2(st, build_spin_rep(st.d), 2, tol=1e-8).passed:
             continue
         passing += 1
         W1 = window_expectations(st, 1)
@@ -223,7 +223,7 @@ def test_criterion_7_negative_controls():
             not check_real(st, 2).passed
             or not check_lattice_twist(st, tw3, 2).passed
             or not check_reflection_positive(st, tw3, 1).passed
-            or not check_su2(st, rep3, 3, 2).passed
+            or not check_su2(st, rep3, 2).passed
         )
         fails += bad
     rep2 = build_spin_rep(2)

@@ -102,6 +102,13 @@ def test_gibbs_limits():
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -1.0])
+def test_gibbs_rejects_non_finite_or_negative_beta(beta):
+    system = build_chain(2, 4, 1.0)
+    with pytest.raises(ValueError, match="beta"):
+        gibbs(system, beta)
+
+
 def test_gibbs_one_site_marginal_translation_invariant():
     system = build_chain(2, 4)
     state = gibbs(system, 1.3)

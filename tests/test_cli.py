@@ -78,11 +78,19 @@ def test_audit_invalid_max_dim(monkeypatch, capsys):
 
 
 def test_audit_deterministic(capsys):
-    main(["audit", "@aklt", "--seed", "5"])
+    main(["audit", "@aklt"])
     first = capsys.readouterr().out
-    main(["audit", "@aklt", "--seed", "5"])
+    main(["audit", "@aklt"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("option", [["--seed", "0"], ["--samples", "6"]])
+def test_audit_sampling_options_removed(option, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["audit", "@aklt"] + option)
+    assert err.value.code == 2
+    assert option[0] in capsys.readouterr().err
 
 
 def test_correlate_aklt(capsys):
@@ -154,6 +162,19 @@ def test_tol_rejected_at_boundary(command, tol, capsys):
     err_text = capsys.readouterr().err
     assert "--tol" in err_text
     assert "not unital" not in err_text
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "nan"), ("--beta", "inf"), ("--beta", "-1"),
+    ("--J", "nan"), ("--J", "inf"), ("--J", "-inf"),
+])
+def test_ed_non_finite_rejected_at_boundary(flag, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["ed", "--d", "2", "--n", "4", "--rp", flag, value])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}:" in out.err
 
 
 @pytest.mark.parametrize("argv, builds", [

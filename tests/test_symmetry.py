@@ -1,9 +1,11 @@
 """Finite-window symmetry checks and the composite audit."""
 
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
@@ -25,6 +27,7 @@ from fcspin import (
     find_intertwiner,
     fixed_point,
     gauge_transform,
+    load_state,
     product_state,
     random_fcs_state,
     theorem_audit,
@@ -32,6 +35,7 @@ from fcspin import (
 from fcspin import symmetry, transfer
 from fcspin.errors import ResourceLimitError
 from fcspin.fcs import window_expectations
+from fcspin.su2 import random_group_elements
 
 
 @pytest.fixture(scope="module")
@@ -104,14 +108,14 @@ def test_reflection_positive_refused_by_window_cap(aklt, twist3, monkeypatch):
 
 
 def test_su2_aklt(aklt, rep3):
-    v = check_su2(aklt, rep3, 6, 2)
+    v = check_su2(aklt, rep3, 2)
     assert v.passed
     assert v.defect < 1e-10
 
 
 def test_su2_one_site_law(rep3):
     st = covariant_state(1, 2)
-    assert check_su2(st, rep3, 4, 2).passed
+    assert check_su2(st, rep3, 2).passed
     W1 = window_expectations(st, 1)
     assert np.abs(W1 - np.eye(3) / 3).max() < 1e-12
 
@@ -119,12 +123,60 @@ def test_su2_one_site_law(rep3):
 def test_su2_product_d2_fails():
     rep = build_spin_rep(2)
     st = product_state(np.array([1.0, 0.0]))
-    assert not check_su2(st, rep, 4, 1).passed
+    assert not check_su2(st, rep, 1).passed
 
 
 def test_su2_dimension_mismatch(aklt):
     with pytest.raises(ValueError):
-        check_su2(aklt, build_spin_rep(2), 2, 1)
+        check_su2(aklt, build_spin_rep(2), 1)
+
+
+def test_su2_old_sample_count_signature_raises(aklt, rep3):
+    # check_su2(state, rep, samples, m) would otherwise read m = 6, tol = 2
+    with pytest.raises(TypeError):
+        check_su2(aklt, rep3, 6, 2)
+
+
+def test_su2_details_per_length_and_axis(aklt, rep3):
+    v = check_su2(aklt, rep3, 2)
+    assert set(v.details) == {(length, a) for length in (1, 2) for a in "xyz"}
+
+
+def _bundled(name):
+    text = resources.files("fcspin.data").joinpath(name).read_text()
+    return load_state(text)[1]
+
+
+_ORACLE_FAMILIES = {
+    "cov(1,1/2)": lambda: covariant_state(1, Fraction(1, 2)),
+    "cov(2,7/2)": lambda: covariant_state(2, Fraction(7, 2)),
+    "cov(1,1/2)-gauge": lambda: _with_gauge(covariant_state(1, Fraction(1, 2)), 41),
+    "cov(2,7/2)-gauge": lambda: _with_gauge(covariant_state(2, Fraction(7, 2)), 42),
+    "product_d2": lambda: _bundled("product_d2.kraus"),
+    "product_complex_d2": lambda: _bundled("product_complex_d2.kraus"),
+    "neg(2,3)": lambda: random_fcs_state(2, 3, np.random.default_rng(43)),
+    "neg(3,8)": lambda: random_fcs_state(3, 8, np.random.default_rng(44)),
+    "neg(5,6)": lambda: random_fcs_state(5, 6, np.random.default_rng(45)),
+}
+
+
+@pytest.mark.parametrize("family", list(_ORACLE_FAMILIES))
+def test_su2_generator_defect_bounds_group_samples(family):
+    # Along g_t = exp(i t theta.S) the derivative of U^T W conj(U) is U^T C
+    # conj(U) with C = i sum_a theta_a (A_a^T W - W conj(A_a)), so the sampled
+    # defect is at most |C|_2 <= D |C|_max <= |theta| sqrt(3) D eps_m.
+    st = _ORACLE_FAMILIES[family]()
+    rep = build_spin_rep(st.d)
+    rng = np.random.default_rng(2024)
+    for m in (1, 2):
+        W = window_expectations(st, m)
+        v = check_su2(st, rep, m)
+        eps = max(v.details[(m, a)] for a in "xyz")
+        for g in random_group_elements(rep, 20, rng):
+            U = symmetry._kron_power(g.u, m)
+            sampled = float(np.abs(U.T @ W @ U.conj() - W).max())
+            bound = np.linalg.norm(g.theta) * np.sqrt(3) * st.d ** m * eps
+            assert sampled <= bound + 1e-12
 
 
 def test_kraus_twist_aklt(aklt, twist3):
@@ -158,7 +210,13 @@ def test_intertwiner_aklt(aklt, rep3):
     report = find_intertwiner(aklt, rep3)
     assert report.found
     assert report.residual < 1e-9
-    assert report.exp_residual < 1e-9
+    # the exponentiated covariance sum_j u(g)_ji v_j = U_g v_i U_g*
+    V = aklt.kraus.stacked()
+    for g in random_group_elements(rep3, 6, np.random.default_rng(7)):
+        Ug = expm(1j * sum(t * X for t, X in zip(g.theta, report.generators)))
+        lhs = np.einsum("ji,jab->iab", g.u, V)
+        rhs = np.stack([Ug @ v @ Ug.conj().T for v in V])
+        assert np.abs(lhs - rhs).max() < 1e-9
     Xx, Xy, Xz = report.generators
     # the bond generators form a spin-1/2 triple (up to gauge and sign)
     comm = Xx @ Xy - Xy @ Xx
@@ -190,6 +248,12 @@ def test_theorem_audit_aklt(aklt, rep3, twist3):
         "modular-trivial", "ergodic", "transfer-selfadjoint",
         "twist-adjoint-relation", "exponential-decay",
     ]
+
+
+def test_theorem_audit_options_are_keyword_only(aklt, rep3, twist3):
+    # an old positional rng must not land in rp_window
+    with pytest.raises(TypeError):
+        theorem_audit(aklt, rep3, twist3, 2, 1e-8, np.random.default_rng(0))
 
 
 def test_theorem_audit_builds_transfer_once(aklt, rep3, twist3, monkeypatch):
@@ -239,7 +303,7 @@ def _nan_at_length_two(monkeypatch):
 @pytest.mark.parametrize("check", [
     lambda st, rep, tw: check_real(st, 2),
     lambda st, rep, tw: check_lattice_twist(st, tw, 2),
-    lambda st, rep, tw: check_su2(st, rep, 2, 2),
+    lambda st, rep, tw: check_su2(st, rep, 2),
 ], ids=["real", "lattice-twist", "su2"])
 def test_nan_window_defect_never_passes(check, aklt, rep3, twist3, monkeypatch):
     _nan_at_length_two(monkeypatch)
