@@ -16,7 +16,7 @@ from scipy.sparse.linalg import eigsh
 
 from .errors import ResourceLimitError
 from .su2 import build_spin_rep
-from .symmetry import _as_twist_matrix, _rp_gram_verdict
+from .symmetry import _as_twist_matrix, _reflect_twist_matrix, _rp_gram_verdict
 
 __all__ = [
     "SpinChainSystem",
@@ -123,6 +123,8 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
     """
     if n < 2:
         raise ValueError("a chain needs at least two sites")
+    if not np.isfinite(J):
+        raise ValueError(f"J must be finite, got {J!r}")
     if d ** n > MAX_CHAIN_DIM:
         raise ResourceLimitError(
             f"chain dimension {d}^{n} exceeds the cap {MAX_CHAIN_DIM}"
@@ -239,8 +241,10 @@ def rp_gram_check(system, state, twist, tol=1e-9):
 
     state may be a ThermalState, an inverse temperature (a Gibbs state is
     built), or a pure-state vector.  Its density matrix, transposed, is the
-    window tensor W[I, J] = omega(|e_I><e_J|) of the whole chain, and the
-    verdict is the one check_reflection_positive gives that window.
+    window tensor W[I, J] = omega(|e_I><e_J|) of the whole chain; the dense
+    Gram matrix over the matrix units of the right half pairs each against
+    its twisted mirror image on the left half, and gets the verdict of
+    check_reflection_positive.
     """
     if system.n % 2 != 0:
         raise ValueError("reflection about the central bond needs an even chain")
@@ -252,7 +256,12 @@ def rp_gram_check(system, state, twist, tol=1e-9):
     else:
         psi = np.asarray(state, dtype=complex).reshape(-1)
         rho = np.outer(psi, psi.conj())
-    return _rp_gram_verdict(rho.T, r0, system.n // 2, tol)
+    m = system.n // 2
+    D = system.d ** m
+    Rr = _reflect_twist_matrix(r0, m)
+    G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, rho.T.reshape(D, D, D, D),
+                  optimize=True).reshape(D * D, D * D)
+    return _rp_gram_verdict(G, m, tol, zero_mode=False)
 
 
 def gap_scan(d, J, n_list, periodic=True, model="xxx"):

@@ -41,7 +41,8 @@ MAX_WINDOW_LEN = 12
 
 
 def max_window_entries():
-    """Size cap for window tensors, overridable via FCS_MAX_DIM.
+    """Size cap, in entries, for window tensors and for the bond-space factor
+    of the reflection-positivity Gram form; overridable via FCS_MAX_DIM.
 
     Raises ValueError naming the variable unless it is a positive integer.
     """

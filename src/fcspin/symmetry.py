@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fcs import modular_data, window_expectations
+from .errors import ResourceLimitError
+from .fcs import _products, max_window_entries, modular_data, window_expectations
 from .su2 import TwistMatrix, compute_mu
 from .transfer import decay_certificate
 
@@ -161,21 +162,19 @@ def check_lattice_twist(state, twist, m, tol=1e-9):
     return _verdict("lattice-twist", m, _worst(details), tol, details)
 
 
-def _rp_gram_verdict(W, r0, m, tol):
-    """Reflection-positivity verdict of a length-2m window tensor W.
+def _rp_gram_verdict(C, m, tol, zero_mode):
+    """Reflection-positivity verdict of a square Gram matrix C.
 
-    The Gram matrix over the matrix-unit basis of the right half pairs each
-    basis element against its twisted mirror image on the left half; the
-    verdict requires the (hermitized) matrix to have smallest eigenvalue
-    >= -tol.
+    C is the Gram form itself or its compression to a subspace holding the
+    range of both G and G*; zero_mode says that the complement is nonzero,
+    so 0 is also an eigenvalue of the hermitized form.  The verdict requires
+    the hermitized matrix to have smallest eigenvalue >= -tol and the
+    Frobenius norm of C - C* to be at most 100 tol.
     """
-    D = r0.shape[0] ** m
-    Rr = _reflect_twist_matrix(r0, m)
-    G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, W.reshape(D, D, D, D),
-                  optimize=True).reshape(D * D, D * D)
-    herm_defect = float(np.abs(G - G.conj().T).max())
-    G = (G + G.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(G).min())
+    herm_defect = float(np.linalg.norm(C - C.conj().T))
+    min_eig = float(np.linalg.eigvalsh((C + C.conj().T) / 2).min())
+    if zero_mode:
+        min_eig = min(min_eig, 0.0)
     defect = max(0.0, -min_eig)
     status = "pass" if defect <= tol and herm_defect <= 100 * tol else "fail"
     return SymmetryVerdict(
@@ -185,13 +184,45 @@ def _rp_gram_verdict(W, r0, m, tol):
 
 
 def check_reflection_positive(state, twist, m, tol=1e-9):
-    """Positivity of the twisted-reflection Gram form on length-m windows."""
+    """Positivity of the twisted-reflection Gram form on length-m windows.
+
+    The Gram matrix G over the matrix units (x, y) of the right half pairs
+    each against the twisted mirror image (a, b) of one on the left half.
+    It factors through bond space (Fannes-Nachtergaele-Werner) as G = A B,
+    with A[(a, b), (p, q)] = (M_b* rho M_a)[p, q] and B[(p, q), (x, y)] =
+    (v_x v_y*)[q, p] over the length-m products v_x, where M_a = sum_x
+    conj(Rr[x, a]) v_x is the reversed product of the twisted family
+    vt_b = sum_i conj(r0[i, b]) v_i.  A is D^2 x k^2 with D = d^m, so the
+    hermitized G has rank <= 2 k^2.  With [A, B*] = Q R, both G and G* map
+    into the span of Q and vanish on its complement, so for C = Q* G Q =
+    R1 R2* the hermitized C has the nonzero spectrum of the hermitized G
+    and |C - C*|_F = |G - G*|_F; when D^2 > 2 k^2, 0 is also an eigenvalue.
+    The length-2m window is never built, and the size cap bounds the
+    D^2 k^2 entries of A.
+    """
     r0 = _as_twist_matrix(twist, state.d)
     if m == 0:
         return SymmetryVerdict(name="reflection-positive", window=0, defect=0.0,
                                tol=tol, status="pass",
                                details={"min_eig": 1.0, "herm_defect": 0.0})
-    return _rp_gram_verdict(window_expectations(state, 2 * m), r0, m, tol)
+    d, k = state.d, state.k
+    D = d ** m
+    if D * D * k * k > max_window_entries():
+        raise ResourceLimitError(
+            f"reflection-positivity Gram at window {m}, d={d}, k={k} exceeds "
+            "the configured cap"
+        )
+    V = state.kraus.stacked()
+    M = _products(np.einsum("ib,ipq->bpq", r0.conj(), V), m)[_site_reversal_perm(d, m)]
+    L = _products(V, m)
+    A = np.matmul(M.conj().transpose(0, 2, 1)[None], (state.rho @ M)[:, None])
+    A = A.reshape(D * D, k * k)
+    # B*[(x, y), (p, q)] = (v_y v_x*)[p, q]
+    Bh = np.matmul(L[None], L.conj().transpose(0, 2, 1)[:, None]).reshape(D * D, k * k)
+    # [A, B*] = Q R with Q* A = R1, Q* B* = R2, so Q* G Q = R1 R2*
+    R = np.linalg.qr(np.hstack([A, Bh]), mode="r")
+    C = R[:, :k * k] @ R[:, k * k:].conj().T
+    return _rp_gram_verdict(C, m, tol, zero_mode=D * D > 2 * k * k)
 
 
 def check_su2(state, rep, m, *, tol=1e-8):

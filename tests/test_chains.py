@@ -80,6 +80,12 @@ def test_resource_refusal():
         build_chain(3, 12)
 
 
+@pytest.mark.parametrize("J", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coupling_refused(J):
+    with pytest.raises(ValueError, match="J must be finite"):
+        build_chain(2, 4, J)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         build_chain(2, 4, model="aklt-parent")
@@ -211,7 +217,7 @@ def _rp_reference(system, rho, r0):
     Rr = _reflect_twist_matrix(r0, m)
     G = np.einsum("ma,lb,lymx->abxy", Rr.conj(), Rr, rho.reshape(D, D, D, D),
                   optimize=True).reshape(D * D, D * D)
-    herm_defect = float(np.abs(G - G.conj().T).max())
+    herm_defect = float(np.linalg.norm(G - G.conj().T))
     return float(np.linalg.eigvalsh((G + G.conj().T) / 2).min()), herm_defect
 
 

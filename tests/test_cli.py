@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from fcspin import chains, cli
 from fcspin.cli import main
-from fcspin.krausfile import write_kraus
-from fcspin.states import random_unital_kraus
+from fcspin.krausfile import dump_state, write_kraus
+from fcspin.states import covariant_state, random_unital_kraus
 
 DATA = str(resources.files("fcspin.data").joinpath("aklt.kraus")).rsplit("/", 1)[0]
 
@@ -75,6 +76,21 @@ def test_audit_invalid_max_dim(monkeypatch, capsys):
     monkeypatch.setenv("FCS_MAX_DIM", "abc")
     assert main(["audit", "@aklt"]) == 2
     assert "FCS_MAX_DIM" in capsys.readouterr().err
+
+
+def test_audit_d7_covariant_passes_at_defaults(tmp_path, capsys):
+    # the length-4 window of d = 7 has 7^8 entries, above the default cap;
+    # the bond-space RP Gram never builds it
+    path = tmp_path / "cov-s3-j3_2.kraus"
+    path.write_text(dump_state(covariant_state(3, Fraction(3, 2)), name="cov"))
+    assert main(["audit", str(path)]) == 0
+    assert "overall pass" in capsys.readouterr().out
+
+
+def test_audit_refused_by_max_dim(monkeypatch, capsys):
+    monkeypatch.setenv("FCS_MAX_DIM", "100")
+    assert main(["audit", "@aklt"]) == 4
+    assert "refused" in capsys.readouterr().err
 
 
 def test_audit_deterministic(capsys):

@@ -32,7 +32,7 @@ from fcspin import (
     random_fcs_state,
     theorem_audit,
 )
-from fcspin import symmetry, transfer
+from fcspin import fcs, symmetry, transfer
 from fcspin.errors import ResourceLimitError
 from fcspin.fcs import window_expectations
 from fcspin.su2 import random_group_elements
@@ -462,3 +462,97 @@ def test_kraus_twist_bare_matrix_without_real_form_refused():
         check_kraus_twist_relation(st, r0)
     with pytest.raises(ValueError):
         check_kraus_twist_relation(st, np.diag([1.0, 1.0, -1.0]))
+
+
+# ---- reflection positivity in bond space ----------------------------------------
+
+def _dense_rp_reference(state, r0, m, tol=1e-9):
+    """Min eigenvalue, Frobenius Hermiticity defect and status of the dense
+    D^2 x D^2 Gram matrix, contracted from the length-2m window tensor."""
+    D = state.d ** m
+    Rr = symmetry._reflect_twist_matrix(r0, m)
+    W = window_expectations(state, 2 * m)
+    G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, W.reshape(D, D, D, D),
+                  optimize=True).reshape(D * D, D * D)
+    herm_defect = float(np.linalg.norm(G - G.conj().T))
+    min_eig = float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
+    passed = max(0.0, -min_eig) <= tol and herm_defect <= 100 * tol
+    return min_eig, herm_defect, "pass" if passed else "fail"
+
+
+def _rp_oracle_families():
+    fams, ids = [], []
+    for s, j in ((1, Fraction(1, 2)), (1, Fraction(7, 2)), (2, 1), (2, Fraction(7, 2))):
+        st = covariant_state(s, j)
+        fams += [(st, "pass"), (_with_gauge(st, 9), "pass")]
+        ids += [f"cov-{s}-{j}", f"cov-{s}-{j}-gauge"]
+    for d, k in ((2, 5), (3, 2), (3, 3), (3, 8), (5, 6)):
+        fams.append((random_fcs_state(d, k, np.random.default_rng(60 + d + k)), "fail"))
+        ids.append(f"neg-d{d}-k{k}")
+    return fams, ids
+
+
+RP_ORACLE_FAMILIES, RP_ORACLE_IDS = _rp_oracle_families()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("st, expected", RP_ORACLE_FAMILIES, ids=RP_ORACLE_IDS)
+def test_reflection_positive_matches_dense_gram(st, expected, m):
+    r0 = _twist_for(st).r0
+    min_eig, herm_defect, status = _dense_rp_reference(st, r0, m)
+    v = check_reflection_positive(st, r0, m)
+    assert abs(v.details["min_eig"] - min_eig) <= 1e-12
+    # relative, with a floor at roundoff for Hermitian Gram forms
+    assert abs(v.details["herm_defect"] - herm_defect) <= 1e-12 * max(herm_defect, 0.1)
+    assert v.status == status == expected
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", ["cov-1-1/2", "cov-2-7/2", "neg-d2-k5", "neg-d3-k8"])
+def test_reflection_positive_generic_twist_matches_dense_gram(name, m):
+    # a unitary involution with conj(r0) != +-r0 tells r0 from conj(r0)
+    st = RP_ORACLE_FAMILIES[RP_ORACLE_IDS.index(name)][0]
+    u = _haar_unitary(st.d, np.random.default_rng(4))
+    r0 = u @ np.diag([1.0] + [-1.0] * (st.d - 1)) @ u.conj().T
+    min_eig, herm_defect, status = _dense_rp_reference(st, r0, m)
+    v = check_reflection_positive(st, r0, m)
+    assert abs(v.details["min_eig"] - min_eig) <= 1e-12
+    assert abs(v.details["herm_defect"] - herm_defect) <= 1e-12 * max(herm_defect, 0.1)
+    assert v.status == status
+
+
+def test_rp_verdict_counts_the_zero_mode():
+    # a compressed form stands for a larger one whose complement is 0
+    C = np.diag([2.0, 1.0]).astype(complex)
+    assert symmetry._rp_gram_verdict(C, 1, 1e-9, zero_mode=False).details["min_eig"] == 1.0
+    assert symmetry._rp_gram_verdict(C, 1, 1e-9, zero_mode=True).details["min_eig"] == 0.0
+
+
+def test_reflection_positive_never_builds_a_window(aklt, twist3, monkeypatch):
+    def refuse(state, length):
+        raise AssertionError("window tensor built")
+
+    monkeypatch.setattr(symmetry, "window_expectations", refuse)
+    monkeypatch.setattr(fcs, "window_expectations", refuse)
+    assert check_reflection_positive(aklt, twist3, 2).passed
+    st = covariant_state(3, Fraction(3, 2))
+    assert check_reflection_positive(st, _twist_for(st), 2).passed
+
+
+@pytest.mark.parametrize("j", [Fraction(3, 2), Fraction(7, 2)])
+def test_theorem_audit_d7_runs_at_defaults(j):
+    st = covariant_state(3, j)
+    rep = build_spin_rep(st.d)
+    assert theorem_audit(st, rep, build_twist(rep)).all_pass
+
+
+@settings(max_examples=30, deadline=None)
+@given(index=st_.integers(0, len(GAUGE_FAMILIES) - 1),
+       seed=st_.integers(0, 2 ** 32 - 1))
+def test_reflection_positive_bond_gauge_invariant(index, seed):
+    fam = GAUGE_FAMILIES[index]
+    tw = _twist_for(fam)
+    base = check_reflection_positive(fam, tw, 2)
+    moved = check_reflection_positive(_with_gauge(fam, seed), tw, 2)
+    assert moved.status == base.status
+    assert abs(moved.details["min_eig"] - base.details["min_eig"]) <= 1e-12
