@@ -1,9 +1,11 @@
 """Finite periodic spin chains as an independent oracle.
 
-Dense or iterative diagonalization of nearest-neighbour isotropic chains
-(the Heisenberg antiferromagnet and the spin-1 bilinear-biquadratic
-projector point), ground and Gibbs states, correlation profiles, gap
-scans, and the finite-volume reflection-positivity Gram check.
+Exact diagonalization of nearest-neighbour isotropic chains (the
+Heisenberg antiferromagnet and the spin-1 bilinear-biquadratic projector
+point), ground and Gibbs states, correlation profiles, gap scans, and the
+finite-volume reflection-positivity Gram check.  Up to MAX_DENSE_DIM the
+Hamiltonian is diagonalized densely, one connected block of its nonzero
+pattern at a time; above it by Lanczos.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
 from .errors import ResourceLimitError
@@ -88,30 +91,22 @@ def _two_site_hamiltonian(d, J, model):
     raise ValueError(f"unknown model {model!r}; expected 'xxx' or 'aklt-parent'")
 
 
-def _schmidt_terms(h2, d, tol=1e-12):
-    """Operator Schmidt decomposition h2 = sum_t A_t (x) B_t."""
-    M = h2.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    u, s, vh = np.linalg.svd(M)
-    terms = []
-    for t in range(len(s)):
-        if s[t] <= tol:
-            break
-        terms.append((
-            (u[:, t] * s[t]).reshape(d, d),
-            vh[t].reshape(d, d),
-        ))
-    return terms
+def _eye(size):
+    return sp.identity(size, dtype=complex, format="csr")
 
 
 def _site_op(ops, d, n):
     """Sparse operator with the given {position: matrix} factors, identity elsewhere."""
-    out = sp.identity(1, dtype=complex, format="csr")
+    out = _eye(1)
+    run = 1  # dimension of the empty sites since the last factor
     for p in range(n):
-        factor = ops.get(p)
-        block = sp.identity(d, dtype=complex, format="csr") if factor is None \
-            else sp.csr_matrix(np.asarray(factor, dtype=complex))
-        out = sp.kron(out, block, format="csr")
-    return out
+        if p not in ops:
+            run *= d
+            continue
+        factor = sp.csr_matrix(np.asarray(ops[p], dtype=complex))
+        out = sp.kron(sp.kron(out, _eye(run), format="csr"), factor, format="csr")
+        run = 1
+    return sp.kron(out, _eye(run), format="csr")
 
 
 def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
@@ -120,6 +115,11 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
     field, if given, adds sum_sites (fx Sx + fy Sy + fz Sz) — useful as a
     symmetry-breaking control; the unperturbed models commute with the
     total-spin generators and (when periodic) with translation.
+
+    Every stored entry of H is a sum of entries of the two-site term (and
+    of the field): an open bond is I (x) h2 (x) I, and the wrap bond is
+    split into matrix units on site n-1, h2 = sum_ac |a><c| (x) h2[a,:,c,:],
+    so no roundoff fill-in couples states that H does not couple.
     """
     if n < 2:
         raise ValueError("a chain needs at least two sites")
@@ -130,14 +130,20 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
             f"chain dimension {d}^{n} exceeds the cap {MAX_CHAIN_DIM}"
         )
     h2 = _two_site_hamiltonian(d, float(J), model)
-    terms = _schmidt_terms(h2, d)
     H = sp.csr_matrix((d ** n, d ** n), dtype=complex)
-    bonds = [(p, p + 1) for p in range(n - 1)]
+    bond = sp.csr_matrix(h2)
+    for p in range(n - 1):
+        H = H + sp.kron(sp.kron(_eye(d ** p), bond, format="csr"),
+                        _eye(d ** (n - p - 2)), format="csr")
     if periodic:
-        bonds.append((n - 1, 0))
-    for p, q in bonds:
-        for A, B in terms:
-            H = H + _site_op({p: A, q: B}, d, n)
+        h4 = h2.reshape(d, d, d, d)
+        for a in range(d):
+            for c in range(d):
+                if not h4[a, :, c, :].any():
+                    continue
+                unit = np.zeros((d, d))
+                unit[a, c] = 1.0
+                H = H + _site_op({0: h4[a, :, c, :], n - 1: unit}, d, n)
     if field is not None:
         rep = build_spin_rep(d)
         one = sum(f * S for f, S in zip(field, rep.generators()))
@@ -157,25 +163,53 @@ def translation_operator(d, n):
     return T
 
 
+def _block_eigh(H):
+    """Dense eigendecomposition of H one connected block at a time.
+
+    The blocks are the connected components of H's nonzero pattern, so
+    permuting H to block-diagonal form is exact: the spectrum and its
+    degeneracies are those of one dense eigh of H.  Returns a list of
+    (idx, w, V), the basis states of a block and its eigenpairs.
+    """
+    # a pattern of ones: csgraph would cast complex entries to real and so
+    # drop couplings that are purely imaginary
+    pattern = sp.csr_matrix((np.ones(H.nnz), H.indices, H.indptr), shape=H.shape)
+    count, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    out = []
+    for idx in np.split(order, np.cumsum(sizes)[:-1]):
+        w, V = np.linalg.eigh(H[idx][:, idx].toarray())
+        out.append((idx, w, V))
+    return out
+
+
 def ground(system, rel_window=1e-9, k_lowest=6):
     """Lowest eigenpair(s) with the degeneracy counted in a relative window."""
     dim = system.dim
     if dim <= MAX_DENSE_DIM:
-        w, V = np.linalg.eigh(system.H.toarray())
+        blocks = _block_eigh(system.H)
     else:
         k = min(k_lowest, dim - 2)
         # a fixed start vector makes the Lanczos run, and so its output,
         # the same on every call
         v0 = np.random.default_rng(0).normal(size=dim)
         w, V = eigsh(system.H, k=k, which="SA", v0=v0)
-        order = np.argsort(w)
-        w, V = w[order], V[:, order]
+        blocks = [(np.arange(dim), w, V)]
+    w = np.sort(np.concatenate([wb for _, wb, _ in blocks]))
     e0 = float(w[0])
     window = rel_window * max(1.0, abs(e0))
     deg = int(np.sum(w - e0 <= window))
     above = w[w - e0 > window]
     gap_val = float(above[0] - e0) if above.size else float("nan")
-    return GroundReport(energy=e0, degeneracy=deg, vectors=V[:, :deg],
+    # the ground-window columns of every block, lowest first, at full dim
+    cols = sorted(((wb[j], idx, Vb[:, j]) for idx, wb, Vb in blocks
+                   for j in np.flatnonzero(wb - e0 <= window)),
+                  key=lambda col: col[0])
+    vectors = np.zeros((dim, deg), dtype=complex)
+    for j, (_, idx, v) in enumerate(cols):
+        vectors[idx, j] = v
+    return GroundReport(energy=e0, degeneracy=deg, vectors=vectors,
                         gap=gap_val)
 
 
@@ -188,19 +222,25 @@ def gibbs(system, beta):
             f"Gibbs state needs a dense eigensolve; dimension {system.dim} "
             f"exceeds {MAX_DENSE_DIM}"
         )
-    w, V = np.linalg.eigh(system.H.toarray())
-    z = np.exp(-beta * (w - w.min()))  # shift guards against overflow
-    z = z / z.sum()
-    rho = (V * z) @ V.conj().T
+    blocks = _block_eigh(system.H)
+    w_min = min(wb.min() for _, wb, _ in blocks)  # shift guards against overflow
+    weights = [np.exp(-beta * (wb - w_min)) for _, wb, _ in blocks]
+    Z = sum(z.sum() for z in weights)
+    rho = np.zeros((system.dim, system.dim), dtype=complex)
+    for (idx, _, Vb), z in zip(blocks, weights):
+        rho[np.ix_(idx, idx)] = (Vb * (z / Z)) @ Vb.conj().T
     return ThermalState(beta=float(beta), rho=rho)
 
 
 def _expect(state, op):
+    """Expectation of op in a thermal state, a vector, or the average over
+    the orthonormal columns of a dim x k block, tr(P op)/k."""
     if isinstance(state, ThermalState):
         # trace(rho op) = sum_ij op[i, j] rho[j, i], without densifying op
         return complex(op.multiply(state.rho.T).sum())
-    psi = np.asarray(state).reshape(-1)
-    return complex(psi.conj() @ (op @ psi))
+    psi = np.asarray(state)
+    psi = psi.reshape(psi.shape[0], -1)
+    return complex(np.sum(psi.conj() * (op @ psi)) / psi.shape[1])
 
 
 def two_site_expectation(system, state, A, B, p, q):
@@ -210,27 +250,23 @@ def two_site_expectation(system, state, A, B, p, q):
 
 
 def correlation_profile(system, state, r_max):
-    """Connected <S0 . Sr> and <Sz_0 Sz_r> for r = 1..r_max."""
+    """Connected <S0 . Sr> and <Sz_0 Sz_r> for r = 1..r_max.
+
+    state is a thermal state, a vector, or a dim x k block of orthonormal
+    vectors, whose ground-space average does not depend on the basis.
+    """
     if r_max >= system.n:
         raise ValueError("r_max must be smaller than the number of sites")
     rep = build_spin_rep(system.d)
-    one_site = [
-        complex(_expect(state, _site_op({0: S}, system.d, system.n)))
-        for S in rep.generators()
-    ]
+    # site_ops[a][p]: generator a on site p
+    site_ops = [[_site_op({p: S}, system.d, system.n) for p in range(r_max + 1)]
+                for S in rep.generators()]
+    one_site = [[_expect(state, op) for op in ops] for ops in site_ops]
     rows = []
     for r in range(1, r_max + 1):
-        total = sum(
-            _expect(state, _site_op({0: S, r: S}, system.d, system.n))
-            for S in rep.generators()
-        )
-        site_r = [
-            complex(_expect(state, _site_op({r: S}, system.d, system.n)))
-            for S in rep.generators()
-        ]
-        total -= sum(a * b for a, b in zip(one_site, site_r))
-        zz = _expect(state, _site_op({0: rep.Sz, r: rep.Sz}, system.d, system.n))
-        zz -= one_site[2] * site_r[2]
+        pairs = [_expect(state, ops[0] @ ops[r]) for ops in site_ops]
+        total = sum(pairs) - sum(v[0] * v[r] for v in one_site)
+        zz = pairs[2] - one_site[2][0] * one_site[2][r]
         rows.append(CorrelationRow(r=r, total=float(total.real),
                                    zz=float(zz.real)))
     return tuple(rows)

@@ -184,7 +184,7 @@ def cmd_ed(args):
     if args.beta is not None:
         state = gibbs(system, args.beta)
     else:
-        state = rep.vectors[:, 0]
+        state = rep.vectors  # the average over the ground space
     rows = correlation_profile(system, state, r_max)
     print("r,total,zz")
     for row in rows:
@@ -263,7 +263,8 @@ def build_parser():
                    help="open boundary conditions (default periodic)")
     p.add_argument("--beta", type=_nonnegative_float, default=None,
                    help="use the Gibbs state at this inverse temperature "
-                        "(default: correlations of the ground state)")
+                        "(default: correlations averaged over the ground "
+                        "space, its beta -> infinity limit)")
     p.add_argument("--r-max", dest="r_max", type=_positive_int, default=None)
     p.add_argument("--rp", action="store_true",
                    help="run the reflection-positivity Gram check on the "

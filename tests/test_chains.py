@@ -1,12 +1,18 @@
 """Finite-chain diagonalization oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fcspin import build_spin_rep, build_twist
 from fcspin.chains import (
     MAX_DENSE_DIM,
+    ThermalState,
+    _block_eigh,
     _site_op,
+    _two_site_hamiltonian,
     build_chain,
     correlation_profile,
     gap_scan,
@@ -283,3 +289,127 @@ def test_iterative_ground_is_deterministic():
     assert first.energy == second.energy
     assert first.gap == second.gap
     assert np.array_equal(first.vectors, second.vectors)
+
+
+# (d, n, J, periodic, model, field): both spins, both boundaries, both signs
+# of J, the projector chain and a field that mixes every Sz sector
+ED_CASES = [
+    (2, 6, 1.0, True, "xxx", None),
+    (2, 7, -1.0, False, "xxx", None),
+    (2, 2, 1.0, True, "xxx", None),
+    (3, 4, 1.0, True, "xxx", None),
+    (3, 5, -1.0, False, "xxx", None),
+    (3, 5, 1.0, True, "aklt-parent", None),
+    (3, 4, 1.0, False, "aklt-parent", None),
+    (2, 6, 1.0, True, "xxx", (0.3, 0.5, 0.2)),
+    (3, 4, -1.0, False, "xxx", (0.0, 0.7, 0.0)),
+]
+
+
+@pytest.mark.parametrize("case", ED_CASES)
+def test_block_eigh_matches_dense_spectrum(case):
+    system = build_chain(*case)
+    H = system.H.toarray()
+    blocks = _block_eigh(system.H)
+    idx_all = np.sort(np.concatenate([idx for idx, _, _ in blocks]))
+    assert np.array_equal(idx_all, np.arange(system.dim))
+    w = np.sort(np.concatenate([wb for _, wb, _ in blocks]))
+    assert np.abs(w - np.linalg.eigvalsh(H)).max() <= 1e-12
+    for idx, wb, Vb in blocks:
+        x = np.zeros((system.dim, len(wb)), dtype=complex)
+        x[idx] = Vb
+        assert np.abs(H @ x - x * wb).max() <= 1e-12
+    if case[5] is not None:
+        assert len(blocks) == 1
+
+
+@pytest.mark.parametrize("case", ED_CASES)
+def test_gibbs_matches_dense_build(case):
+    system = build_chain(*case)
+    w, V = np.linalg.eigh(system.H.toarray())
+    z = np.exp(-1.3 * (w - w.min()))
+    rho = (V * (z / z.sum())) @ V.conj().T
+    assert np.abs(gibbs(system, 1.3).rho - rho).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d, n, periodic, deg", [
+    (2, 10, True, 11), (3, 6, True, 13), (2, 8, False, 9),
+])
+def test_ferromagnet_degeneracy_exact(d, n, periodic, deg):
+    # the ground space of the ferromagnet is the spin-(n s) multiplet,
+    # 2 n s + 1 = n (d - 1) + 1 states
+    g = ground(build_chain(d, n, -1.0, periodic))
+    assert g.degeneracy == deg == n * (d - 1) + 1
+    assert np.abs(g.vectors.conj().T @ g.vectors - np.eye(deg)).max() <= 1e-12
+
+
+def _schmidt_reference_chain(d, n, J, periodic, model, field):
+    """H assembled from an SVD operator-Schmidt split of the two-site term,
+    h2 = sum_t A_t (x) B_t, one site operator per term and bond."""
+    h2 = _two_site_hamiltonian(d, J, model)
+    M = h2.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    u, s, vh = np.linalg.svd(M)
+    terms = [((u[:, t] * s[t]).reshape(d, d), vh[t].reshape(d, d))
+             for t in range(len(s)) if s[t] > 1e-12]
+    bonds = [(p, p + 1) for p in range(n - 1)] + ([(n - 1, 0)] if periodic else [])
+    H = sp.csr_matrix((d ** n, d ** n), dtype=complex)
+    for p, q in bonds:
+        for A, B in terms:
+            H = H + _site_op({p: A, q: B}, d, n)
+    if field is not None:
+        rep = build_spin_rep(d)
+        one = sum(f * S for f, S in zip(field, rep.generators()))
+        for p in range(n):
+            H = H + _site_op({p: one}, d, n)
+    return ((H + H.conj().T) / 2).tocsr()
+
+
+@pytest.mark.parametrize("case", ED_CASES)
+def test_build_chain_matches_schmidt_reference(case):
+    H = build_chain(*case).H
+    ref = _schmidt_reference_chain(*case)
+    assert abs(H - ref).max() <= 1e-14
+    assert H.nnz <= ref.nnz
+
+
+def test_aklt_parent_has_no_fill_in():
+    # the two-site projector has 19 nonzero entries, none tiny; roundoff
+    # fill-in would also couple all 2n + 1 = 13 Sz sectors into one block
+    H = build_chain(3, 6, model="aklt-parent").H
+    assert np.abs(H.data).min() >= 1e-12
+    assert len(_block_eigh(H)) == 13
+
+
+def test_imaginary_coupling_is_one_block():
+    # casting the complex matrix to a real graph would drop the 0-1 edge
+    H = sp.csr_matrix(np.array([[0.0, 1j, 0.0], [-1j, 0.0, 2.0], [0.0, 2.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = _block_eigh(H)
+    assert len(blocks) == 1
+    w = blocks[0][1]
+    assert np.abs(w - np.linalg.eigvalsh(H.toarray())).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", [
+    (2, 5, 1.0, True, "xxx", None),
+    (2, 7, 1.0, False, "xxx", None),
+    (2, 6, -1.0, True, "xxx", None),
+    (3, 6, 1.0, False, "aklt-parent", None),
+])
+def test_ground_correlations_basis_independent(case):
+    system = build_chain(*case)
+    g = ground(system)
+    assert g.degeneracy > 1
+    rng = np.random.default_rng(7)
+    k = g.degeneracy
+    u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    r_max = system.n - 1
+    rows = correlation_profile(system, g.vectors, r_max)
+    rotated = correlation_profile(system, g.vectors @ u, r_max)
+    # the ground-space average is the thermal expectation in P / deg
+    proj = ThermalState(beta=np.inf, rho=g.vectors @ g.vectors.conj().T / k)
+    averaged = correlation_profile(system, proj, r_max)
+    for a, b, c in zip(rows, rotated, averaged):
+        assert abs(a.total - b.total) <= 1e-12 and abs(a.zz - b.zz) <= 1e-12
+        assert abs(a.total - c.total) <= 1e-12 and abs(a.zz - c.zz) <= 1e-12
