@@ -11,6 +11,7 @@ pattern at a time; above it by Lanczos.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,6 +55,12 @@ class SpinChainSystem:
     @property
     def dim(self):
         return self.d ** self.n
+
+    @cached_property
+    def blocks(self):
+        """The dense block eigendecomposition of H, computed once and shared
+        by ground and gibbs."""
+        return _block_eigh(self.H)
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,7 @@ def ground(system, rel_window=1e-9, k_lowest=6):
     """Lowest eigenpair(s) with the degeneracy counted in a relative window."""
     dim = system.dim
     if dim <= MAX_DENSE_DIM:
-        blocks = _block_eigh(system.H)
+        blocks = system.blocks
     else:
         k = min(k_lowest, dim - 2)
         # a fixed start vector makes the Lanczos run, and so its output,
@@ -222,7 +229,7 @@ def gibbs(system, beta):
             f"Gibbs state needs a dense eigensolve; dimension {system.dim} "
             f"exceeds {MAX_DENSE_DIM}"
         )
-    blocks = _block_eigh(system.H)
+    blocks = system.blocks
     w_min = min(wb.min() for _, wb, _ in blocks)  # shift guards against overflow
     weights = [np.exp(-beta * (wb - w_min)) for _, wb, _ in blocks]
     Z = sum(z.sum() for z in weights)

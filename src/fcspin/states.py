@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -55,27 +56,65 @@ def product_state(xi):
     return fixed_point(product_kraus(xi))
 
 
+def _racah_cg(two_j1, two_m1, two_j2, two_m2, two_J):
+    """<j1 m1, j2 m2 | J m1+m2> from Racah's formula, Condon-Shortley phase.
+
+    Arguments are doubled quantum numbers.  The square is exact (integer
+    factorials and Fractions); one sqrt of it carries the only rounding.
+    """
+    f = factorial
+    two_M = two_m1 + two_m2
+    a = (two_j1 + two_j2 - two_J) // 2      # j1 + j2 - J
+    b = (two_j1 - two_m1) // 2              # j1 - m1
+    c = (two_j2 + two_m2) // 2              # j2 + m2
+    p = (two_J - two_j2 + two_m1) // 2      # J - j2 + m1
+    q = (two_J - two_j1 - two_m2) // 2      # J - j1 - m2
+    racah_sum = sum(
+        Fraction((-1) ** t,
+                 f(t) * f(a - t) * f(b - t) * f(c - t) * f(p + t) * f(q + t))
+        for t in range(max(0, -p, -q), min(a, b, c) + 1)
+    )
+    square = racah_sum ** 2 * Fraction(
+        (two_J + 1) * f(a) * f((two_J + two_j1 - two_j2) // 2)
+        * f((two_J - two_j1 + two_j2) // 2)
+        * f((two_J + two_M) // 2) * f((two_J - two_M) // 2)
+        * f((two_j1 + two_m1) // 2) * f(b) * f(c) * f((two_j2 - two_m2) // 2),
+        f((two_j1 + two_j2 + two_J) // 2 + 1),
+    )
+    value = sqrt(square)
+    return -value if racah_sum < 0 else value
+
+
 @lru_cache(maxsize=None)
 def _cg_table(two_s, two_j):
-    """Clebsch-Gordan block <s m, j mu | j nu> as a (d, k, k) float array."""
-    from sympy import Rational
-    from sympy.physics.quantum.cg import CG
+    """Clebsch-Gordan block <s m, j mu | j nu> as a (d, k, k) float array.
 
-    s = Rational(two_s, 2)
-    j = Rational(two_j, 2)
+    Entries come from Racah's closed formula in the Condon-Shortley phase
+    convention, evaluated exactly in doubled quantum numbers and rounded
+    once at the final square root.  Index i is m = s - i, a is mu = j - a,
+    b is nu = j - b; s is an integer with s <= 2j.  The cached array is
+    read-only, since every caller shares it.
+    """
     d = two_s + 1
     k = two_j + 1
     out = np.zeros((d, k, k))
-    for i in range(d):            # m = s - i
-        m = s - i
-        for a in range(k):        # mu = j - a
-            mu = j - a
-            for b in range(k):    # nu = j - b
-                nu = j - b
-                if m + mu != nu:
-                    continue
-                out[i, a, b] = float(CG(s, m, j, mu, j, nu).doit())
+    for i in range(d):
+        for a in range(k):
+            b = i + a - two_s // 2  # nu = m + mu
+            if 0 <= b < k:
+                out[i, a, b] = _racah_cg(two_s, two_s - 2 * i,
+                                         two_j, two_j - 2 * a, two_j)
+    out.setflags(write=False)
     return out
+
+
+def _doubled_spin(x):
+    """2x as an int, for a spin x given as a number, a Fraction or a string
+    such as "1/2"; a value that is not a multiple of 1/2 is refused."""
+    two_x = 2 * Fraction(x)
+    if two_x.denominator != 1:
+        raise ValueError(f"spin {x!r} is not a multiple of 1/2")
+    return int(two_x)
 
 
 def covariant_kraus(s, j):
@@ -83,8 +122,8 @@ def covariant_kraus(s, j):
     into the physical (x) bond product, for integer physical spin s <= 2j
     (the bond spin j may be half-integer).  Multiplicity-one makes the
     isometry unique up to phase."""
-    two_s = int(round(2 * Fraction(s)))
-    two_j = int(round(2 * Fraction(j)))
+    two_s = _doubled_spin(s)
+    two_j = _doubled_spin(j)
     if two_s < 1:
         raise ValueError("physical spin must be positive")
     if two_s % 2 != 0:

@@ -211,3 +211,16 @@ def test_ed_builds_one_gibbs_state(argv, builds, monkeypatch, capsys):
     monkeypatch.setattr(cli, "gibbs", counted)
     assert main(argv) == 0
     assert len(calls) == builds
+
+
+def test_ed_with_beta_diagonalizes_once(monkeypatch, capsys):
+    calls = []
+    original = chains._block_eigh
+
+    def counted(H):
+        calls.append(H.shape)
+        return original(H)
+
+    monkeypatch.setattr(chains, "_block_eigh", counted)
+    assert main(["ed", "--d", "3", "--n", "6", "--beta", "0.7", "--rp"]) == 0
+    assert calls == [(729, 729)]
