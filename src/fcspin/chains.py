@@ -41,6 +41,8 @@ __all__ = [
 
 MAX_CHAIN_DIM = 6561   # largest Hilbert-space dimension we diagonalize
 MAX_DENSE_DIM = 4096   # dense eigensolve threshold; iterative above
+GROUND_WINDOW = 1e-9   # relative width of the ground-energy window
+LANCZOS_K = 6          # eigenvalues the iterative solver returns
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,9 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
     total-spin generators and (when periodic) with translation.
 
     Every stored entry of H is a sum of entries of the two-site term (and
-    of the field): an open bond is I (x) h2 (x) I, and the wrap bond is
-    split into matrix units on site n-1, h2 = sum_ac |a><c| (x) h2[a,:,c,:],
-    so no roundoff fill-in couples states that H does not couple.
+    of the field): an open bond is I (x) h2 (x) I, and the wrap bond is the
+    last open bond translated by one site, a permutation of its entries, so
+    no roundoff fill-in couples states that H does not couple.
     """
     if n < 2:
         raise ValueError("a chain needs at least two sites")
@@ -140,17 +142,12 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
     H = sp.csr_matrix((d ** n, d ** n), dtype=complex)
     bond = sp.csr_matrix(h2)
     for p in range(n - 1):
-        H = H + sp.kron(sp.kron(_eye(d ** p), bond, format="csr"),
-                        _eye(d ** (n - p - 2)), format="csr")
+        last = sp.kron(sp.kron(_eye(d ** p), bond, format="csr"),
+                       _eye(d ** (n - p - 2)), format="csr")
+        H = H + last
     if periodic:
-        h4 = h2.reshape(d, d, d, d)
-        for a in range(d):
-            for c in range(d):
-                if not h4[a, :, c, :].any():
-                    continue
-                unit = np.zeros((d, d))
-                unit[a, c] = 1.0
-                H = H + _site_op({0: h4[a, :, c, :], n - 1: unit}, d, n)
+        T = translation_operator(d, n)
+        H = H + T.T @ last @ T  # bond (n-2, n-1) moved onto (n-1, 0)
     if field is not None:
         rep = build_spin_rep(d)
         one = sum(f * S for f, S in zip(field, rep.generators()))
@@ -166,8 +163,7 @@ def translation_operator(d, n):
     dim = d ** n
     src = np.arange(dim).reshape((d,) * n)
     dst = np.moveaxis(src, -1, 0).reshape(-1)  # new leading index = old last site
-    T = sp.csr_matrix((np.ones(dim), (dst, np.arange(dim))), shape=(dim, dim))
-    return T
+    return sp.csr_matrix((np.ones(dim), (dst, np.arange(dim))), shape=(dim, dim))
 
 
 def _block_eigh(H):
@@ -191,22 +187,26 @@ def _block_eigh(H):
     return out
 
 
-def ground(system, rel_window=1e-9, k_lowest=6):
-    """Lowest eigenpair(s) with the degeneracy counted in a relative window."""
+def ground(system):
+    """Lowest eigenpair(s) with the degeneracy counted in a relative window;
+    refused when the window holds every eigenvalue a Lanczos run returns."""
     dim = system.dim
     if dim <= MAX_DENSE_DIM:
         blocks = system.blocks
     else:
-        k = min(k_lowest, dim - 2)
         # a fixed start vector makes the Lanczos run, and so its output,
         # the same on every call
         v0 = np.random.default_rng(0).normal(size=dim)
-        w, V = eigsh(system.H, k=k, which="SA", v0=v0)
+        w, V = eigsh(system.H, k=LANCZOS_K, which="SA", v0=v0)
         blocks = [(np.arange(dim), w, V)]
     w = np.sort(np.concatenate([wb for _, wb, _ in blocks]))
     e0 = float(w[0])
-    window = rel_window * max(1.0, abs(e0))
+    window = GROUND_WINDOW * max(1.0, abs(e0))
     deg = int(np.sum(w - e0 <= window))
+    if dim > MAX_DENSE_DIM and deg == LANCZOS_K:
+        raise ResourceLimitError(
+            f"the ground window holds all {LANCZOS_K} eigenvalues of the "
+            f"Lanczos window at dimension {dim}; the degeneracy is unresolved")
     above = w[w - e0 > window]
     gap_val = float(above[0] - e0) if above.size else float("nan")
     # the ground-window columns of every block, lowest first, at full dim

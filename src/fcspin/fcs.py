@@ -101,7 +101,6 @@ class FcsState:
 
     kraus: KrausFamily
     rho: np.ndarray
-    ergodic: bool
 
     @property
     def d(self):
@@ -170,23 +169,22 @@ def _fixed_space_projector(M, tol):
     sel = np.abs(w - 1.0) <= tol
     if not sel.any():
         raise ValueError("transfer map has no fixed point within tolerance")
-    Vinv = np.linalg.inv(V)
-    return (V[:, sel] @ Vinv[sel, :]), int(sel.sum())
+    return V[:, sel] @ np.linalg.inv(V)[sel, :]
 
 
 def fixed_point(kraus, tol=1e-9):
     """Invariant state of the dual transfer map.
 
-    Returns an FcsState with ergodic=True when the fixed point of the
-    transfer map is unique.  For degenerate families the maximum-entropy
-    fixed point (spectral projection of I/k) is returned with ergodic=False.
-    Raises ValueError if the resulting rho is not faithful.
+    rho is the spectral projection of I/k onto the fixed space: the unique
+    fixed point of an ergodic family, the maximum-entropy one otherwise.
+    Ergodicity is read from transfer.gap(...).fixed_multiplicity.  Raises
+    ValueError if the resulting rho is not faithful.
     """
     rep = validate(kraus, tol)
     if not rep.passed:
         raise ValueError(f"Kraus family is not unital, defect {rep.defect:g}")
     k = kraus.k
-    P, mult = _fixed_space_projector(transfer_matrix(kraus).conj().T, tol)
+    P = _fixed_space_projector(transfer_matrix(kraus).conj().T, tol)
     rho_vec = P @ (np.eye(k) / k).reshape(-1)
     rho = rho_vec.reshape(k, k)
     rho = (rho + rho.conj().T) / 2
@@ -204,7 +202,7 @@ def fixed_point(kraus, tol=1e-9):
             "fixed point is not faithful; the family leaves the assumed "
             "support-projection setting"
         )
-    return FcsState(kraus=kraus, rho=rho, ergodic=(mult == 1))
+    return FcsState(kraus=kraus, rho=rho)
 
 
 def evaluate_monomial(state, I, J):

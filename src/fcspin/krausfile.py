@@ -152,8 +152,9 @@ def write_kraus(kraus, name=None, rho=None):
 def load_state(text, tol=1e-9):
     """Parse, validate, and return the FcsState of a document.
 
-    A stored rho is checked for invariance and used directly; otherwise the
-    fixed point is computed.
+    A stored rho is used as it is once found invariant and of unit trace to
+    100 tol, and faithful above tol, the threshold fixed_point applies to
+    its own rho; otherwise the fixed point is computed.
     """
     name, kraus, rho = read_kraus(text)
     rep = validate(kraus, tol)
@@ -165,10 +166,9 @@ def load_state(text, tol=1e-9):
     if np.abs(acc - rho).max() > 100 * tol:
         raise KrausFileError(0, "stored rho is not invariant under the family")
     if np.abs(np.trace(rho) - 1) > 100 * tol or np.linalg.eigvalsh(
-            (rho + rho.conj().T) / 2).min() <= 0:
+            (rho + rho.conj().T) / 2).min() <= tol:
         raise KrausFileError(0, "stored rho is not a faithful density matrix")
-    ergodic = fixed_point(kraus, tol).ergodic
-    return name, FcsState(kraus=kraus, rho=rho, ergodic=ergodic)
+    return name, FcsState(kraus=kraus, rho=rho)
 
 
 def dump_state(state, name=None):

@@ -174,4 +174,4 @@ def gauge_transform(state, W):
     """Conjugate the family and rho by a bond unitary; the state is unchanged."""
     W = np.asarray(W, dtype=complex)
     fam = KrausFamily(tuple(W @ v @ W.conj().T for v in state.kraus.v))
-    return FcsState(kraus=fam, rho=W @ state.rho @ W.conj().T, ergodic=state.ergodic)
+    return FcsState(kraus=fam, rho=W @ state.rho @ W.conj().T)

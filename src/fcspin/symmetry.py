@@ -34,6 +34,9 @@ __all__ = [
     "theorem_audit",
 ]
 
+RP_WINDOW = 2      # longest reflection-positivity half-window of the audit
+DECAY_N_MAX = 12   # correlation distances the audit's decay clause checks
+
 
 @dataclass(frozen=True)
 class SymmetryVerdict:
@@ -408,13 +411,12 @@ def find_intertwiner(state, rep, tol=1e-8):
     eye = np.eye(k)
     Vdag = np.stack([v.conj().T for v in state.kraus.v])
     scale = max(1.0, float(max(np.linalg.norm(S, 2) for S in rep.generators())))
+    # vec(X M - M X) = (I (x) M^T - M (x) I) vec(X), row-major
+    A = np.vstack([np.kron(eye, Vdag[i].T) - np.kron(Vdag[i], eye)
+                   for i in range(state.d)])
     gens = []
     residual = 0.0
     for S in rep.generators():
-        # vec(X M - M X) = (I (x) M^T - M (x) I) vec(X), row-major
-        rows = [np.kron(eye, Vdag[i].T) - np.kron(Vdag[i], eye)
-                for i in range(state.d)]
-        A = np.vstack(rows)
         b = np.concatenate([
             -np.einsum("j,jab->ab", S[i], Vdag).reshape(-1)
             for i in range(state.d)
@@ -429,8 +431,7 @@ def find_intertwiner(state, rep, tol=1e-8):
     return IntertwinerReport(generators=tuple(gens), residual=residual, tol=tol)
 
 
-def theorem_audit(state, rep, twist, windows=2, tol=1e-8, *, rp_window=2,
-                  n_max=12):
+def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
     """Composite report: symmetry hypotheses, then structural conclusions.
 
     Hypotheses: reality, lattice reflection with twist, reflection
@@ -445,7 +446,7 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8, *, rp_window=2,
     clauses.append(AuditClause("real", "hypothesis", v.status, v.defect))
     v = check_lattice_twist(state, twist, windows, tol)
     clauses.append(AuditClause("lattice-twist", "hypothesis", v.status, v.defect))
-    v = check_reflection_positive(state, twist, min(windows, rp_window), tol)
+    v = check_reflection_positive(state, twist, min(windows, RP_WINDOW), tol)
     clauses.append(AuditClause(
         "reflection-positive", "hypothesis", v.status, v.defect,
         note=f"min eigenvalue {v.details['min_eig']:.3e}"))
@@ -457,7 +458,7 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8, *, rp_window=2,
         "modular-trivial", "conclusion",
         "pass" if md.delta_defect <= 10 * tol else "fail", md.delta_defect))
 
-    cert = decay_certificate(state, rep.Sz, rep.Sz, n_max)
+    cert = decay_certificate(state, rep.Sz, rep.Sz, DECAY_N_MAX)
     clauses.append(AuditClause(
         "ergodic", "conclusion",
         "pass" if cert.gap.fixed_multiplicity == 1 else "fail",

@@ -372,6 +372,50 @@ def test_build_chain_matches_schmidt_reference(case):
     assert H.nnz <= ref.nnz
 
 
+def _matrix_unit_reference_chain(d, n, J, periodic, model, field):
+    """H with the wrap bond split into matrix units on site n-1,
+    h2 = sum_ac |a><c| (x) h2[a,:,c,:], each term a product of site operators."""
+    h2 = _two_site_hamiltonian(d, J, model)
+    H = sp.csr_matrix((d ** n, d ** n), dtype=complex)
+    bond = sp.csr_matrix(h2)
+    for p in range(n - 1):
+        H = H + sp.kron(sp.kron(sp.identity(d ** p, dtype=complex, format="csr"),
+                                bond, format="csr"),
+                        sp.identity(d ** (n - p - 2), dtype=complex, format="csr"),
+                        format="csr")
+    if periodic:
+        h4 = h2.reshape(d, d, d, d)
+        for a in range(d):
+            for c in range(d):
+                if not h4[a, :, c, :].any():
+                    continue
+                unit = np.zeros((d, d))
+                unit[a, c] = 1.0
+                H = H + _site_op({0: h4[a, :, c, :], n - 1: unit}, d, n)
+    if field is not None:
+        rep = build_spin_rep(d)
+        one = sum(f * S for f, S in zip(field, rep.generators()))
+        for p in range(n):
+            H = H + _site_op({p: one}, d, n)
+    return ((H + H.conj().T) / 2).tocsr()
+
+
+@pytest.mark.parametrize("case", ED_CASES + [
+    (2, 10, 1.0, True, "xxx", None),
+    (3, 8, -1.0, True, "xxx", None),
+    (4, 5, 1.0, True, "xxx", None),
+    (3, 8, 1.0, True, "aklt-parent", None),
+])
+def test_build_chain_bit_identical_to_matrix_unit_reference(case):
+    H = build_chain(*case).H
+    ref = _matrix_unit_reference_chain(*case)
+    H.sort_indices()
+    ref.sort_indices()
+    assert np.array_equal(H.indptr, ref.indptr)
+    assert np.array_equal(H.indices, ref.indices)
+    assert np.array_equal(H.data, ref.data)
+
+
 def test_aklt_parent_has_no_fill_in():
     # the two-site projector has 19 nonzero entries, none tiny; roundoff
     # fill-in would also couple all 2n + 1 = 13 Sz sectors into one block

@@ -162,6 +162,15 @@ def test_ed_oversize(capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_ed_saturated_lanczos_window_refused(capsys):
+    # the ferromagnetic ground space is the 17-state spin-8 multiplet, more
+    # than the Lanczos window holds above MAX_DENSE_DIM
+    assert main(["ed", "--d", "3", "--n", "8", "--J", "-1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Lanczos window" in captured.err
+
+
 def test_demo_aklt(capsys):
     assert main(["demo-aklt"]) == 0
     out = capsys.readouterr().out

@@ -31,6 +31,7 @@ from fcspin.fcs import (
     validate,
     window_expectations,
 )
+from fcspin.transfer import build_transfer, gap
 
 
 def test_kraus_family_shape_check():
@@ -48,7 +49,7 @@ def test_validate_unital():
 
 def test_aklt_fixed_point():
     st = aklt_state()
-    assert st.ergodic
+    assert gap(build_transfer(st)).fixed_multiplicity == 1
     assert np.abs(st.rho - np.eye(2) / 2).max() < 1e-12
     # invariance under the dual map
     acc = sum(v.conj().T @ st.rho @ v for v in st.kraus.v)
@@ -58,7 +59,7 @@ def test_aklt_fixed_point():
 def test_fixed_point_degenerate_direct_sum():
     fam = direct_sum(aklt_kraus(), aklt_kraus())
     st = fixed_point(fam)
-    assert not st.ergodic
+    assert gap(build_transfer(st)).fixed_multiplicity == 4
     assert np.abs(st.rho - np.eye(4) / 4).max() < 1e-10
 
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from fcspin import aklt_kraus, random_unital_kraus
+from fcspin import aklt_kraus, krausfile, random_unital_kraus
 from fcspin.errors import KrausFileError
 from fcspin.krausfile import dump_state, load_state, read_kraus, write_kraus
-from fcspin.states import aklt_state
+from fcspin.states import aklt_state, direct_sum, product_kraus
 
 
 def test_round_trip_bit_identical():
@@ -87,6 +87,31 @@ def test_bad_stored_rho_rejected():
     text = write_kraus(st.kraus, rho=bad_rho)
     with pytest.raises(KrausFileError):
         load_state(text)
+
+
+@pytest.mark.parametrize("stored_rho, calls", [(True, 0), (False, 1)])
+def test_fixed_point_solved_only_without_stored_rho(stored_rho, calls,
+                                                    monkeypatch):
+    seen = []
+    solve = krausfile.fixed_point
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(krausfile, "fixed_point", counting)
+    st = aklt_state()
+    load_state(write_kraus(st.kraus, rho=st.rho if stored_rho else None))
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("eps", [1e-15, 5e-10, 1e-9])
+def test_stored_rho_faithful_only_to_tol_rejected(eps):
+    # every diagonal rho is invariant under this family; eps <= tol = 1e-9
+    fam = direct_sum(product_kraus([1.0, 0.0]), product_kraus([0.0, 1.0]))
+    text = write_kraus(fam, rho=np.diag([1 - eps, eps]))
+    with pytest.raises(KrausFileError, match="faithful"):
+        load_state(text, tol=1e-9)
 
 
 @pytest.mark.parametrize("entry", ["(nan,0.0)", "(inf,0)", "(0,-inf)"])

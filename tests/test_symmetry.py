@@ -101,7 +101,8 @@ def test_reflection_positive_product_with_fixed_vector(twist3):
 
 
 def test_reflection_positive_refused_by_window_cap(aklt, twist3, monkeypatch):
-    # the length-4 window has 3^8 = 6561 entries, above a cap of 100
+    # the bond-space factor A has D^2 k^2 = 81 * 4 = 324 entries at m = 2,
+    # above a cap of 100
     monkeypatch.setenv("FCS_MAX_DIM", "100")
     with pytest.raises(ResourceLimitError):
         check_reflection_positive(aklt, twist3, 2)
@@ -251,7 +252,7 @@ def test_theorem_audit_aklt(aklt, rep3, twist3):
 
 
 def test_theorem_audit_options_are_keyword_only(aklt, rep3, twist3):
-    # an old positional rng must not land in rp_window
+    # an old positional rng must not land in a parameter of the audit
     with pytest.raises(TypeError):
         theorem_audit(aklt, rep3, twist3, 2, 1e-8, np.random.default_rng(0))
 
