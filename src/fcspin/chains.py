@@ -5,7 +5,11 @@ Heisenberg antiferromagnet and the spin-1 bilinear-biquadratic projector
 point), ground and Gibbs states, correlation profiles, gap scans, and the
 finite-volume reflection-positivity Gram check.  Up to MAX_DENSE_DIM the
 Hamiltonian is diagonalized densely, one connected block of its nonzero
-pattern at a time; above it by Lanczos.
+pattern at a time; above it by Lanczos.  The layers after the
+diagonalization keep to the blocks the state already has: correlations
+are read from two-site reduced density matrices, and the RP Gram matrix,
+exactly zero between the connected components of its own pattern, is
+decided one component at a time.
 """
 
 from __future__ import annotations
@@ -166,6 +170,15 @@ def translation_operator(d, n):
     return sp.csr_matrix((np.ones(dim), (dst, np.arange(dim))), shape=(dim, dim))
 
 
+def _components(pattern):
+    """Index arrays of the connected components of a sparse nonzero
+    pattern, read as an undirected graph; each array is sorted."""
+    count, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    return np.split(order, np.cumsum(sizes)[:-1])
+
+
 def _block_eigh(H):
     """Dense eigendecomposition of H one connected block at a time.
 
@@ -177,11 +190,8 @@ def _block_eigh(H):
     # a pattern of ones: csgraph would cast complex entries to real and so
     # drop couplings that are purely imaginary
     pattern = sp.csr_matrix((np.ones(H.nnz), H.indices, H.indptr), shape=H.shape)
-    count, labels = connected_components(pattern, directed=False)
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=count)
     out = []
-    for idx in np.split(order, np.cumsum(sizes)[:-1]):
+    for idx in _components(pattern):
         w, V = np.linalg.eigh(H[idx][:, idx].toarray())
         out.append((idx, w, V))
     return out
@@ -239,21 +249,34 @@ def gibbs(system, beta):
     return ThermalState(beta=float(beta), rho=rho)
 
 
-def _expect(state, op):
-    """Expectation of op in a thermal state, a vector, or the average over
-    the orthonormal columns of a dim x k block, tr(P op)/k."""
+def _pair_marginal(system, state, p, q):
+    """Reduced density matrix of sites p < q as a (d, d, d, d) array R with
+    <A_p B_q> = sum R[a, b, c, e] A[c, a] B[e, b].
+
+    state is a thermal state, a vector, or a dim x k block of orthonormal
+    vectors, whose marginal is the average over its columns.  One partial
+    trace; no operator of the whole chain is formed.
+    """
+    d, n = system.d, system.n
+    shape = (d ** p, d, d ** (q - p - 1), d, d ** (n - q - 1))
     if isinstance(state, ThermalState):
-        # trace(rho op) = sum_ij op[i, j] rho[j, i], without densifying op
-        return complex(op.multiply(state.rho.T).sum())
-    psi = np.asarray(state)
-    psi = psi.reshape(psi.shape[0], -1)
-    return complex(np.sum(psi.conj() * (op @ psi)) / psi.shape[1])
+        return np.einsum("xaybzxcyez->abce", state.rho.reshape(shape + shape))
+    psi = np.asarray(state).reshape(shape + (-1,))
+    return np.einsum("xaybzj,xcyezj->abce", psi, psi.conj(),
+                     optimize=True) / psi.shape[-1]
 
 
 def two_site_expectation(system, state, A, B, p, q):
-    """<A at site p, B at site q> in a vector or thermal state."""
-    op = _site_op({p: A, q: B}, system.d, system.n)
-    return _expect(state, op)
+    """<A at site p, B at site q> in a vector or thermal state; the two
+    sites must differ."""
+    if not (0 <= p < system.n and 0 <= q < system.n):
+        raise ValueError(f"sites {p}, {q} are not both on the {system.n}-site chain")
+    if p == q:
+        raise ValueError("two_site_expectation needs two distinct sites")
+    if p > q:
+        A, B, p, q = B, A, q, p
+    R = _pair_marginal(system, state, p, q)
+    return complex(np.einsum("abce,ca,eb->", R, A, B))
 
 
 def correlation_profile(system, state, r_max):
@@ -261,21 +284,21 @@ def correlation_profile(system, state, r_max):
 
     state is a thermal state, a vector, or a dim x k block of orthonormal
     vectors, whose ground-space average does not depend on the basis.
+    Every value is read from the two-site marginal of sites (0, r).
     """
     if r_max >= system.n:
         raise ValueError("r_max must be smaller than the number of sites")
-    rep = build_spin_rep(system.d)
-    # site_ops[a][p]: generator a on site p
-    site_ops = [[_site_op({p: S}, system.d, system.n) for p in range(r_max + 1)]
-                for S in rep.generators()]
-    one_site = [[_expect(state, op) for op in ops] for ops in site_ops]
+    gens = build_spin_rep(system.d).generators()
     rows = []
     for r in range(1, r_max + 1):
-        pairs = [_expect(state, ops[0] @ ops[r]) for ops in site_ops]
-        total = sum(pairs) - sum(v[0] * v[r] for v in one_site)
-        zz = pairs[2] - one_site[2][0] * one_site[2][r]
-        rows.append(CorrelationRow(r=r, total=float(total.real),
-                                   zz=float(zz.real)))
+        R = _pair_marginal(system, state, 0, r)
+        first = np.einsum("abcb->ac", R)   # one-site marginal of site 0
+        second = np.einsum("abae->be", R)  # and of site r
+        conn = [np.einsum("abce,ca,eb->", R, S, S)
+                - np.einsum("ac,ca->", first, S) * np.einsum("be,eb->", second, S)
+                for S in gens]
+        rows.append(CorrelationRow(r=r, total=float(sum(conn).real),
+                                   zz=float(conn[2].real)))
     return tuple(rows)
 
 
@@ -284,10 +307,14 @@ def rp_gram_check(system, state, twist, tol=1e-9):
 
     state may be a ThermalState, an inverse temperature (a Gibbs state is
     built), or a pure-state vector.  Its density matrix, transposed, is the
-    window tensor W[I, J] = omega(|e_I><e_J|) of the whole chain; the dense
-    Gram matrix over the matrix units of the right half pairs each against
-    its twisted mirror image on the left half, and gets the verdict of
-    check_reflection_positive.
+    window tensor W[I, J] = omega(|e_I><e_J|) of the whole chain; the Gram
+    matrix over the matrix units of the right half pairs each against its
+    twisted mirror image on the left half.  G is exactly zero between the
+    connected components of its nonzero pattern, so the verdict of
+    check_reflection_positive is taken on its diagonal blocks there, each
+    hermitized on its own.  rho vanishes outside H's blocks and the spin
+    twist is a signed permutation, so the Gram of a chain without a
+    transverse field splits by its conserved quantum numbers.
     """
     if system.n % 2 != 0:
         raise ValueError("reflection about the central bond needs an even chain")
@@ -304,7 +331,8 @@ def rp_gram_check(system, state, twist, tol=1e-9):
     Rr = _reflect_twist_matrix(r0, m)
     G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, rho.T.reshape(D, D, D, D),
                   optimize=True).reshape(D * D, D * D)
-    return _rp_gram_verdict(G, m, tol, zero_mode=False)
+    blocks = [G[np.ix_(idx, idx)] for idx in _components(sp.csr_matrix(G != 0))]
+    return _rp_gram_verdict(blocks, m, tol, zero_mode=False)
 
 
 def gap_scan(d, J, n_list, periodic=True, model="xxx"):

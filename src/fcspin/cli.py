@@ -141,7 +141,7 @@ def cmd_correlate(args):
         print(f"error: unknown observable {exc.args[0]!r}; "
               "choose from Sx, Sy, Sz", file=sys.stderr)
         return EXIT_USAGE
-    cert = decay_certificate(state, A, B, args.n_max)
+    cert = decay_certificate(state, A, B, args.n_max, args.tol)
     print("n,corr_re,corr_im,abs_corr,bound,margin,ratio")
     prev = None
     for row in cert.rows:
@@ -161,7 +161,7 @@ def cmd_correlate(args):
 def cmd_spectrum(args):
     name, state = _load(args.file, args.tol)
     t = build_transfer(state)
-    report = gap(t)
+    report = gap(t, args.tol)
     print("index,re,im,abs")
     for i, lam in enumerate(report.eigenvalues):
         print(f"{i},{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(abs(lam))}")

@@ -152,9 +152,10 @@ def write_kraus(kraus, name=None, rho=None):
 def load_state(text, tol=1e-9):
     """Parse, validate, and return the FcsState of a document.
 
-    A stored rho is used as it is once found invariant and of unit trace to
-    100 tol, and faithful above tol, the threshold fixed_point applies to
-    its own rho; otherwise the fixed point is computed.
+    A stored rho is used as it is once found Hermitian, invariant and of
+    unit trace to 100 tol, and faithful above tol, the threshold
+    fixed_point applies to its own rho; otherwise the fixed point is
+    computed.
     """
     name, kraus, rho = read_kraus(text)
     rep = validate(kraus, tol)
@@ -162,6 +163,8 @@ def load_state(text, tol=1e-9):
         raise KrausFileError(0, f"family is not unital, defect {rep.defect:g}")
     if rho is None:
         return name, fixed_point(kraus, tol)
+    if np.abs(rho - rho.conj().T).max() > 100 * tol:
+        raise KrausFileError(0, "stored rho is not Hermitian")
     acc = sum(v.conj().T @ rho @ v for v in kraus.v)
     if np.abs(acc - rho).max() > 100 * tol:
         raise KrausFileError(0, "stored rho is not invariant under the family")

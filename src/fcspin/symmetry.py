@@ -165,17 +165,21 @@ def check_lattice_twist(state, twist, m, tol=1e-9):
     return _verdict("lattice-twist", m, _worst(details), tol, details)
 
 
-def _rp_gram_verdict(C, m, tol, zero_mode):
-    """Reflection-positivity verdict of a square Gram matrix C.
+def _rp_gram_verdict(blocks, m, tol, zero_mode):
+    """Reflection-positivity verdict of a square Gram matrix C, given as
+    the list of its diagonal blocks (C is zero off them).
 
     C is the Gram form itself or its compression to a subspace holding the
     range of both G and G*; zero_mode says that the complement is nonzero,
     so 0 is also an eigenvalue of the hermitized form.  The verdict requires
-    the hermitized matrix to have smallest eigenvalue >= -tol and the
-    Frobenius norm of C - C* to be at most 100 tol.
+    the hermitized matrix, hermitized block by block, to have smallest
+    eigenvalue >= -tol and the Frobenius norm of C - C* to be at most
+    100 tol.
     """
-    herm_defect = float(np.linalg.norm(C - C.conj().T))
-    min_eig = float(np.linalg.eigvalsh((C + C.conj().T) / 2).min())
+    herm_defect = float(np.sqrt(sum(
+        np.linalg.norm(B - B.conj().T) ** 2 for B in blocks)))
+    min_eig = min(float(np.linalg.eigvalsh((B + B.conj().T) / 2).min())
+                  for B in blocks)
     if zero_mode:
         min_eig = min(min_eig, 0.0)
     defect = max(0.0, -min_eig)
@@ -225,7 +229,7 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
     # [A, B*] = Q R with Q* A = R1, Q* B* = R2, so Q* G Q = R1 R2*
     R = np.linalg.qr(np.hstack([A, Bh]), mode="r")
     C = R[:, :k * k] @ R[:, k * k:].conj().T
-    return _rp_gram_verdict(C, m, tol, zero_mode=D * D > 2 * k * k)
+    return _rp_gram_verdict([C], m, tol, zero_mode=D * D > 2 * k * k)
 
 
 def check_su2(state, rep, m, *, tol=1e-8):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fcspin import build_spin_rep, build_twist
+from fcspin import build_spin_rep, build_twist, chains
 from fcspin.chains import (
     MAX_DENSE_DIM,
     ThermalState,
@@ -280,6 +280,74 @@ def test_thermal_profile_matches_dense_trace(d, n, beta, field):
     for r in range(1, n):
         got = two_site_expectation(system, state, rep.Sy, rep.Sz, 0, r)
         assert abs(got - dense({0: rep.Sy, r: rep.Sz})) <= 1e-12
+
+
+def _dense_expectation(system, state, ops):
+    """tr(rho O) with the chain operator O built and rho formed densely."""
+    if isinstance(state, ThermalState):
+        rho = state.rho
+    else:
+        psi = np.asarray(state).reshape(system.dim, -1)
+        rho = psi @ psi.conj().T / psi.shape[1]
+    return complex(np.trace(rho @ _site_op(ops, system.d, system.n).toarray()))
+
+
+def test_two_site_expectation_needs_two_sites():
+    system = build_chain(2, 4)
+    Sz = build_spin_rep(2).Sz
+    with pytest.raises(ValueError, match="distinct"):
+        two_site_expectation(system, gibbs(system, 1.0), Sz, Sz, 1, 1)
+    with pytest.raises(ValueError, match="4-site chain"):
+        two_site_expectation(system, gibbs(system, 1.0), Sz, Sz, 1, 4)
+
+
+@pytest.mark.parametrize("kind", ["thermal", "vector", "block"])
+def test_two_site_expectation_either_order(kind):
+    # the odd ring has a 4-fold ground space; the field makes rho complex
+    if kind == "thermal":
+        system = build_chain(2, 5, field=(0.3, 0.5, 0.2))
+        state = gibbs(system, 0.8)
+    else:
+        system = build_chain(2, 5)
+        g = ground(system)
+        assert g.degeneracy == 4
+        state = g.vectors if kind == "block" else g.vectors[:, 0]
+    rep = build_spin_rep(2)
+    for p, q in [(3, 1), (4, 0), (1, 3), (2, 3)]:
+        got = two_site_expectation(system, state, rep.Sy, rep.Sz, p, q)
+        want = _dense_expectation(system, state, {p: rep.Sy, q: rep.Sz})
+        assert abs(got - want) <= 1e-12
+
+
+def test_correlation_profile_builds_no_chain_operator(monkeypatch):
+    system = build_chain(2, 6)
+    g = ground(system)
+    states = (gibbs(system, 0.8), g.vectors, g.vectors[:, 0])
+    Sz = build_spin_rep(2).Sz
+
+    def refuse(*args):
+        raise AssertionError("a chain operator was built")
+
+    monkeypatch.setattr(chains, "_site_op", refuse)
+    for state in states:
+        assert len(correlation_profile(system, state, 5)) == 5
+        two_site_expectation(system, state, Sz, Sz, 0, 3)
+
+
+def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
+    # d = 3, n = 6: the 729 x 729 Gram splits into 13 blocks of <= 141 rows
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    v = rp_gram_check(build_chain(3, 6), 0.9, build_twist(build_spin_rep(3)))
+    assert v.passed
+    assert sum(sizes) == 729
+    assert len(sizes) == 13 and max(sizes) == 141
 
 
 def test_iterative_ground_is_deterministic():

@@ -8,6 +8,7 @@ import pytest
 
 from fcspin import chains, cli
 from fcspin.cli import main
+from fcspin.fcs import KrausFamily
 from fcspin.krausfile import dump_state, write_kraus
 from fcspin.states import covariant_state, random_unital_kraus
 
@@ -143,6 +144,45 @@ def test_spectrum_aklt(capsys):
         for line in out.splitlines() if line and line[0].isdigit()
     )
     assert np.abs(np.array(values) - np.array([-1 / 3] * 3 + [1.0])).max() < 1e-9
+
+
+@pytest.fixture()
+def dephasing_file(tmp_path):
+    """(sqrt(1-p) I, sqrt(p/2) X, sqrt(p/2) Z) at p = 5e-10: transfer
+    eigenvalues 1, 1-p, 1-p, 1-2p, so tol decides the fixed multiplicity."""
+    p = 5e-10
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    Z = np.diag([1.0, -1.0])
+    fam = KrausFamily((np.sqrt(1 - p) * np.eye(2), np.sqrt(p / 2) * X,
+                       np.sqrt(p / 2) * Z))
+    path = tmp_path / "dephasing.kraus"
+    path.write_text(write_kraus(fam, rho=np.eye(2) / 2))
+    return str(path)
+
+
+def _footer(out):
+    return dict(line[2:].split(" ", 1) for line in out.splitlines()
+                if line.startswith("# "))
+
+
+def test_spectrum_tol_reaches_multiplicity(dephasing_file, capsys):
+    assert main(["spectrum", dephasing_file]) == 0
+    foot = _footer(capsys.readouterr().out)
+    assert foot["delta"] == "1.0" and foot["fixed_multiplicity"] != "1"
+    assert main(["spectrum", dephasing_file, "--tol", "1e-12"]) == 0
+    foot = _footer(capsys.readouterr().out)
+    assert foot["fixed_multiplicity"] == "1"
+    assert abs(float(foot["delta"]) - (1 - 5e-10)) <= 1e-15
+
+
+def test_correlate_tol_reaches_certificate(dephasing_file, capsys):
+    assert main(["correlate", dephasing_file, "--n-max", "3"]) == 1
+    assert _footer(capsys.readouterr().out)["delta"] == "1.0"
+    assert main(["correlate", dephasing_file, "--n-max", "3",
+                 "--tol", "1e-12"]) == 0
+    foot = _footer(capsys.readouterr().out)
+    assert abs(float(foot["delta"]) - (1 - 5e-10)) <= 1e-15
+    assert foot["verdict"] == "pass"
 
 
 def test_ed_xxx(capsys):

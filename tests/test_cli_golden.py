@@ -29,6 +29,8 @@ COMMANDS = tuple(
     "demo-aklt",
     "ed --d 2 --n 6 --beta 0.7 --rp",
     "ed --model aklt-parent --d 3 --n 6",
+    "ed --d 3 --n 6 --beta 0.9 --rp",
+    "ed --model xxx --d 2 --n 10",
 )
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

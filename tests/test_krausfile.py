@@ -114,6 +114,18 @@ def test_stored_rho_faithful_only_to_tol_rejected(eps):
         load_state(text, tol=1e-9)
 
 
+def test_stored_rho_not_hermitian_rejected():
+    # invariant, of unit trace and with a positive Hermitian part, but the
+    # block coupling the two copies is not mirrored
+    fam = direct_sum(aklt_kraus(), aklt_kraus())
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    rho = np.eye(4) / 4 + 0.1 * np.kron(e12, np.eye(2))
+    text = write_kraus(fam, rho=rho)
+    with pytest.raises(KrausFileError, match="Hermitian"):
+        load_state(text)
+    load_state(write_kraus(fam, rho=np.eye(4) / 4))
+
+
 @pytest.mark.parametrize("entry", ["(nan,0.0)", "(inf,0)", "(0,-inf)"])
 def test_non_finite_entry_rejected(entry):
     text = f"d 2\nk 1\nmatrix 1\n(1,0)\n# entries follow\nmatrix 2\n{entry}\n"

@@ -525,8 +525,8 @@ def test_reflection_positive_generic_twist_matches_dense_gram(name, m):
 def test_rp_verdict_counts_the_zero_mode():
     # a compressed form stands for a larger one whose complement is 0
     C = np.diag([2.0, 1.0]).astype(complex)
-    assert symmetry._rp_gram_verdict(C, 1, 1e-9, zero_mode=False).details["min_eig"] == 1.0
-    assert symmetry._rp_gram_verdict(C, 1, 1e-9, zero_mode=True).details["min_eig"] == 0.0
+    assert symmetry._rp_gram_verdict([C], 1, 1e-9, zero_mode=False).details["min_eig"] == 1.0
+    assert symmetry._rp_gram_verdict([C], 1, 1e-9, zero_mode=True).details["min_eig"] == 0.0
 
 
 def test_reflection_positive_never_builds_a_window(aklt, twist3, monkeypatch):
