@@ -9,7 +9,6 @@ from .su2 import (
     group_element,
     build_twist,
     compute_mu,
-    invariant_vector,
 )
 from .fcs import (
     KrausFamily,
@@ -18,10 +17,8 @@ from .fcs import (
     LocalObservable,
     validate,
     fixed_point,
-    evaluate_monomial,
     evaluate_local,
     modular_data,
-    dual_family,
 )
 from .transfer import (
     TransferOperator,
@@ -65,7 +62,6 @@ from .chains import (
     gibbs,
     correlation_profile,
     rp_gram_check,
-    gap_scan,
 )
 from .krausfile import read_kraus, write_kraus, load_state, dump_state
 from .errors import KrausFileError, ResourceLimitError

@@ -2,7 +2,7 @@
 
 Exact diagonalization of nearest-neighbour isotropic chains (the
 Heisenberg antiferromagnet and the spin-1 bilinear-biquadratic projector
-point), ground and Gibbs states, correlation profiles, gap scans, and the
+point), ground and Gibbs states, correlation profiles, and the
 finite-volume reflection-positivity Gram check.  Up to MAX_DENSE_DIM the
 Hamiltonian is diagonalized densely, one connected block of its nonzero
 pattern at a time; above it by Lanczos.  The layers after the
@@ -38,9 +38,7 @@ __all__ = [
     "ground",
     "gibbs",
     "correlation_profile",
-    "two_site_expectation",
     "rp_gram_check",
-    "gap_scan",
 ]
 
 MAX_CHAIN_DIM = 6561   # largest Hilbert-space dimension we diagonalize
@@ -266,19 +264,6 @@ def _pair_marginal(system, state, p, q):
                      optimize=True) / psi.shape[-1]
 
 
-def two_site_expectation(system, state, A, B, p, q):
-    """<A at site p, B at site q> in a vector or thermal state; the two
-    sites must differ."""
-    if not (0 <= p < system.n and 0 <= q < system.n):
-        raise ValueError(f"sites {p}, {q} are not both on the {system.n}-site chain")
-    if p == q:
-        raise ValueError("two_site_expectation needs two distinct sites")
-    if p > q:
-        A, B, p, q = B, A, q, p
-    R = _pair_marginal(system, state, p, q)
-    return complex(np.einsum("abce,ca,eb->", R, A, B))
-
-
 def correlation_profile(system, state, r_max):
     """Connected <S0 . Sr> and <Sz_0 Sz_r> for r = 1..r_max.
 
@@ -333,13 +318,3 @@ def rp_gram_check(system, state, twist, tol=1e-9):
                   optimize=True).reshape(D * D, D * D)
     blocks = [G[np.ix_(idx, idx)] for idx in _components(sp.csr_matrix(G != 0))]
     return _rp_gram_verdict(blocks, m, tol, zero_mode=False)
-
-
-def gap_scan(d, J, n_list, periodic=True, model="xxx"):
-    """Table of (n, first excitation gap) for the given sizes."""
-    rows = []
-    for n in n_list:
-        system = build_chain(d, n, J, periodic, model)
-        rep = ground(system)
-        rows.append((int(n), rep.gap))
-    return tuple(rows)

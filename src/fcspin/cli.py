@@ -174,24 +174,25 @@ def cmd_spectrum(args):
 def cmd_ed(args):
     system = build_chain(args.d, args.n, args.J, not args.open, args.model)
     rep = ground(system)
-    print(f"model {args.model}")
-    print(f"d {args.d}")
-    print(f"n {args.n}")
-    print(f"ground_energy {_fmt(rep.energy)}")
-    print(f"degeneracy {rep.degeneracy}")
-    print(f"gap {_fmt(rep.gap)}")
     r_max = args.r_max if args.r_max is not None else min(3, args.n - 1)
     if args.beta is not None:
         state = gibbs(system, args.beta)
     else:
         state = rep.vectors  # the average over the ground space
     rows = correlation_profile(system, state, r_max)
+    if args.rp:  # every answer is computed before anything is printed
+        tw = build_twist(build_spin_rep(args.d))
+        verdict = rp_gram_check(system, state if args.beta is not None else 1.0, tw)
+    print(f"model {args.model}")
+    print(f"d {args.d}")
+    print(f"n {args.n}")
+    print(f"ground_energy {_fmt(rep.energy)}")
+    print(f"degeneracy {rep.degeneracy}")
+    print(f"gap {_fmt(rep.gap)}")
     print("r,total,zz")
     for row in rows:
         print(f"{row.r},{_fmt(row.total)},{_fmt(row.zz)}")
     if args.rp:
-        tw = build_twist(build_spin_rep(args.d))
-        verdict = rp_gram_check(system, state if args.beta is not None else 1.0, tw)
         print(f"rp_status {verdict.status}")
         print(f"rp_min_eig {_fmt(verdict.details['min_eig'])}")
         return EXIT_PASS if verdict.passed else EXIT_FAIL

@@ -13,7 +13,7 @@ built from two half-window factors in O(d^m k^2 + d^(2m)) memory.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,9 @@ __all__ = [
     "validate",
     "fixed_point",
     "transfer_matrix",
-    "evaluate_monomial",
     "window_expectations",
     "evaluate_local",
     "modular_data",
-    "dual_family",
     "max_window_entries",
     "MAX_WINDOW_LEN",
 ]
@@ -113,20 +111,15 @@ class FcsState:
 
 @dataclass(frozen=True)
 class ModularData:
-    """Finite-dimensional modular data of (M, phi).
+    """How far the modular operator of (M, phi) is from the identity.
 
-    The GNS space is realized as k x k matrices y (the vector of an algebra
-    element a is a rho^{1/2}) with the Hilbert-Schmidt inner product; the
-    cyclic vector is rho^{1/2}.  Delta acts by y -> rho y rho^{-1} and the
-    modular conjugation by the antilinear map y -> y*.
-    The duals vtilde_k act from the right: y -> y (rho^{1/2} v_k rho^{-1/2}).
+    On the GNS space of k x k matrices y with the Hilbert-Schmidt inner
+    product, Delta acts by y -> rho y rho^{-1}, i.e. as kron(rho,
+    conj(rho^{-1})) on row-major vec(y).  delta_defect is the max-norm
+    distance of that matrix from the identity.
     """
 
-    gns_dim: int
-    Delta: np.ndarray
-    vtilde: tuple
-    rho: np.ndarray
-    delta_defect: float = field(default=0.0)
+    delta_defect: float
 
     @property
     def delta_trivial(self):
@@ -205,25 +198,6 @@ def fixed_point(kraus, tol=1e-9):
     return FcsState(kraus=kraus, rho=rho)
 
 
-def evaluate_monomial(state, I, J):
-    """trace(rho v_I v*_J) with v_I = v_{i1}..v_{im}, 1-based indices.
-
-    For |I| != |J| the value is not gauge invariant; it is still returned
-    and belongs to the gauge-extended state.
-    """
-    d, k = state.d, state.k
-    for idx in tuple(I) + tuple(J):
-        if not 1 <= idx <= d:
-            raise ValueError(f"monomial index {idx} out of range 1..{d}")
-    left = np.eye(k, dtype=complex)
-    for i in I:
-        left = left @ state.kraus.v[i - 1]
-    right = np.eye(k, dtype=complex)
-    for j in reversed(J):
-        right = right @ state.kraus.v[j - 1].conj().T
-    return complex(np.trace(state.rho @ left @ right))
-
-
 def _products(V, n):
     """The d^n products v_{i1}..v_{in} as a (d^n, k, k) array, first site
     most significant; n = 0 gives the identity alone."""
@@ -283,22 +257,7 @@ def _rho_roots(rho):
 
 
 def modular_data(state):
-    """Delta, its defect from the identity, and the dual family vtilde."""
-    rho = state.rho
-    k = state.k
-    sq, inv_sq, inv = _rho_roots(rho)
-    Delta = np.kron(rho, inv.conj())
-    vtilde = tuple(sq @ v @ inv_sq for v in state.kraus.v)
-    defect = float(np.abs(Delta - np.eye(k * k)).max())
-    return ModularData(
-        gns_dim=k * k,
-        Delta=Delta,
-        vtilde=vtilde,
-        rho=rho,
-        delta_defect=defect,
-    )
-
-
-def dual_family(md):
-    """The duals as a unital Kraus family (adjoints of the right factors)."""
-    return KrausFamily(tuple(w.conj().T for w in md.vtilde))
+    """The defect of Delta = kron(rho, conj(rho^{-1})) from the identity."""
+    Delta = np.kron(state.rho, _rho_roots(state.rho)[2].conj())
+    defect = float(np.abs(Delta - np.eye(state.k ** 2)).max())
+    return ModularData(delta_defect=defect)

@@ -21,7 +21,6 @@ __all__ = [
     "random_group_elements",
     "build_twist",
     "compute_mu",
-    "invariant_vector",
 ]
 
 
@@ -143,28 +142,3 @@ def compute_mu(t):
     if t.d % 2 == 1 and mu != 1:
         raise ValueError(f"mu = {mu} inconsistent with odd dimension {t.d}")
     return mu
-
-
-def invariant_vector(rep, null_tol=1e-8):
-    """The unit vector in C^d (x) C^d fixed by u(g) (x) conj(u(g)) for all g.
-
-    Computed as the joint kernel of the Lie-algebra generators of the action;
-    the kernel must be one-dimensional (irreducibility), and the result is
-    phase-fixed against sum_i e_i (x) e_i.
-    """
-    d = rep.d
-    eye = np.eye(d)
-    blocks = []
-    for S in rep.generators():
-        # derivative of u (x) conj(u) along S: i (S (x) I - I (x) S^T)
-        blocks.append(np.kron(S, eye) - np.kron(eye, S.T))
-    A = np.vstack(blocks)
-    _, sing, vh = np.linalg.svd(A)
-    null_dim = int(np.sum(sing <= null_tol)) + (d * d - len(sing))
-    if null_dim != 1:
-        raise ValueError(f"fixed subspace has dimension {null_dim}, expected 1")
-    v = vh[-1].conj()
-    ref = np.eye(d).reshape(-1)  # sum_i e_i (x) e_i, row-major
-    phase = ref @ v
-    v = v * (phase.conjugate() / abs(phase))
-    return v / np.linalg.norm(v)

@@ -444,6 +444,8 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
     operator, twisted-adjoint Kraus relation, and exponential decay of
     two-point correlations.  Clause order is fixed for stable output.
     """
+    if windows < 1:
+        raise ValueError("window length must be >= 1")
     clauses = []
 
     v = check_real(state, windows, tol)

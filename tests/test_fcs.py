@@ -21,9 +21,7 @@ from fcspin import (
 from fcspin.errors import ResourceLimitError
 from fcspin.fcs import (
     LocalObservable,
-    dual_family,
     evaluate_local,
-    evaluate_monomial,
     fixed_point,
     max_window_entries,
     modular_data,
@@ -32,6 +30,25 @@ from fcspin.fcs import (
     window_expectations,
 )
 from fcspin.transfer import build_transfer, gap
+
+
+def evaluate_monomial(state, I, J):
+    """trace(rho v_I v*_J) with v_I = v_{i1}..v_{im}, 1-based indices.
+
+    For |I| != |J| the value is not gauge invariant; it is still returned
+    and belongs to the gauge-extended state.
+    """
+    d, k = state.d, state.k
+    for idx in tuple(I) + tuple(J):
+        if not 1 <= idx <= d:
+            raise ValueError(f"monomial index {idx} out of range 1..{d}")
+    left = np.eye(k, dtype=complex)
+    for i in I:
+        left = left @ state.kraus.v[i - 1]
+    right = np.eye(k, dtype=complex)
+    for j in reversed(J):
+        right = right @ state.kraus.v[j - 1].conj().T
+    return complex(np.trace(state.rho @ left @ right))
 
 
 def test_kraus_family_shape_check():
@@ -174,7 +191,6 @@ def test_local_observable_support():
 
 def test_modular_data_aklt_trivial():
     md = modular_data(aklt_state())
-    assert md.gns_dim == 4
     assert md.delta_trivial
     assert md.delta_defect < 1e-12
 
@@ -183,24 +199,6 @@ def test_modular_data_generic_nontrivial():
     st = random_fcs_state(2, 2, np.random.default_rng(0))
     md = modular_data(st)
     assert md.delta_defect > 1e-3  # generic rho is not maximally mixed
-
-
-def test_dual_family_unital():
-    for seed in range(3):
-        st = random_fcs_state(3, 3, np.random.default_rng(seed))
-        df = dual_family(modular_data(st))
-        assert validate(df).passed
-
-
-def test_dual_family_duality_on_monomials():
-    """phi(v_I v*_J) equals the dual value at the reversed words."""
-    st = aklt_state()
-    dual = fixed_point(dual_family(modular_data(st)))
-    for I, J in [((1,), (1,)), ((1, 2), (2, 1)), ((1, 2, 3), (1, 2, 3)),
-                 ((2, 3), (3, 2))]:
-        a = evaluate_monomial(st, I, J)
-        b = evaluate_monomial(dual, tuple(reversed(I)), tuple(reversed(J)))
-        assert abs(a - b) < 1e-12
 
 
 def test_product_state_one_site():

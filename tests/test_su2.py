@@ -8,7 +8,6 @@ from fcspin import (
     build_twist,
     compute_mu,
     group_element,
-    invariant_vector,
 )
 from fcspin.su2 import random_group_elements
 
@@ -89,15 +88,3 @@ def test_twist_d1_trivial():
     tw = build_twist(build_spin_rep(1))
     assert np.abs(tw.r0 - np.eye(1)).max() < 1e-14
     assert tw.mu == 1
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_invariant_vector(d):
-    rep = build_spin_rep(d)
-    v = invariant_vector(rep)
-    assert abs(np.linalg.norm(v) - 1) < 1e-12
-    rng = np.random.default_rng(11)
-    for g in random_group_elements(rep, 6, rng):
-        assert np.abs(np.kron(g.u, g.u.conj()) @ v - v).max() < 1e-9
-    # the invariant vector is the normalized identity matrix, vectorized
-    assert np.abs(v - np.eye(d).reshape(-1) / np.sqrt(d)).max() < 1e-9

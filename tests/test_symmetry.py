@@ -279,6 +279,14 @@ def test_theorem_audit_generic_fails(rep3, twist3):
     assert not report.all_pass
 
 
+@pytest.mark.parametrize("windows", [0, -1])
+def test_theorem_audit_needs_a_window(windows, rep3, twist3):
+    # with no window every hypothesis loop is empty and would pass unchecked
+    st = random_fcs_state(3, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="window length"):
+        theorem_audit(st, rep3, twist3, windows=windows)
+
+
 def test_verdict_monotone_in_tol(aklt, twist3):
     st = random_fcs_state(3, 3, np.random.default_rng(12))
     loose = check_lattice_twist(st, twist3, 2, tol=1e6)
