@@ -173,16 +173,18 @@ def cmd_spectrum(args):
 
 def cmd_ed(args):
     system = build_chain(args.d, args.n, args.J, not args.open, args.model)
+    # the Gibbs state comes first: above its dense cap it refuses before
+    # ground diagonalizes the chain
+    if args.beta is not None or args.rp:
+        thermal = gibbs(system, args.beta if args.beta is not None else 1.0)
     rep = ground(system)
     r_max = args.r_max if args.r_max is not None else min(3, args.n - 1)
-    if args.beta is not None:
-        state = gibbs(system, args.beta)
-    else:
-        state = rep.vectors  # the average over the ground space
+    # without --beta, the average over the ground space
+    state = thermal if args.beta is not None else rep.vectors
     rows = correlation_profile(system, state, r_max)
     if args.rp:  # every answer is computed before anything is printed
         tw = build_twist(build_spin_rep(args.d))
-        verdict = rp_gram_check(system, state if args.beta is not None else 1.0, tw)
+        verdict = rp_gram_check(system, thermal, tw)
     print(f"model {args.model}")
     print(f"d {args.d}")
     print(f"n {args.n}")

@@ -464,7 +464,7 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
         "modular-trivial", "conclusion",
         "pass" if md.delta_defect <= 10 * tol else "fail", md.delta_defect))
 
-    cert = decay_certificate(state, rep.Sz, rep.Sz, DECAY_N_MAX)
+    cert = decay_certificate(state, rep.Sz, rep.Sz, DECAY_N_MAX, tol)
     clauses.append(AuditClause(
         "ergodic", "conclusion",
         "pass" if cert.gap.fixed_multiplicity == 1 else "fail",

@@ -1,10 +1,14 @@
 """The transfer operator on the GNS space and its spectral gap.
 
 The GNS space of (M, phi) is realized as k x k matrices y with the
-Hilbert-Schmidt inner product (vector of the algebra element a is
-a rho^{1/2}); the cyclic vector is rho^{1/2}.  In these coordinates the
+Hilbert-Schmidt inner product (vector of the algebra element x is
+x rho^{1/2}); the cyclic vector is psi = rho^{1/2}.  In these coordinates the
 transfer operator T y = tau(x) rho^{1/2} for y = x rho^{1/2} has matrix
 sum_i v_i (x) conj(rho^{1/2} v_i rho^{-1/2}) on row-major vec(y).
+
+Both T and T* fix psi, so psi reduces T, and T_c = T - psi psi* is T on the
+orthogonal complement of psi (and 0 on psi).  That one matrix gives the
+gap, the decay bound and the correlation sweep.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fcs import FcsState, transfer_matrix, _rho_roots
+from .fcs import _rho_roots
 
 __all__ = [
     "TransferOperator",
@@ -31,10 +35,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferOperator:
-    k: int
-    matrix: np.ndarray  # k^2 x k^2, GNS coordinates
-    cyclic: np.ndarray  # vec(rho^{1/2})
-    state: FcsState
+    matrix: np.ndarray        # k^2 x k^2, GNS coordinates
+    sqrt_rho: np.ndarray      # rho^{1/2}, the cyclic vector psi as a matrix
+    inv_sqrt_rho: np.ndarray  # rho^{-1/2}
+
+    @property
+    def k(self):
+        return self.sqrt_rho.shape[0]
+
+    def centered(self):
+        """T_c = T - psi psi*."""
+        psi = self.sqrt_rho.reshape(-1)
+        return self.matrix - np.outer(psi, psi.conj())
 
 
 @dataclass(frozen=True)
@@ -62,11 +74,8 @@ class DecayCertificate:
     gap: GapReport
     delta: float
     beta_max: float
-    anorm: float
-    bnorm: float
     selfadjoint: bool
     verdict: str
-    violations: tuple
     reason: str = ""
 
     @property
@@ -77,7 +86,7 @@ class DecayCertificate:
 def build_transfer(state):
     sq, inv_sq, _ = _rho_roots(state.rho)
     mat = sum(np.kron(v, (sq @ v @ inv_sq).conj()) for v in state.kraus.v)
-    return TransferOperator(k=state.k, matrix=mat, cyclic=sq.reshape(-1), state=state)
+    return TransferOperator(matrix=mat, sqrt_rho=sq, inv_sqrt_rho=inv_sq)
 
 
 def check_selfadjoint(t):
@@ -90,24 +99,17 @@ def _sort_eigs(w):
     return tuple(sorted(w, key=lambda z: (-abs(z), -z.real, -z.imag)))
 
 
-def _restricted(t):
-    """T on the orthogonal complement of the cyclic vector, in a QR basis."""
-    Q, _ = np.linalg.qr(t.cyclic.reshape(-1, 1), mode="complete")
-    return Q[:, 1:].conj().T @ t.matrix @ Q[:, 1:]
-
-
 def gap(t, tol=1e-9):
     """Spectral report: eigenvalues, fixed multiplicity, and the gap delta.
 
-    delta is the largest eigenvalue modulus of T restricted to the
-    orthogonal complement of the cyclic vector; for a degenerate fixed
-    space delta is reported as 1 (no gap).
+    delta is the spectral radius of T_c: the largest eigenvalue modulus of
+    T once the one eigenvalue nearest 1, that of the cyclic vector, is
+    removed.  For a degenerate fixed space delta is reported as 1 (no gap).
     """
     w = np.linalg.eigvals(t.matrix)
     fixed_mult = int(np.sum(np.abs(w - 1.0) <= tol))
-    wc = np.linalg.eigvals(_restricted(t))
-    delta = 1.0 if fixed_mult > 1 else float(np.abs(wc).max()) if wc.size else 0.0
-    delta = min(max(delta, 0.0), 1.0)
+    wc = np.delete(w, np.argmin(np.abs(w - 1.0)))
+    delta = 1.0 if fixed_mult > 1 else min(float(np.abs(wc).max(initial=0.0)), 1.0)
     return GapReport(
         eigenvalues=_sort_eigs(w),
         delta=delta,
@@ -116,8 +118,9 @@ def gap(t, tol=1e-9):
     )
 
 
-def _insertions(state, A, B):
-    """Centered one-site insertion data for the two-point contraction."""
+def _insertions(state, t, A, B):
+    """GNS vectors a = vec(sigma_Ac* rho^{-1/2}) and b = vec(xBc rho^{1/2})
+    of the centered one-site insertions, so corr(n) = <a, T_c^(n-1) b>."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     V = state.kraus.stacked()
@@ -127,21 +130,19 @@ def _insertions(state, A, B):
     xB = np.einsum("ij,iab,jcb->ac", B, V, V.conj(), optimize=True)
     sigma_Ac = sigma_A - np.trace(sigma_A) * rho
     xBc = xB - np.trace(rho @ xB) * np.eye(state.k)
-    return sigma_Ac, xBc
+    a = (sigma_Ac.conj().T @ t.inv_sqrt_rho).reshape(-1)
+    b = (xBc @ t.sqrt_rho).reshape(-1)
+    return a, b
 
 
-def _correlations(state, sigma_Ac, xBc, n_max):
-    """Connected correlations for n = 1..n_max from one sweep y <- Mc y,
-    with Mc the transfer matrix minus its fixed-point projector."""
-    M = transfer_matrix(state.kraus)
-    P = np.outer(np.eye(state.k).reshape(-1), state.rho.reshape(-1).conj())
-    Mc = M - P
-    a = sigma_Ac.T.reshape(-1)
-    y = xBc.reshape(-1)
-    corr = [complex(a @ y)]  # trace(sigma_Ac Z) for Z = unvec(y)
+def _correlations(Tc, a, b, n_max):
+    """Connected correlations <a, T_c^(n-1) b> for n = 1..n_max from one
+    sweep y <- T_c y."""
+    y = b
+    corr = [complex(np.vdot(a, y))]
     for _ in range(n_max - 1):
-        y = Mc @ y
-        corr.append(complex(a @ y))
+        y = Tc @ y
+        corr.append(complex(np.vdot(a, y)))
     return corr
 
 
@@ -149,45 +150,43 @@ def two_point(state, A, B, n):
     """Connected correlation omega(A theta^n(B)) - omega(A) omega(B), n >= 1."""
     if n < 1:
         raise ValueError("two_point requires n >= 1 (disjoint supports)")
-    return _correlations(state, *_insertions(state, A, B), n)[-1]
+    t = build_transfer(state)
+    return _correlations(t.centered(), *_insertions(state, t, A, B), n)[-1]
 
 
 def decay_certificate(state, A, B, n_max, tol=1e-9):
     """Verify |corr(n)| <= delta^(n-1) ||a|| ||b|| for n = 1..n_max.
 
-    ||a||, ||b|| are the GNS-vector norms of the centered insertions.  For a
-    non-self-adjoint T the bound uses the explicit norms of the restricted
-    transfer powers instead.  A degenerate fixed space refuses a pass.
+    a, b are the GNS vectors of the centered insertions that the sweep
+    pairs.  For a non-self-adjoint T the bound uses the norms ||T_c^(n-1)||
+    instead of delta^(n-1).  A degenerate fixed space refuses a pass.
     """
     t = build_transfer(state)
     rep = gap(t, tol)
-    sq, inv_sq, _ = _rho_roots(state.rho)
-    sigma_Ac, xBc = _insertions(state, A, B)
-    anorm = float(np.linalg.norm(sigma_Ac.conj().T @ inv_sq, "fro"))
-    bnorm = float(np.linalg.norm(xBc @ sq, "fro"))
+    Tc = t.centered()
+    a, b = _insertions(state, t, A, B)
+    scale = float(np.linalg.norm(a) * np.linalg.norm(b))
     selfadjoint = rep.selfadjoint_defect <= 1e-9
 
     if selfadjoint:
-        bounds = [rep.delta ** (n - 1) * anorm * bnorm for n in range(1, n_max + 1)]
+        bounds = [rep.delta ** (n - 1) * scale for n in range(1, n_max + 1)]
     else:
-        Tc = _restricted(t)
         power = np.eye(Tc.shape[0], dtype=complex)
         bounds = []
         for _ in range(n_max):
-            bounds.append(float(np.linalg.norm(power, 2)) * anorm * bnorm)
+            bounds.append(float(np.linalg.norm(power, 2)) * scale)
             power = power @ Tc
-    corr = _correlations(state, sigma_Ac, xBc, n_max)
-    rows = [DecayRow(n=n, corr=c, bound=b)
-            for n, c, b in zip(range(1, n_max + 1), corr, bounds)]
+    corr = _correlations(Tc, a, b, n_max)
+    rows = [DecayRow(n=n, corr=c, bound=bd)
+            for n, c, bd in zip(range(1, n_max + 1), corr, bounds)]
 
-    scale = max(1.0, anorm * bnorm)
-    violations = tuple(r.n for r in rows if abs(r.corr) > r.bound + 1e-12 * scale)
+    violations = [r.n for r in rows if abs(r.corr) > r.bound + 1e-12 * max(1.0, scale)]
     beta_max = -math.log(rep.delta) if rep.delta > 0 else math.inf
 
     if rep.fixed_multiplicity > 1:
         verdict, reason = "fail", "degenerate fixed space: correlations need not decay"
     elif violations:
-        verdict, reason = "fail", f"bound violated at n = {list(violations)}"
+        verdict, reason = "fail", f"bound violated at n = {violations}"
     else:
         verdict, reason = "pass", ""
     return DecayCertificate(
@@ -195,10 +194,7 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
         gap=rep,
         delta=rep.delta,
         beta_max=beta_max,
-        anorm=anorm,
-        bnorm=bnorm,
         selfadjoint=selfadjoint,
         verdict=verdict,
-        violations=violations,
         reason=reason,
     )

@@ -313,12 +313,14 @@ def test_two_site_expectation_needs_two_sites():
 
 @pytest.mark.parametrize("kind", ["thermal", "vector", "block"])
 def test_two_site_expectation_either_order(kind):
-    # the odd ring has a 4-fold ground space; the field makes rho complex
+    # the odd ring has a 4-fold ground space; a random density matrix has no
+    # reflection symmetry, so it tells site p from site q
+    system = build_chain(2, 5)
     if kind == "thermal":
-        system = build_chain(2, 5, field=(0.3, 0.5, 0.2))
-        state = gibbs(system, 0.8)
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        state = ThermalState(beta=0.0, rho=z @ z.conj().T / np.trace(z @ z.conj().T))
     else:
-        system = build_chain(2, 5)
         g = ground(system)
         assert g.degeneracy == 4
         state = g.vectors if kind == "block" else g.vectors[:, 0]

@@ -223,6 +223,22 @@ def test_ed_error_prints_no_partial_report(argv, code, capsys):
     assert captured.err != ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["ed", "--d", "3", "--n", "8", "--beta", "1"],
+    ["ed", "--d", "3", "--n", "8", "--rp"],
+])
+def test_ed_gibbs_refused_before_ground(argv, monkeypatch, capsys):
+    def refuse(system):
+        raise AssertionError("ground ran before the Gibbs refusal")
+
+    monkeypatch.setattr(chains, "ground", refuse)
+    monkeypatch.setattr(cli, "ground", refuse)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refused" in captured.err
+
+
 def test_demo_aklt(capsys):
     assert main(["demo-aklt"]) == 0
     out = capsys.readouterr().out

@@ -273,6 +273,29 @@ def test_theorem_audit_builds_transfer_once(aklt, rep3, twist3, monkeypatch):
     assert calls == {"build_transfer": 1, "gap": 1}
 
 
+@pytest.mark.parametrize("p, tol, mult", [
+    (1e-7, 1e-6, 4),     # every eigenvalue is within tol of 1
+    (5e-10, 1e-12, 1),   # only the cyclic one is
+])
+def test_theorem_audit_counts_fixed_space_at_its_tol(p, tol, mult, rep3, twist3):
+    # (sqrt(1-p) I, sqrt(p/2) X, sqrt(p/2) Z): transfer eigenvalues 1, 1-p,
+    # 1-p, 1-2p, which 1e-9 counts as 1 fixed point at p = 1e-7 and as 3
+    # at p = 5e-10
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    Z = np.diag([1.0, -1.0])
+    fam = KrausFamily((np.sqrt(1 - p) * np.eye(2), np.sqrt(p / 2) * X,
+                       np.sqrt(p / 2) * Z))
+    st = fcs.FcsState(kraus=fam, rho=np.eye(2) / 2)
+    clauses = {c.name: c for c in theorem_audit(st, rep3, twist3, tol=tol).clauses}
+    assert clauses["ergodic"].value == mult
+    assert clauses["ergodic"].status == ("pass" if mult == 1 else "fail")
+    decay = clauses["exponential-decay"]
+    if mult == 1:
+        assert decay.status == "pass" and abs(decay.value - (1 - p)) <= 1e-15
+    else:
+        assert decay.status == "fail" and "degenerate" in decay.note
+
+
 def test_theorem_audit_generic_fails(rep3, twist3):
     st = random_fcs_state(3, 3, np.random.default_rng(6))
     report = theorem_audit(st, rep3, twist3)

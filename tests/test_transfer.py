@@ -1,6 +1,7 @@
 """Transfer operator spectra, two-point functions, decay certificates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fcspin import (
     build_spin_rep,
     build_transfer,
     check_selfadjoint,
+    covariant_state,
     decay_certificate,
     direct_sum,
     fixed_point,
@@ -20,6 +22,7 @@ from fcspin import (
     random_fcs_state,
     two_point,
 )
+from fcspin import fcs, transfer
 from fcspin.fcs import LocalObservable, evaluate_local
 
 
@@ -182,3 +185,142 @@ def test_decay_rows_equal_two_point(st):
     assert len(cert.rows) == 12
     for row in cert.rows:
         assert row.corr == two_point(st, rep.Sz, rep.Sx, row.n)
+
+
+# ---- exact spectra of the covariant families ---------------------------------
+
+def _triangle(two_a, two_b, two_c):
+    """Delta(abc)^2 of doubled arguments, a Fraction."""
+    f = math.factorial
+    return Fraction(f((two_a + two_b - two_c) // 2) * f((two_a - two_b + two_c) // 2)
+                    * f((-two_a + two_b + two_c) // 2), f((two_a + two_b + two_c) // 2 + 1))
+
+
+def _sixj_jjl_jjs(two_j, L, two_s):
+    """{j j L; j j s} from Racah's formula, exactly.  Its four triangle
+    factors pair up as Delta(jjL)^2 Delta(jjs)^2, so the symbol is rational."""
+    f = math.factorial
+    a = b = d = e = two_j
+    c, g = 2 * L, two_s
+    sums = [(a + b + c) // 2, (a + e + g) // 2, (d + b + g) // 2, (d + e + c) // 2]
+    tops = [(a + b + d + e) // 2, (b + c + e + g) // 2, (c + a + g + d) // 2]
+    racah = sum(
+        Fraction((-1) ** t * f(t + 1),
+                 math.prod(f(t - x) for x in sums) * math.prod(f(y - t) for y in tops))
+        for t in range(max(sums), min(tops) + 1)
+    )
+    return _triangle(two_j, two_j, 2 * L) * _triangle(two_j, two_j, two_s) * racah
+
+
+def _covariant_eigenvalue(two_s, two_j, L):
+    """lambda_L = (-1)^(2j+s+L) (2j+1) {j j L; j j s}, multiplicity 2L+1."""
+    sign = (-1) ** (two_j + two_s // 2 + L)
+    return sign * (two_j + 1) * _sixj_jjl_jjs(two_j, L, two_s)
+
+
+# (2s, 2j) of every family with integer s, 2s <= 8, 2j <= 8 and s <= 2j
+COVARIANT = [(two_s, two_j) for two_s in range(2, 9, 2) for two_j in range(1, 9)
+             if two_s <= 2 * two_j]
+
+
+@pytest.mark.parametrize("two_s, two_j", COVARIANT)
+def test_covariant_spectrum_matches_six_j(two_s, two_j):
+    st = covariant_state(Fraction(two_s, 2), Fraction(two_j, 2))
+    lam = [_covariant_eigenvalue(two_s, two_j, L) for L in range(two_j + 1)]
+    assert lam[0] == 1
+    exact = np.sort([float(x) for L, x in enumerate(lam) for _ in range(2 * L + 1)])
+    rep = gap(build_transfer(st))
+    got = np.array(rep.eigenvalues)
+    assert np.abs(got.imag).max() <= 1e-13
+    assert np.abs(np.sort(got.real) - exact).max() <= 1e-13
+    assert abs(rep.delta - max(abs(float(x)) for x in lam[1:])) <= 1e-13
+    assert rep.fixed_multiplicity == 1
+    # Sz is a rank-1 tensor operator, so Sz-Sz correlations live at L = 1
+    Sz = build_spin_rep(two_s + 1).Sz
+    corr = [row.corr for row in decay_certificate(st, Sz, Sz, 40).rows]
+    for c, c_next in zip(corr, corr[1:]):
+        if abs(c) > 1e-12:
+            assert abs(c_next / c - float(lam[1])) <= 1e-12
+
+
+def test_six_j_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import wigner_6j
+
+    for two_s, two_j in COVARIANT:
+        j, s = sympy.Rational(two_j, 2), sympy.Rational(two_s, 2)
+        for L in range(two_j + 1):
+            want = wigner_6j(j, j, L, j, j, s)
+            got = _sixj_jjl_jjs(two_j, L, two_s)
+            assert want == sympy.Rational(got.numerator, got.denominator), (two_s, two_j, L)
+
+
+# ---- one GNS matrix ------------------------------------------------------------
+
+def test_gap_runs_one_eigensolve(monkeypatch):
+    st = random_fcs_state(3, 4, np.random.default_rng(9))
+    t = build_transfer(st)
+    calls = []
+    real = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    gap(t)
+    assert calls == [(16, 16)]
+
+
+def test_decay_certificate_builds_only_the_gns_matrix(monkeypatch):
+    st = random_fcs_state(3, 4, np.random.default_rng(9))
+    roots = []
+    real_roots = transfer._rho_roots
+
+    def refuse(*args):
+        raise AssertionError("the plain transfer matrix was built")
+
+    def counted(rho):
+        roots.append(rho.shape)
+        return real_roots(rho)
+
+    monkeypatch.setattr(fcs, "transfer_matrix", refuse)
+    monkeypatch.setattr(transfer, "transfer_matrix", refuse, raising=False)
+    monkeypatch.setattr(transfer, "_rho_roots", counted)
+    Sz = build_spin_rep(3).Sz
+    assert decay_certificate(st, Sz, Sz, 10).passed
+    assert roots == [(4, 4)]
+
+
+def _reference_correlations(st, A, B, n_max):
+    """omega(A at 0, B at n) - omega(A) omega(B) for n = 1..n_max in plain
+    coordinates: X = sum B_ce v_c v_e*, Z = sum A_ab v_b* rho v_a, and
+    omega(A theta^n(B)) = tr(Z E^(n-1)(X)) with E(X) = sum_i v_i X v_i*."""
+    V = st.kraus.stacked()
+    Vd = V.conj().transpose(0, 2, 1)
+    X = np.einsum("ce,cab,ebd->ad", B, V, Vd)
+    Z = np.einsum("ab,bij,jk,akl->il", A, Vd, st.rho, V)
+    w_a, w_b = np.trace(Z), np.trace(st.rho @ X)
+    out = []
+    for _ in range(n_max):
+        out.append(np.trace(Z @ X) - w_a * w_b)
+        X = sum(v @ X @ v.conj().T for v in st.kraus.v)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d, k", [(3, 8), (5, 8), (2, 3)])
+def test_decay_rows_match_plain_sweep(d, k):
+    rng = np.random.default_rng(100 + d + k)
+    st = random_fcs_state(d, k, rng)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    cert = decay_certificate(st, A, B, 200)
+    assert not cert.selfadjoint
+    got = np.array([row.corr for row in cert.rows])
+    assert np.abs(got - _reference_correlations(st, A, B, 200)).max() <= 1e-12
+
+
+def test_transfer_operator_reports_bond_dimension():
+    st = random_fcs_state(2, 5, np.random.default_rng(1))
+    t = build_transfer(st)
+    assert t.k == 5 and t.matrix.shape == (25, 25)
