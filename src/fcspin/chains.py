@@ -10,21 +10,26 @@ diagonalization keep to the blocks the state already has: correlations
 are read from two-site reduced density matrices, and the RP Gram matrix,
 exactly zero between the connected components of its own pattern, is
 decided one component at a time.
+
+This is the only module that uses scipy, and it imports it inside the
+functions that build or diagonalize a chain, so importing fcspin loads
+numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
 
 from .errors import ResourceLimitError
 from .su2 import build_spin_rep
 from .symmetry import _as_twist_matrix, _reflect_twist_matrix, _rp_gram_verdict
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "SpinChainSystem",
@@ -103,11 +108,15 @@ def _two_site_hamiltonian(d, J, model):
 
 
 def _eye(size):
+    import scipy.sparse as sp
+
     return sp.identity(size, dtype=complex, format="csr")
 
 
 def _site_op(ops, d, n):
     """Sparse operator with the given {position: matrix} factors, identity elsewhere."""
+    import scipy.sparse as sp
+
     out = _eye(1)
     run = 1  # dimension of the empty sites since the last factor
     for p in range(n):
@@ -132,6 +141,8 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
     last open bond translated by one site, a permutation of its entries, so
     no roundoff fill-in couples states that H does not couple.
     """
+    import scipy.sparse as sp
+
     if n < 2:
         raise ValueError("a chain needs at least two sites")
     if not np.isfinite(J):
@@ -162,6 +173,8 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
 
 def translation_operator(d, n):
     """Permutation matrix shifting site p to site p+1 mod n."""
+    import scipy.sparse as sp
+
     dim = d ** n
     src = np.arange(dim).reshape((d,) * n)
     dst = np.moveaxis(src, -1, 0).reshape(-1)  # new leading index = old last site
@@ -169,9 +182,13 @@ def translation_operator(d, n):
 
 
 def _components(pattern):
-    """Index arrays of the connected components of a sparse nonzero
-    pattern, read as an undirected graph; each array is sorted."""
-    count, labels = connected_components(pattern, directed=False)
+    """Index arrays of the connected components of a nonzero pattern,
+    sparse or dense, read as an undirected graph; each array is sorted."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    # csgraph reads a dense pattern about twice as slowly as its csr form
+    count, labels = connected_components(sp.csr_matrix(pattern), directed=False)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=count)
     return np.split(order, np.cumsum(sizes)[:-1])
@@ -187,7 +204,8 @@ def _block_eigh(H):
     """
     # a pattern of ones: csgraph would cast complex entries to real and so
     # drop couplings that are purely imaginary
-    pattern = sp.csr_matrix((np.ones(H.nnz), H.indices, H.indptr), shape=H.shape)
+    pattern = H.copy()
+    pattern.data = np.ones(H.nnz)
     out = []
     for idx in _components(pattern):
         w, V = np.linalg.eigh(H[idx][:, idx].toarray())
@@ -202,6 +220,8 @@ def ground(system):
     if dim <= MAX_DENSE_DIM:
         blocks = system.blocks
     else:
+        from scipy.sparse.linalg import eigsh
+
         # a fixed start vector makes the Lanczos run, and so its output,
         # the same on every call
         v0 = np.random.default_rng(0).normal(size=dim)
@@ -316,5 +336,5 @@ def rp_gram_check(system, state, twist, tol=1e-9):
     Rr = _reflect_twist_matrix(r0, m)
     G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, rho.T.reshape(D, D, D, D),
                   optimize=True).reshape(D * D, D * D)
-    blocks = [G[np.ix_(idx, idx)] for idx in _components(sp.csr_matrix(G != 0))]
+    blocks = [G[np.ix_(idx, idx)] for idx in _components(G != 0)]
     return _rp_gram_verdict(blocks, m, tol, zero_mode=False)

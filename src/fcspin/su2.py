@@ -3,6 +3,10 @@
 Basis convention: the weight basis e_1, ..., e_d of C^d is ordered by
 decreasing magnetic quantum number m = s, s-1, ..., -s with s = (d-1)/2.
 All identities below are stated with respect to this fixed basis.
+
+The rotation R = exp(i*pi*Sy) by pi about the y axis is a signed
+permutation in this basis, R e_m = (-1)^(s+m) e_{-m}, and build_twist
+writes the twist from that closed form.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "SpinRep",
@@ -89,9 +92,11 @@ def build_spin_rep(d):
 
 
 def group_element(rep, theta):
-    """Unitary exp(i(tx Sx + ty Sy + tz Sz)) for axis-angle parameters theta."""
+    """Unitary exp(i(tx Sx + ty Sy + tz Sz)) for axis-angle parameters theta,
+    from the eigendecomposition of the Hermitian generator."""
     tx, ty, tz = theta
-    u = expm(1j * (tx * rep.Sx + ty * rep.Sy + tz * rep.Sz))
+    w, V = np.linalg.eigh(tx * rep.Sx + ty * rep.Sy + tz * rep.Sz)
+    u = (V * np.exp(1j * w)) @ V.conj().T
     return GroupElement(theta=(float(tx), float(ty), float(tz)), u=u)
 
 
@@ -109,26 +114,20 @@ def random_group_elements(rep, n, rng):
 def build_twist(rep):
     """Construct the conjugation twist r0 for an irrep.
 
-    The rotation R = exp(i*pi*Sy) has real entries and satisfies
-    R u(g) R^{-1} = conj(u(g)).  For odd d, R^2 = I and r0 = R; for even d,
-    R^2 = -I and r0 = i*R.  The sign is normalized so that the entry of r0
-    coupling m = s to m = -s is +1 for integer spin (and the d = 2 twist is
-    the matrix [[0, i], [-i, 0]]).
+    The rotation R = exp(i*pi*Sy) satisfies R u(g) R^{-1} = conj(u(g)).  In
+    the weight basis it is the real signed antidiagonal
+    R e_m = (-1)^(s+m) e_{-m}, that is R[d-1-i, i] = (-1)^(d-1-i).  For odd
+    d, R^2 = I and r0 = R; for even d, R^2 = -I and r0 = i*R.  So the entry
+    of r0 coupling m = s to m = -s is +1 for integer spin, and the d = 2
+    twist is the matrix [[0, i], [-i, 0]].
     """
-    R = expm(1j * np.pi * rep.Sy)
-    if np.abs(R.imag).max() > 1e-12:
-        raise AssertionError("pi rotation about y is not real in the weight basis")
-    R = R.real.round(12).astype(complex)  # entries are exactly 0 or +-1
-    zeta = 1.0 + 0j if rep.d % 2 == 1 else -1j
-    r0 = R / zeta
-    if rep.d % 2 == 1 and r0[rep.d - 1, 0].real < 0:
-        r0 = -r0
-        R = -R
-    defect = np.abs(r0 @ r0 - np.eye(rep.d)).max()
-    if defect > 1e-10:
-        raise AssertionError(f"twist normalization failed, r0^2 defect {defect:g}")
-    mu = 1 if rep.d % 2 == 1 else -1
-    return TwistMatrix(d=rep.d, r0=r0, zeta=complex(zeta), mu=mu)
+    d = rep.d
+    i = np.arange(d)
+    R = np.zeros((d, d), dtype=complex)
+    R[d - 1 - i, i] = (-1.0) ** (d - 1 - i)
+    zeta = 1.0 + 0j if d % 2 == 1 else -1j
+    mu = 1 if d % 2 == 1 else -1
+    return TwistMatrix(d=d, r0=R / zeta, zeta=complex(zeta), mu=mu)
 
 
 def compute_mu(t):

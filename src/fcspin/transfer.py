@@ -159,14 +159,16 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
 
     a, b are the GNS vectors of the centered insertions that the sweep
     pairs.  For a non-self-adjoint T the bound uses the norms ||T_c^(n-1)||
-    instead of delta^(n-1).  A degenerate fixed space refuses a pass.
+    instead of delta^(n-1).  tol bounds both the distance of a fixed
+    eigenvalue from 1 and the self-adjoint defect ||T - T*|| that counts as
+    self-adjoint.  A degenerate fixed space refuses a pass.
     """
     t = build_transfer(state)
     rep = gap(t, tol)
     Tc = t.centered()
     a, b = _insertions(state, t, A, B)
     scale = float(np.linalg.norm(a) * np.linalg.norm(b))
-    selfadjoint = rep.selfadjoint_defect <= 1e-9
+    selfadjoint = rep.selfadjoint_defect <= tol
 
     if selfadjoint:
         bounds = [rep.delta ** (n - 1) * scale for n in range(1, n_max + 1)]

@@ -362,6 +362,18 @@ def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
     assert len(sizes) == 13 and max(sizes) == 141
 
 
+def test_lanczos_runs_only_above_the_dense_cap(monkeypatch):
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+    assert ground(build_chain(2, 10)).degeneracy == 1  # dim 1024, dense
+    with pytest.raises(AssertionError, match="eigsh called"):
+        ground(build_chain(3, 8, model="aklt-parent"))
+
+
 def test_iterative_ground_is_deterministic():
     system = build_chain(3, 8, model="aklt-parent")
     assert system.dim > MAX_DENSE_DIM

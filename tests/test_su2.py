@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fcspin import (
     build_spin_rep,
@@ -55,7 +56,7 @@ def test_group_element_unitary_and_special():
         assert abs(np.linalg.det(g.u)) - 1 < 1e-12
 
 
-@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("d", range(1, 13))
 def test_twist_conjugates_representation(d):
     rep = build_spin_rep(d)
     tw = build_twist(rep)
@@ -88,3 +89,43 @@ def test_twist_d1_trivial():
     tw = build_twist(build_spin_rep(1))
     assert np.abs(tw.r0 - np.eye(1)).max() < 1e-14
     assert tw.mu == 1
+
+
+def _expm_twist(rep):
+    """(r0, zeta, mu) by the matrix-exponential recipe: R = exp(i pi Sy)
+    from scipy's expm, rounded to its exact 0 and +-1 entries, divided by
+    zeta and, for odd d, signed so that the m = s to m = -s entry is +1."""
+    R = expm(1j * np.pi * rep.Sy).real.round(12).astype(complex)
+    zeta = 1.0 + 0j if rep.d % 2 == 1 else -1j
+    r0 = R / zeta
+    if rep.d % 2 == 1 and r0[rep.d - 1, 0].real < 0:
+        r0 = -r0
+    return r0, zeta, 1 if rep.d % 2 == 1 else -1
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_twist_closed_form_matches_expm(d):
+    rep = build_spin_rep(d)
+    tw = build_twist(rep)
+    r0, zeta, mu = _expm_twist(rep)
+    assert np.array_equal(tw.r0, r0)
+    assert tw.zeta == zeta
+    assert tw.mu == mu == compute_mu(tw)
+    # the real form is the signed antidiagonal R e_m = (-1)^(s+m) e_{-m}
+    i = np.arange(d)
+    R = np.zeros((d, d))
+    R[d - 1 - i, i] = (-1.0) ** (d - 1 - i)
+    assert np.array_equal(tw.real_form, R)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_group_element_matches_expm(d):
+    rep = build_spin_rep(d)
+    rng = np.random.default_rng(100 + d)
+    for _ in range(10):
+        axis = rng.normal(size=3)
+        theta = rng.uniform(0.0, 4 * np.pi) * axis / np.linalg.norm(axis)
+        g = group_element(rep, tuple(theta))
+        ref = expm(1j * (theta[0] * rep.Sx + theta[1] * rep.Sy + theta[2] * rep.Sz))
+        assert np.abs(g.u - ref).max() < 1e-13
+        assert np.abs(g.u @ g.u.conj().T - np.eye(d)).max() < 1e-13

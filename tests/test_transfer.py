@@ -12,6 +12,7 @@ from fcspin import (
     build_spin_rep,
     build_transfer,
     check_selfadjoint,
+    covariant_kraus,
     covariant_state,
     decay_certificate,
     direct_sum,
@@ -20,10 +21,11 @@ from fcspin import (
     gauge_transform,
     product_state,
     random_fcs_state,
+    random_unital_kraus,
     two_point,
 )
 from fcspin import fcs, transfer
-from fcspin.fcs import LocalObservable, evaluate_local
+from fcspin.fcs import KrausFamily, LocalObservable, evaluate_local
 
 
 def test_aklt_spectrum():
@@ -324,3 +326,29 @@ def test_transfer_operator_reports_bond_dimension():
     st = random_fcs_state(2, 5, np.random.default_rng(1))
     t = build_transfer(st)
     assert t.k == 5 and t.matrix.shape == (25, 25)
+
+
+def _blend(cov, rnd, eps):
+    """The unital family S^{-1/2} u_i with u_i = (1 - eps) v_i + eps w_i and
+    S = sum_i u_i u_i*, and its fixed point."""
+    u = [(1 - eps) * v + eps * w for v, w in zip(cov.v, rnd.v)]
+    w, V = np.linalg.eigh(sum(x @ x.conj().T for x in u))
+    inv_sqrt = (V / np.sqrt(w)) @ V.conj().T
+    return fixed_point(KrausFamily(tuple(inv_sqrt @ x for x in u)))
+
+
+def test_decay_certificate_selfadjoint_at_its_tol():
+    cov = covariant_kraus(1, 1)
+    rnd = random_unital_kraus(3, 3, np.random.default_rng(7))
+    # the self-adjoint defect is linear in eps; aim it at 3e-9
+    probe = gap(build_transfer(_blend(cov, rnd, 1e-6))).selfadjoint_defect
+    st = _blend(cov, rnd, 1e-6 * 3e-9 / probe)
+    defect = gap(build_transfer(st)).selfadjoint_defect
+    assert 1e-9 < defect < 1e-8
+    Sz = build_spin_rep(3).Sz
+    loose = decay_certificate(st, Sz, Sz, 12, tol=1e-8)
+    strict = decay_certificate(st, Sz, Sz, 12, tol=1e-9)
+    assert loose.selfadjoint and not strict.selfadjoint
+    scale = loose.rows[0].bound
+    for row in loose.rows:
+        assert row.bound == pytest.approx(loose.delta ** (row.n - 1) * scale, rel=1e-12)
