@@ -3,13 +3,15 @@
 Exact diagonalization of nearest-neighbour isotropic chains (the
 Heisenberg antiferromagnet and the spin-1 bilinear-biquadratic projector
 point), ground and Gibbs states, correlation profiles, and the
-finite-volume reflection-positivity Gram check.  Up to MAX_DENSE_DIM the
-Hamiltonian is diagonalized densely, one connected block of its nonzero
-pattern at a time; above it by Lanczos.  The layers after the
-diagonalization keep to the blocks the state already has: correlations
-are read from two-site reduced density matrices, and the RP Gram matrix,
-exactly zero between the connected components of its own pattern, is
-decided one component at a time.
+finite-volume reflection-positivity Gram check.  Every chain is
+diagonalized the same way, densely, one block at a time: a block is a
+connected component of the orbit graph of H's nonzero pattern under
+translation, at one momentum.  An open chain has the trivial group, so its
+blocks are the components alone.  The layers after the diagonalization
+keep to the blocks the state already has: correlations are read from
+two-site reduced density matrices, and the RP Gram matrix, exactly zero
+between the connected components of its own pattern, is decided one
+component at a time.
 
 This is the only module that uses scipy, and it imports it inside the
 functions that build or diagonalize a chain, so importing fcspin loads
@@ -47,9 +49,8 @@ __all__ = [
 ]
 
 MAX_CHAIN_DIM = 6561   # largest Hilbert-space dimension we diagonalize
-MAX_DENSE_DIM = 4096   # dense eigensolve threshold; iterative above
+MAX_DENSE_DIM = 4096   # cap on the dense Gibbs state: rho has dim**2 entries
 GROUND_WINDOW = 1e-9   # relative width of the ground-energy window
-LANCZOS_K = 6          # eigenvalues the iterative solver returns
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,11 @@ class SpinChainSystem:
 
     @cached_property
     def blocks(self):
-        """The dense block eigendecomposition of H, computed once and shared
-        by ground and gibbs."""
-        return _block_eigh(self.H)
+        """H split into its (component, momentum) blocks, built once and
+        shared by ground and gibbs; an open chain has momentum 0 alone."""
+        shift = (translation_operator(self.d, self.n).tocsc().indices
+                 if self.periodic else np.arange(self.dim))
+        return _orbit_blocks(self.H, shift)
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,9 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
         raise ValueError("a chain needs at least two sites")
     if not np.isfinite(J):
         raise ValueError(f"J must be finite, got {J!r}")
+    if field is not None and not (
+            np.shape(field) == (3,) and np.isfinite(field).all()):
+        raise ValueError(f"field must be three finite numbers, got {field!r}")
     if d ** n > MAX_CHAIN_DIM:
         raise ResourceLimitError(
             f"chain dimension {d}^{n} exceeds the cap {MAX_CHAIN_DIM}"
@@ -194,56 +200,118 @@ def _components(pattern):
     return np.split(order, np.cumsum(sizes)[:-1])
 
 
-def _block_eigh(H):
-    """Dense eigendecomposition of H one connected block at a time.
+@dataclass(frozen=True)
+class _Block:
+    """H on the momentum-q orbit states of one component, with the map back
+    onto the basis: |r, q> = sum over its orbit x = T^t r of
+    e^(-2 pi i q t / L) / sqrt(p_r) |x>.  H_q is kept as its entries and
+    made dense only while it is diagonalized, so a chain's blocks together
+    hold about as much as H."""
+    size: int         # the number of orbit states |r, q>
+    entries: tuple    # (i, j, value) of H_q; values at a repeated (i, j) add
+    rows: np.ndarray  # the basis states they span, as rows of the component
+    pos: np.ndarray   # the orbit state each of those lies in
+    coef: np.ndarray  # and its amplitude there
 
-    The blocks are the connected components of H's nonzero pattern, so
-    permuting H to block-diagonal form is exact: the spectrum and its
-    degeneracies are those of one dense eigh of H.  Returns a list of
-    (idx, w, V), the basis states of a block and its eigenpairs.
+    def dense(self):
+        h = np.zeros((self.size, self.size), dtype=complex)
+        np.add.at(h, self.entries[:2], self.entries[2])
+        return h
+
+    def expand(self, V):
+        """Columns V over the orbit states, as columns over `rows`."""
+        return self.coef[:, None] * V[self.pos]
+
+
+def _orbit_blocks(H, shift):
+    """H split exactly into blocks, one per component and momentum.
+
+    shift is the basis permutation x -> T x of a symmetry T of H: the
+    translation of a periodic chain, the identity of an open one.  A
+    component is a connected component of the orbit graph, the orbits of
+    T joined where H's nonzero pattern couples them, so its blocks hold
+    every eigenvalue with its full multiplicity.  Within a component, r is
+    the smallest state of its orbit, p_r the orbit size, x = T^(t_x) r and
+    L the order of T.  The orbit state |r, q> exists when q p_r = 0 mod L,
+    and H_q[b, a] = sqrt(p_a / p_b) sum_{x in orbit b} H[x, a]
+    e^(2 pi i q t_x / L).  Returns a list of (idx, blocks): the sorted
+    basis states of each component and its _Blocks.
     """
+    import scipy.sparse as sp
+
+    dim = H.shape[0]
+    powers = [np.arange(dim)]  # powers[t][x] = T^t x
+    while not np.array_equal(nxt := shift[powers[-1]], powers[0]):
+        powers.append(nxt)
+    orbit = np.array(powers)
+    L = len(orbit)
+    rep = orbit.min(axis=0)
+    t = np.argmax(orbit[:, rep] == powers[0], axis=0)
+    p = L // np.count_nonzero(orbit == powers[0], axis=0)
+    roots = np.exp(2j * np.pi * np.arange(L) / L)
+    H = H.tocoo()
     # a pattern of ones: csgraph would cast complex entries to real and so
     # drop couplings that are purely imaginary
-    pattern = H.copy()
-    pattern.data = np.ones(H.nnz)
+    graph = sp.coo_matrix((np.ones(H.nnz + dim), (np.r_[H.row, shift],
+                                                  np.r_[H.col, powers[0]])),
+                          shape=(dim, dim))
+    comps = _components(graph)
+    label = np.empty(dim, dtype=np.intp)
+    for c, idx in enumerate(comps):
+        label[idx] = c
+    # the entries in the columns of orbit representatives, by component
+    at_rep = np.flatnonzero(rep[H.col] == H.col)
+    at_rep = at_rep[np.argsort(label[H.col[at_rep]], kind="stable")]
+    ends = np.cumsum(np.bincount(label[H.col[at_rep]], minlength=len(comps)))
     out = []
-    for idx in _components(pattern):
-        w, V = np.linalg.eigh(H[idx][:, idx].toarray())
-        out.append((idx, w, V))
+    for idx, ent in zip(comps, np.split(at_rep, ends[:-1])):
+        R = idx[rep[idx] == idx]
+        x = H.row[ent]
+        a = np.searchsorted(R, H.col[ent])
+        b = np.searchsorted(R, rep[x])
+        value = H.data[ent] * np.sqrt(p[H.col[ent]] / p[x])
+        own = np.searchsorted(R, rep[idx])
+        blocks = []
+        for q in range(L):
+            ok = q * p[R] % L == 0
+            if not ok.any():
+                continue
+            new = np.cumsum(ok) - 1  # the row of H_q of each orbit kept
+            kept = ok[b] & ok[a]
+            rows = np.flatnonzero(ok[own])
+            blocks.append(_Block(
+                size=int(new[-1]) + 1,
+                entries=(new[b[kept]], new[a[kept]],
+                         value[kept] * roots[q * t[x[kept]] % L]),
+                rows=rows, pos=new[own[rows]],
+                coef=roots[-q * t[idx[rows]] % L] / np.sqrt(p[idx[rows]])))
+        out.append((idx, blocks))
     return out
 
 
 def ground(system):
-    """Lowest eigenpair(s) with the degeneracy counted in a relative window;
-    refused when the window holds every eigenvalue a Lanczos run returns."""
-    dim = system.dim
-    if dim <= MAX_DENSE_DIM:
-        blocks = system.blocks
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        # a fixed start vector makes the Lanczos run, and so its output,
-        # the same on every call
-        v0 = np.random.default_rng(0).normal(size=dim)
-        w, V = eigsh(system.H, k=LANCZOS_K, which="SA", v0=v0)
-        blocks = [(np.arange(dim), w, V)]
-    w = np.sort(np.concatenate([wb for _, wb, _ in blocks]))
+    """Lowest eigenpair(s), exact, with the degeneracy counted in a relative
+    window.  Every block's spectrum is taken; only the blocks that reach
+    into the window are diagonalized with their vectors, which are returned
+    at full dimension."""
+    comps = system.blocks
+    spectra = [[np.linalg.eigvalsh(b.dense()) for b in blocks]
+               for _, blocks in comps]
+    w = np.sort(np.concatenate([wb for ws in spectra for wb in ws]))
     e0 = float(w[0])
     window = GROUND_WINDOW * max(1.0, abs(e0))
     deg = int(np.sum(w - e0 <= window))
-    if dim > MAX_DENSE_DIM and deg == LANCZOS_K:
-        raise ResourceLimitError(
-            f"the ground window holds all {LANCZOS_K} eigenvalues of the "
-            f"Lanczos window at dimension {dim}; the degeneracy is unresolved")
     above = w[w - e0 > window]
     gap_val = float(above[0] - e0) if above.size else float("nan")
-    # the ground-window columns of every block, lowest first, at full dim
-    cols = sorted(((wb[j], idx, Vb[:, j]) for idx, wb, Vb in blocks
-                   for j in np.flatnonzero(wb - e0 <= window)),
-                  key=lambda col: col[0])
-    vectors = np.zeros((dim, deg), dtype=complex)
-    for j, (_, idx, v) in enumerate(cols):
-        vectors[idx, j] = v
+    vectors = np.zeros((system.dim, deg), dtype=complex)
+    j = 0
+    for (idx, blocks), ws in zip(comps, spectra):
+        for b, wb in zip(blocks, ws):
+            k = int(np.sum(wb - e0 <= window))
+            if k:
+                V = np.linalg.eigh(b.dense())[1][:, :k]
+                vectors[idx[b.rows], j:j + k] = b.expand(V)
+                j += k
     return GroundReport(energy=e0, degeneracy=deg, vectors=vectors,
                         gap=gap_val)
 
@@ -257,13 +325,22 @@ def gibbs(system, beta):
             f"Gibbs state needs a dense eigensolve; dimension {system.dim} "
             f"exceeds {MAX_DENSE_DIM}"
         )
-    blocks = system.blocks
-    w_min = min(wb.min() for _, wb, _ in blocks)  # shift guards against overflow
-    weights = [np.exp(-beta * (wb - w_min)) for _, wb, _ in blocks]
-    Z = sum(z.sum() for z in weights)
+    comps = [(idx, [(b, *np.linalg.eigh(b.dense())) for b in blocks])
+             for idx, blocks in system.blocks]
+    w_min = min(w.min() for _, parts in comps for _, w, _ in parts)
+    Z = sum(np.exp(-beta * (w - w_min)).sum()  # shift guards against overflow
+            for _, parts in comps for _, w, _ in parts)
     rho = np.zeros((system.dim, system.dim), dtype=complex)
-    for (idx, _, Vb), z in zip(blocks, weights):
-        rho[np.ix_(idx, idx)] = (Vb * (z / Z)) @ Vb.conj().T
+    for idx, parts in comps:
+        # the eigenvectors of every momentum side by side on the component's
+        # rows, so that rho is written once per component
+        U = np.zeros((idx.size, idx.size), dtype=complex)
+        z = np.concatenate([np.exp(-beta * (w - w_min)) for _, w, _ in parts])
+        col = 0
+        for b, w, V in parts:
+            U[b.rows, col:col + w.size] = b.expand(V)
+            col += w.size
+        rho[np.ix_(idx, idx)] = (U * (z / Z)) @ U.conj().T
     return ThermalState(beta=float(beta), rho=rho)
 
 

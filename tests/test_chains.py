@@ -8,9 +8,8 @@ import scipy.sparse as sp
 
 from fcspin import build_spin_rep, build_twist, chains
 from fcspin.chains import (
-    MAX_DENSE_DIM,
     ThermalState,
-    _block_eigh,
+    _orbit_blocks,
     _site_op,
     _two_site_hamiltonian,
     build_chain,
@@ -101,6 +100,15 @@ def test_resource_refusal():
 def test_non_finite_coupling_refused(J):
     with pytest.raises(ValueError, match="J must be finite"):
         build_chain(2, 4, J)
+
+
+@pytest.mark.parametrize("field", [
+    (0.5, 0.0, 0.0, 7.0), (0.5, 0.0), (float("nan"), 0.0, 0.0),
+    (0.0, float("inf"), 0.0), 0.5,
+])
+def test_field_must_be_three_finite_numbers(field):
+    with pytest.raises(ValueError, match="field must be three finite numbers"):
+        build_chain(2, 4, field=field)
 
 
 def test_model_validation():
@@ -362,25 +370,26 @@ def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
     assert len(sizes) == 13 and max(sizes) == 141
 
 
-def test_lanczos_runs_only_above_the_dense_cap(monkeypatch):
+def test_ground_above_the_gibbs_cap_is_exact_and_deterministic(monkeypatch):
     import scipy.sparse.linalg
+
+    system = build_chain(3, 8, model="aklt-parent")
+    v0 = np.random.default_rng(0).normal(size=system.dim)
+    want = scipy.sparse.linalg.eigsh(system.H, k=6, which="SA", v0=v0)[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigsh called")
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
-    assert ground(build_chain(2, 10)).degeneracy == 1  # dim 1024, dense
-    with pytest.raises(AssertionError, match="eigsh called"):
-        ground(build_chain(3, 8, model="aklt-parent"))
-
-
-def test_iterative_ground_is_deterministic():
-    system = build_chain(3, 8, model="aklt-parent")
-    assert system.dim > MAX_DENSE_DIM
-    first, second = ground(system), ground(system)
-    assert first.energy == second.energy
-    assert first.gap == second.gap
+    first = ground(system)
+    second = ground(build_chain(3, 8, model="aklt-parent"))
+    assert first.energy == second.energy and first.gap == second.gap
+    assert first.degeneracy == second.degeneracy == 1
     assert np.array_equal(first.vectors, second.vectors)
+    assert abs(first.energy) <= 1e-12
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(b.dense())
+                                for _, bl in system.blocks for b in bl]))
+    assert np.abs(w[:6] - np.sort(want)).max() <= 1e-10
 
 
 # (d, n, J, periodic, model, field): both spins, both boundaries, both signs
@@ -402,17 +411,27 @@ ED_CASES = [
 def test_block_eigh_matches_dense_spectrum(case):
     system = build_chain(*case)
     H = system.H.toarray()
-    blocks = _block_eigh(system.H)
-    idx_all = np.sort(np.concatenate([idx for idx, _, _ in blocks]))
+    comps = system.blocks
+    idx_all = np.sort(np.concatenate([idx for idx, _ in comps]))
     assert np.array_equal(idx_all, np.arange(system.dim))
-    w = np.sort(np.concatenate([wb for _, wb, _ in blocks]))
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(b.dense())
+                                for _, blocks in comps for b in blocks]))
     assert np.abs(w - np.linalg.eigvalsh(H)).max() <= 1e-12
-    for idx, wb, Vb in blocks:
-        x = np.zeros((system.dim, len(wb)), dtype=complex)
-        x[idx] = Vb
-        assert np.abs(H @ x - x * wb).max() <= 1e-12
-    if case[5] is not None:
-        assert len(blocks) == 1
+    for idx, blocks in comps:
+        # the eigenvectors of every momentum, back on the basis, are an
+        # orthonormal eigenbasis of the component
+        U = []
+        for b in blocks:
+            wb, Vb = np.linalg.eigh(b.dense())
+            x = np.zeros((system.dim, len(wb)), dtype=complex)
+            x[idx[b.rows]] = b.expand(Vb)
+            assert np.abs(H @ x - x * wb).max() <= 1e-12
+            U.append(x[idx])
+        U = np.hstack(U)
+        assert np.abs(U.conj().T @ U - np.eye(len(idx))).max() <= 1e-12
+    assert (len(comps) == 1) == (case[5] is not None)
+    # an open chain has momentum 0 alone, a periodic one splits by momentum
+    assert (sum(len(blocks) for _, blocks in comps) > len(comps)) == case[3]
 
 
 @pytest.mark.parametrize("case", ED_CASES)
@@ -425,7 +444,7 @@ def test_gibbs_matches_dense_build(case):
 
 
 @pytest.mark.parametrize("d, n, periodic, deg", [
-    (2, 10, True, 11), (3, 6, True, 13), (2, 8, False, 9),
+    (2, 10, True, 11), (3, 6, True, 13), (2, 8, False, 9), (3, 8, True, 17),
 ])
 def test_ferromagnet_degeneracy_exact(d, n, periodic, deg):
     # the ground space of the ferromagnet is the spin-(n s) multiplet,
@@ -511,9 +530,11 @@ def test_build_chain_bit_identical_to_matrix_unit_reference(case):
 def test_aklt_parent_has_no_fill_in():
     # the two-site projector has 19 nonzero entries, none tiny; roundoff
     # fill-in would also couple all 2n + 1 = 13 Sz sectors into one block
-    H = build_chain(3, 6, model="aklt-parent").H
+    system = build_chain(3, 6, model="aklt-parent")
+    H = system.H
     assert np.abs(H.data).min() >= 1e-12
-    assert len(_block_eigh(H)) == 13
+    assert len(_orbit_blocks(H, np.arange(system.dim))) == 13
+    assert len(system.blocks) == 13  # translation keeps Sz
 
 
 def test_imaginary_coupling_is_one_block():
@@ -521,9 +542,9 @@ def test_imaginary_coupling_is_one_block():
     H = sp.csr_matrix(np.array([[0.0, 1j, 0.0], [-1j, 0.0, 2.0], [0.0, 2.0, 1.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        blocks = _block_eigh(H)
-    assert len(blocks) == 1
-    w = blocks[0][1]
+        comps = _orbit_blocks(H, np.arange(3))
+    assert len(comps) == 1 and len(comps[0][1]) == 1
+    w = np.linalg.eigvalsh(comps[0][1][0].dense())
     assert np.abs(w - np.linalg.eigvalsh(H.toarray())).max() <= 1e-12
 
 

@@ -202,13 +202,15 @@ def test_ed_oversize(capsys):
     assert "refused" in capsys.readouterr().err
 
 
-def test_ed_saturated_lanczos_window_refused(capsys):
-    # the ferromagnetic ground space is the 17-state spin-8 multiplet, more
-    # than the Lanczos window holds above MAX_DENSE_DIM
-    assert main(["ed", "--d", "3", "--n", "8", "--J", "-1"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Lanczos window" in captured.err
+def test_ed_ferromagnet_multiplet_above_the_gibbs_cap(capsys):
+    # the ferromagnetic ground space is the 17-state spin-8 multiplet with
+    # E0 = -n s^2, and the gap is the one-magnon energy 2 s |J| (1 - cos 2pi/n)
+    assert main(["ed", "--d", "3", "--n", "8", "--J", "-1"]) == 0
+    out = capsys.readouterr().out
+    fields = dict(line.split(" ", 1) for line in out.splitlines() if " " in line)
+    assert fields["degeneracy"] == "17"
+    assert abs(float(fields["ground_energy"]) + 8) <= 1e-12
+    assert abs(float(fields["gap"]) - (2 - np.sqrt(2))) <= 1e-12
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -292,12 +294,12 @@ def test_ed_builds_one_gibbs_state(argv, builds, monkeypatch, capsys):
 
 def test_ed_with_beta_diagonalizes_once(monkeypatch, capsys):
     calls = []
-    original = chains._block_eigh
+    original = chains._orbit_blocks
 
-    def counted(H):
+    def counted(H, shift):
         calls.append(H.shape)
-        return original(H)
+        return original(H, shift)
 
-    monkeypatch.setattr(chains, "_block_eigh", counted)
+    monkeypatch.setattr(chains, "_orbit_blocks", counted)
     assert main(["ed", "--d", "3", "--n", "6", "--beta", "0.7", "--rp"]) == 0
     assert calls == [(729, 729)]

@@ -31,6 +31,8 @@ COMMANDS = tuple(
     "ed --model aklt-parent --d 3 --n 6",
     "ed --d 3 --n 6 --beta 0.9 --rp",
     "ed --model xxx --d 2 --n 10",
+    "ed --model aklt-parent --d 3 --n 8",
+    "ed --d 3 --n 8 --J -1",
 )
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
