@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from fcspin import build_spin_rep, build_twist, chains
 from fcspin.chains import (
+    MAX_DENSE_DIM,
     ThermalState,
     _orbit_blocks,
     _site_op,
@@ -370,26 +371,38 @@ def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
     assert len(sizes) == 13 and max(sizes) == 141
 
 
-def test_ground_above_the_gibbs_cap_is_exact_and_deterministic(monkeypatch):
+def _refuse_eigsh(monkeypatch):
     import scipy.sparse.linalg
-
-    system = build_chain(3, 8, model="aklt-parent")
-    v0 = np.random.default_rng(0).normal(size=system.dim)
-    want = scipy.sparse.linalg.eigsh(system.H, k=6, which="SA", v0=v0)[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigsh called")
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
-    first = ground(system)
+
+
+def test_ground_above_the_gibbs_cap_is_exact(monkeypatch):
+    import scipy.sparse.linalg
+
+    system = build_chain(3, 8, model="aklt-parent")
+    assert system.dim > MAX_DENSE_DIM
+    v0 = np.random.default_rng(0).normal(size=system.dim)
+    want = scipy.sparse.linalg.eigsh(system.H, k=6, which="SA", v0=v0)[0]
+    _refuse_eigsh(monkeypatch)
+    report = ground(system)
+    assert report.degeneracy == 1 and abs(report.energy) <= 1e-12
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(b.dense())
+                                for _, bl in system.blocks for b in bl]))
+    assert np.abs(w[:6] - np.sort(want)).max() <= 1e-10
+
+
+def test_iterative_ground_is_deterministic(monkeypatch):
+    # above the Gibbs cap, once solved by Lanczos, now by the exact blocks
+    _refuse_eigsh(monkeypatch)
+    first = ground(build_chain(3, 8, model="aklt-parent"))
     second = ground(build_chain(3, 8, model="aklt-parent"))
     assert first.energy == second.energy and first.gap == second.gap
     assert first.degeneracy == second.degeneracy == 1
     assert np.array_equal(first.vectors, second.vectors)
-    assert abs(first.energy) <= 1e-12
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(b.dense())
-                                for _, bl in system.blocks for b in bl]))
-    assert np.abs(w[:6] - np.sort(want)).max() <= 1e-10
 
 
 # (d, n, J, periodic, model, field): both spins, both boundaries, both signs
