@@ -3,26 +3,27 @@
 Exact diagonalization of nearest-neighbour isotropic chains (the
 Heisenberg antiferromagnet and the spin-1 bilinear-biquadratic projector
 point), ground and Gibbs states, correlation profiles, and the
-finite-volume reflection-positivity Gram check.  Every chain is
-diagonalized the same way, densely, one block at a time: a block is a
-connected component of the orbit graph of H's nonzero pattern under
-translation, at one momentum.  An open chain has the trivial group, so its
-blocks are the components alone.  The layers after the diagonalization
-keep to the blocks the state already has: correlations are read from
-two-site reduced density matrices, and the RP Gram matrix, exactly zero
-between the connected components of its own pattern, is decided one
-component at a time.
+finite-volume reflection-positivity Gram check.  A basis state is a label
+x < d^n whose base-d digits are the site states, site 0 the most
+significant.  H is built from those labels in integer arithmetic and held
+as its nonzero entries.  Every chain is diagonalized the same way, densely,
+one block at a time: a block is a connected component of the orbit graph
+of H's nonzero pattern under translation, at one momentum.  An open chain
+has the trivial group, so its blocks are the components alone.  When every
+entry of H is real, the blocks at momenta q and L - q are complex
+conjugates, and only one of each such pair is diagonalized.  The layers
+after the diagonalization keep to the blocks the state already has:
+correlations are read from two-site reduced density matrices, and the RP
+Gram matrix, exactly zero between the connected components of its own
+pattern, is decided one component at a time.
 
-This is the only module that uses scipy, and it imports it inside the
-functions that build or diagonalize a chain, so importing fcspin loads
-numpy alone.
+The module uses numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,18 +31,16 @@ from .errors import ResourceLimitError
 from .su2 import build_spin_rep
 from .symmetry import _as_twist_matrix, _reflect_twist_matrix, _rp_gram_verdict
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 __all__ = [
     "SpinChainSystem",
+    "CooMatrix",
     "GroundReport",
     "ThermalState",
     "CorrelationRow",
     "MAX_CHAIN_DIM",
     "MAX_DENSE_DIM",
+    "MAX_BLOCK_BYTES",
     "build_chain",
-    "translation_operator",
     "ground",
     "gibbs",
     "correlation_profile",
@@ -50,7 +49,29 @@ __all__ = [
 
 MAX_CHAIN_DIM = 6561   # largest Hilbert-space dimension we diagonalize
 MAX_DENSE_DIM = 4096   # cap on the dense Gibbs state: rho has dim**2 entries
+# cap on one dense block H_q, so that no eigensolve holds more than a Gibbs
+# state at MAX_DENSE_DIM does
+MAX_BLOCK_BYTES = 16 * MAX_DENSE_DIM ** 2
 GROUND_WINDOW = 1e-9   # relative width of the ground-energy window
+
+
+@dataclass(frozen=True)
+class CooMatrix:
+    """A square matrix held as its nonzero entries M[row, col] = data, one
+    per position, ordered by column and then by row."""
+    shape: tuple
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self):
+        return self.data.size
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.row, self.col] = self.data
+        return out
 
 
 @dataclass(frozen=True)
@@ -60,7 +81,7 @@ class SpinChainSystem:
     J: float
     periodic: bool
     model: str
-    H: sp.csr_matrix
+    H: CooMatrix
 
     @property
     def dim(self):
@@ -70,8 +91,11 @@ class SpinChainSystem:
     def blocks(self):
         """H split into its (component, momentum) blocks, built once and
         shared by ground and gibbs; an open chain has momentum 0 alone."""
-        shift = (translation_operator(self.d, self.n).tocsc().indices
-                 if self.periodic else np.arange(self.dim))
+        x = np.arange(self.dim)
+        # translation rolls the digits by one place: x's leading digit,
+        # the state of site 0, becomes the state of site n - 1
+        shift = (x * self.d % self.dim + x // self.d ** (self.n - 1)
+                 if self.periodic else x)
         return _orbit_blocks(self.H, shift)
 
 
@@ -110,28 +134,6 @@ def _two_site_hamiltonian(d, J, model):
     raise ValueError(f"unknown model {model!r}; expected 'xxx' or 'aklt-parent'")
 
 
-def _eye(size):
-    import scipy.sparse as sp
-
-    return sp.identity(size, dtype=complex, format="csr")
-
-
-def _site_op(ops, d, n):
-    """Sparse operator with the given {position: matrix} factors, identity elsewhere."""
-    import scipy.sparse as sp
-
-    out = _eye(1)
-    run = 1  # dimension of the empty sites since the last factor
-    for p in range(n):
-        if p not in ops:
-            run *= d
-            continue
-        factor = sp.csr_matrix(np.asarray(ops[p], dtype=complex))
-        out = sp.kron(sp.kron(out, _eye(run), format="csr"), factor, format="csr")
-        run = 1
-    return sp.kron(out, _eye(run), format="csr")
-
-
 def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
     """Nearest-neighbour isotropic chain on n sites.
 
@@ -140,12 +142,15 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
     total-spin generators and (when periodic) with translation.
 
     Every stored entry of H is a sum of entries of the two-site term (and
-    of the field): an open bond is I (x) h2 (x) I, and the wrap bond is the
-    last open bond translated by one site, a permutation of its entries, so
-    no roundoff fill-in couples states that H does not couple.
+    of the field), with no roundoff fill-in.  An entry op[r, c] of a term
+    on some sites maps each basis state x whose digits there read c to
+    x + delta, where delta, the change of those digits weighted by their
+    places, is fixed by the sites and by (r, c).  So H is one vector of
+    values over the columns x per distinct delta, and each term adds into
+    them by one gather.  The terms are summed in the order open bonds
+    (p, p+1), the wrap bond (n-1, 0), then the field site by site, and H is
+    hermitized as (H + H*)/2.
     """
-    import scipy.sparse as sp
-
     if n < 2:
         raise ValueError("a chain needs at least two sites")
     if not np.isfinite(J):
@@ -157,46 +162,80 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
         raise ResourceLimitError(
             f"chain dimension {d}^{n} exceeds the cap {MAX_CHAIN_DIM}"
         )
-    h2 = _two_site_hamiltonian(d, float(J), model)
-    H = sp.csr_matrix((d ** n, d ** n), dtype=complex)
-    bond = sp.csr_matrix(h2)
-    for p in range(n - 1):
-        last = sp.kron(sp.kron(_eye(d ** p), bond, format="csr"),
-                       _eye(d ** (n - p - 2)), format="csr")
-        H = H + last
+    bond = _by_change(_two_site_hamiltonian(d, float(J), model), d, 2)
+    terms = [((p, p + 1), bond) for p in range(n - 1)]
     if periodic:
-        T = translation_operator(d, n)
-        H = H + T.T @ last @ T  # bond (n-2, n-1) moved onto (n-1, 0)
+        terms.append(((n - 1, 0), bond))
     if field is not None:
-        rep = build_spin_rep(d)
-        one = sum(f * S for f, S in zip(field, rep.generators()))
-        for p in range(n):
-            H = H + _site_op({p: one}, d, n)
-    H = (H + H.conj().T) / 2
-    return SpinChainSystem(d=d, n=n, J=float(J), periodic=bool(periodic),
-                           model=model, H=H.tocsr())
-
-
-def translation_operator(d, n):
-    """Permutation matrix shifting site p to site p+1 mod n."""
-    import scipy.sparse as sp
-
+        one = sum(f * S for f, S in zip(field, build_spin_rep(d).generators()))
+        terms += [((p,), _by_change(one, d, 1)) for p in range(n)]
     dim = d ** n
-    src = np.arange(dim).reshape((d,) * n)
-    dst = np.moveaxis(src, -1, 0).reshape(-1)  # new leading index = old last site
-    return sp.csr_matrix((np.ones(dim), (dst, np.arange(dim))), shape=(dim, dim))
+    place = d ** np.arange(n - 1, -1, -1)
+    digits = np.arange(dim) // place[:, None] % d  # digits[p]: site p's state
+    # with -delta for every delta, where H* puts the conjugate entries
+    deltas = sorted({sign * int(change @ place[list(sites)])
+                     for sites, tables in terms for change, _ in tables
+                     for sign in (1, -1)})
+    slot = {delta: i for i, delta in enumerate(deltas)}
+    herm = np.zeros((len(deltas), dim), dtype=complex)
+    for sites, tables in terms:  # herm[slot[delta], x] = H[x + delta, x]
+        local = place[n - len(sites):] @ digits[list(sites)]
+        for change, table in tables:
+            herm[slot[int(change @ place[list(sites)])]] += table[local]
+    # (H + H*)/2 in place: the entry at (x + delta, x) and its mirror at
+    # (x, x + delta), delta >= 0, become (h + conj(h_mirror))/2 and its
+    # conjugate
+    for delta in deltas[len(deltas) // 2:]:
+        up, down = herm[slot[delta], :dim - delta], herm[slot[-delta], delta:]
+        up += down.conj()
+        up /= 2
+        if delta:
+            down[:] = up.conj()
+    col, k = np.divmod(np.flatnonzero((herm != 0).T), len(deltas))
+    H = CooMatrix(shape=(dim, dim), row=col + np.array(deltas)[k], col=col,
+                  data=herm[k, col])
+    return SpinChainSystem(d=d, n=n, J=float(J), periodic=bool(periodic),
+                           model=model, H=H)
 
 
-def _components(pattern):
-    """Index arrays of the connected components of a nonzero pattern,
-    sparse or dense, read as an undirected graph; each array is sorted."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
+def _by_change(op, d, k):
+    """The entries of an operator on k sites, grouped by the change they
+    make to the k digits: (change, table) pairs, table[c] = op[r, c] for
+    the one r with digits(r) - digits(c) = change, and 0 where none is."""
+    digits = np.arange(d ** k)[:, None] // d ** np.arange(k - 1, -1, -1) % d
+    r, c = np.nonzero(op)
+    step = digits[r] - digits[c]
+    out = []
+    for change in np.unique(step, axis=0):
+        at = (step == change).all(axis=1)
+        table = np.zeros(d ** k, dtype=complex)
+        table[c[at]] = op[r[at], c[at]]
+        out.append((change, table))
+    return out
 
-    # csgraph reads a dense pattern about twice as slowly as its csr form
-    count, labels = connected_components(sp.csr_matrix(pattern), directed=False)
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=count)
+
+def _components(u, v, dim):
+    """Index arrays of the connected components of the undirected graph on
+    range(dim) with edges (u[i], v[i]), ordered by their smallest state;
+    each array is sorted.
+
+    Label propagation over trees of pointers that always point to a smaller
+    state: each round every root hooks onto the smallest root it has an
+    edge to, and every pointer then jumps to its root, until no edge joins
+    two trees.
+    """
+    label = np.arange(dim)
+    while True:
+        a, b = label[u], label[v]
+        hooked = label.copy()
+        np.minimum.at(hooked, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(hooked, jumped := hooked[hooked]):
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable")
+    sizes = np.unique(label, return_counts=True)[1]
     return np.split(order, np.cumsum(sizes)[:-1])
 
 
@@ -206,17 +245,19 @@ class _Block:
     onto the basis: |r, q> = sum over its orbit x = T^t r of
     e^(-2 pi i q t / L) / sqrt(p_r) |x>.  H_q is kept as its entries and
     made dense only while it is diagonalized, so a chain's blocks together
-    hold about as much as H."""
+    hold about as much as H.  A paired block also stands for its partner
+    at momentum L - q, whose H_(L-q) is conj(H_q) on the same orbits: the
+    partner's eigenvalues are its own and its eigenvectors, back on the
+    basis, are the conjugates of its own."""
     size: int         # the number of orbit states |r, q>
     entries: tuple    # (i, j, value) of H_q; values at a repeated (i, j) add
     rows: np.ndarray  # the basis states they span, as rows of the component
     pos: np.ndarray   # the orbit state each of those lies in
     coef: np.ndarray  # and its amplitude there
+    pair: bool        # whether it also stands for its conjugate partner
 
     def dense(self):
-        h = np.zeros((self.size, self.size), dtype=complex)
-        np.add.at(h, self.entries[:2], self.entries[2])
-        return h
+        return _dense([self])[0]
 
     def expand(self, V):
         """Columns V over the orbit states, as columns over `rows`."""
@@ -234,11 +275,12 @@ def _orbit_blocks(H, shift):
     the smallest state of its orbit, p_r the orbit size, x = T^(t_x) r and
     L the order of T.  The orbit state |r, q> exists when q p_r = 0 mod L,
     and H_q[b, a] = sqrt(p_a / p_b) sum_{x in orbit b} H[x, a]
-    e^(2 pi i q t_x / L).  Returns a list of (idx, blocks): the sorted
-    basis states of each component and its _Blocks.
+    e^(2 pi i q t_x / L).  When H is real, H_(L-q) = conj(H_q), so only
+    q <= L/2 is built, the blocks with 0 < q < L/2 paired, and the blocks
+    at q = 0 and q = L/2, whose phases are +-1, are real.  Returns a list of
+    (idx, blocks): the sorted basis states of each component and its
+    _Blocks.
     """
-    import scipy.sparse as sp
-
     dim = H.shape[0]
     powers = [np.arange(dim)]  # powers[t][x] = T^t x
     while not np.array_equal(nxt := shift[powers[-1]], powers[0]):
@@ -249,69 +291,115 @@ def _orbit_blocks(H, shift):
     t = np.argmax(orbit[:, rep] == powers[0], axis=0)
     p = L // np.count_nonzero(orbit == powers[0], axis=0)
     roots = np.exp(2j * np.pi * np.arange(L) / L)
-    H = H.tocoo()
-    # a pattern of ones: csgraph would cast complex entries to real and so
-    # drop couplings that are purely imaginary
-    graph = sp.coo_matrix((np.ones(H.nnz + dim), (np.r_[H.row, shift],
-                                                  np.r_[H.col, powers[0]])),
-                          shape=(dim, dim))
-    comps = _components(graph)
-    label = np.empty(dim, dtype=np.intp)
+    real = not H.data.imag.any()
+    # the entries in the columns of orbit representatives: T commutes with
+    # H, so they hold every coupling between orbits
+    ent = np.flatnonzero(rep[H.col] == H.col)
+    x, a = H.row[ent], H.col[ent]
+    comps = _components(np.r_[rep[x], rep], np.r_[a, powers[0]], dim)
+    comp = np.empty(dim, dtype=np.intp)     # the component of each state
+    within = np.empty(dim, dtype=np.intp)   # and its row there
     for c, idx in enumerate(comps):
-        label[idx] = c
-    # the entries in the columns of orbit representatives, by component
-    at_rep = np.flatnonzero(rep[H.col] == H.col)
-    at_rep = at_rep[np.argsort(label[H.col[at_rep]], kind="stable")]
-    ends = np.cumsum(np.bincount(label[H.col[at_rep]], minlength=len(comps)))
-    out = []
-    for idx, ent in zip(comps, np.split(at_rep, ends[:-1])):
-        R = idx[rep[idx] == idx]
-        x = H.row[ent]
-        a = np.searchsorted(R, H.col[ent])
-        b = np.searchsorted(R, rep[x])
-        value = H.data[ent] * np.sqrt(p[H.col[ent]] / p[x])
-        own = np.searchsorted(R, rep[idx])
-        blocks = []
-        for q in range(L):
-            ok = q * p[R] % L == 0
-            if not ok.any():
-                continue
-            new = np.cumsum(ok) - 1  # the row of H_q of each orbit kept
-            kept = ok[b] & ok[a]
-            rows = np.flatnonzero(ok[own])
-            blocks.append(_Block(
-                size=int(new[-1]) + 1,
-                entries=(new[b[kept]], new[a[kept]],
-                         value[kept] * roots[q * t[x[kept]] % L]),
-                rows=rows, pos=new[own[rows]],
-                coef=roots[-q * t[idx[rows]] % L] / np.sqrt(p[idx[rows]])))
-        out.append((idx, blocks))
+        comp[idx] = c
+        within[idx] = np.arange(idx.size)
+    by = np.argsort(comp[a], kind="stable")
+    x, a = x[by], a[by]
+    value = (H.data.real if real else H.data)[ent[by]] * np.sqrt(p[a] / p[x])
+    states = np.concatenate(comps)
+    R = states[rep[states] == states]  # the representatives, by component
+    out = [(idx, []) for idx in comps]
+    for q in range(L // 2 + 1 if real else L):
+        ok = q * p % L == 0  # whether the orbit of x has a state at q
+        pair = real and 0 < q and 2 * q != L
+        kept_R = R[ok[R]]
+        sizes = np.bincount(comp[kept_R], minlength=len(comps))
+        new = np.empty(dim, dtype=np.intp)  # the row of H_q of each orbit
+        new[kept_R] = (np.arange(kept_R.size)
+                       - np.repeat(np.cumsum(sizes) - sizes, sizes))
+        kept = ok[x] & ok[a]
+        phase = roots[q * t[x[kept]] % L]
+        i, j = new[rep[x[kept]]], new[a[kept]]
+        v = value[kept] * (phase.real if real and not pair else phase)
+        at = states[ok[states]]
+        pos = new[rep[at]]
+        coef = roots[-q * t[at] % L] / np.sqrt(p[at])
+        e_end = np.cumsum(np.bincount(comp[a[kept]], minlength=len(comps)))
+        s_end = np.cumsum(np.bincount(comp[at], minlength=len(comps)))
+        for c in np.flatnonzero(sizes):
+            e = slice(e_end[c - 1] if c else 0, e_end[c])
+            s = slice(s_end[c - 1] if c else 0, s_end[c])
+            out[c][1].append(_Block(
+                size=int(sizes[c]), entries=(i[e], j[e], v[e]),
+                rows=within[at[s]], pos=pos[s], coef=coef[s], pair=pair))
+    return out
+
+
+def _dense(blocks):
+    """The dense H_q of blocks of one size and type, stacked."""
+    first = blocks[0]
+    out = np.zeros((len(blocks), first.size, first.size),
+                   dtype=first.entries[2].dtype)
+    for slot, b in zip(out, blocks):
+        np.add.at(slot, b.entries[:2], b.entries[2])
+    return out
+
+
+def _solve(blocks, vectors):
+    """eigvalsh of every block, or eigh if vectors, in the order of blocks.
+
+    Blocks of one size and type go through LAPACK in one stacked call of
+    at most MAX_BLOCK_BYTES; a single block above that cap is refused
+    before anything is allocated.
+    """
+    groups = {}
+    for i, b in enumerate(blocks):
+        nbytes = b.size ** 2 * b.entries[2].itemsize
+        if nbytes > MAX_BLOCK_BYTES:
+            raise ResourceLimitError(
+                f"a dense block of {b.size} states needs {nbytes} bytes, "
+                f"over the cap of {MAX_BLOCK_BYTES}")
+        groups.setdefault((b.size, b.entries[2].dtype), []).append(i)
+    out = [None] * len(blocks)
+    for members in groups.values():
+        b = blocks[members[0]]
+        per = MAX_BLOCK_BYTES // (b.size ** 2 * b.entries[2].itemsize)
+        for s in range(0, len(members), per):
+            chunk = members[s:s + per]
+            stack = _dense([blocks[i] for i in chunk])
+            if vectors:
+                w, V = np.linalg.eigh(stack)
+                out_chunk = list(zip(w, V))
+            else:
+                out_chunk = list(np.linalg.eigvalsh(stack))
+            for i, res in zip(chunk, out_chunk):
+                out[i] = res
     return out
 
 
 def ground(system):
     """Lowest eigenpair(s), exact, with the degeneracy counted in a relative
-    window.  Every block's spectrum is taken; only the blocks that reach
-    into the window are diagonalized with their vectors, which are returned
-    at full dimension."""
-    comps = system.blocks
-    spectra = [[np.linalg.eigvalsh(b.dense()) for b in blocks]
-               for _, blocks in comps]
-    w = np.sort(np.concatenate([wb for ws in spectra for wb in ws]))
+    window.  Every block's spectrum is taken, a paired block's twice; only
+    the blocks that reach into the window are diagonalized with their
+    vectors, which are returned at full dimension."""
+    blocks = [(idx, b) for idx, bl in system.blocks for b in bl]
+    spectra = _solve([b for _, b in blocks], vectors=False)
+    w = np.sort(np.concatenate([wb for (_, b), wb in zip(blocks, spectra)
+                                for _ in range(1 + b.pair)]))
     e0 = float(w[0])
     window = GROUND_WINDOW * max(1.0, abs(e0))
     deg = int(np.sum(w - e0 <= window))
     above = w[w - e0 > window]
     gap_val = float(above[0] - e0) if above.size else float("nan")
+    low = [(idx, b, k) for (idx, b), wb in zip(blocks, spectra)
+           if (k := int(np.sum(wb - e0 <= window)))]
     vectors = np.zeros((system.dim, deg), dtype=complex)
     j = 0
-    for (idx, blocks), ws in zip(comps, spectra):
-        for b, wb in zip(blocks, ws):
-            k = int(np.sum(wb - e0 <= window))
-            if k:
-                V = np.linalg.eigh(b.dense())[1][:, :k]
-                vectors[idx[b.rows], j:j + k] = b.expand(V)
-                j += k
+    solved = _solve([b for _, b, _ in low], vectors=True)
+    for (idx, b, k), (_, V) in zip(low, solved):
+        E = b.expand(V[:, :k])
+        for part in (E, E.conj()) if b.pair else (E,):
+            vectors[idx[b.rows], j:j + k] = part
+            j += k
     return GroundReport(energy=e0, degeneracy=deg, vectors=vectors,
                         gap=gap_val)
 
@@ -325,22 +413,30 @@ def gibbs(system, beta):
             f"Gibbs state needs a dense eigensolve; dimension {system.dim} "
             f"exceeds {MAX_DENSE_DIM}"
         )
-    comps = [(idx, [(b, *np.linalg.eigh(b.dense())) for b in blocks])
-             for idx, blocks in system.blocks]
+    solved = iter(_solve([b for _, bl in system.blocks for b in bl],
+                         vectors=True))
+    comps = [(idx, [(b, *next(solved)) for b in bl])
+             for idx, bl in system.blocks]
     w_min = min(w.min() for _, parts in comps for _, w, _ in parts)
-    Z = sum(np.exp(-beta * (w - w_min)).sum()  # shift guards against overflow
-            for _, parts in comps for _, w, _ in parts)
+    Z = sum((1 + b.pair) * np.exp(-beta * (w - w_min)).sum()  # shift guards
+            for _, parts in comps for b, w, _ in parts)  # against overflow
+    real = not system.H.data.imag.any()
     rho = np.zeros((system.dim, system.dim), dtype=complex)
     for idx, parts in comps:
-        # the eigenvectors of every momentum side by side on the component's
-        # rows, so that rho is written once per component
-        U = np.zeros((idx.size, idx.size), dtype=complex)
-        z = np.concatenate([np.exp(-beta * (w - w_min)) for _, w, _ in parts])
+        # the eigenvectors of every block side by side on the component's
+        # rows, so that rho is written once per component.  A paired block
+        # and its partner, whose vectors are the conjugates, add
+        # 2 Re(E e^(-beta w) E*); the other blocks of a real H are real
+        U = np.zeros((idx.size, sum(w.size for _, w, _ in parts)),
+                     dtype=complex)
+        z = np.concatenate([(1 + b.pair) * np.exp(-beta * (w - w_min))
+                            for b, w, _ in parts])
         col = 0
         for b, w, V in parts:
             U[b.rows, col:col + w.size] = b.expand(V)
             col += w.size
-        rho[np.ix_(idx, idx)] = (U * (z / Z)) @ U.conj().T
+        block = (U * (z / Z)) @ U.conj().T
+        rho[np.ix_(idx, idx)] = block.real if real else block
     return ThermalState(beta=float(beta), rho=rho)
 
 
@@ -387,8 +483,9 @@ def correlation_profile(system, state, r_max):
 def rp_gram_check(system, state, twist, tol=1e-9):
     """Reflection-positivity Gram check about the central bond.
 
-    state may be a ThermalState, an inverse temperature (a Gibbs state is
-    built), or a pure-state vector.  Its density matrix, transposed, is the
+    state may be a ThermalState, an inverse temperature (any real number
+    but a bool; a Gibbs state is built), or a pure-state vector of
+    system.dim amplitudes.  Its density matrix, transposed, is the
     window tensor W[I, J] = omega(|e_I><e_J|) of the whole chain; the Gram
     matrix over the matrix units of the right half pairs each against its
     twisted mirror image on the left half.  G is exactly zero between the
@@ -400,18 +497,28 @@ def rp_gram_check(system, state, twist, tol=1e-9):
     """
     if system.n % 2 != 0:
         raise ValueError("reflection about the central bond needs an even chain")
-    if isinstance(state, (int, float)):
-        state = gibbs(system, float(state))
+    if not isinstance(state, ThermalState):
+        state = np.asarray(state)
+        if state.dtype == bool or np.iscomplexobj(state) and state.ndim == 0:
+            raise TypeError("state must be a ThermalState, a real inverse "
+                            f"temperature or a vector, got {state!r}")
+        if state.ndim == 0:
+            state = gibbs(system, float(state))
+        elif state.size != system.dim:
+            raise ValueError(
+                f"a pure state needs system.dim = {system.dim} amplitudes, "
+                f"got an array of shape {state.shape}")
     r0 = _as_twist_matrix(twist, system.d)
     if isinstance(state, ThermalState):
         rho = state.rho
     else:
-        psi = np.asarray(state, dtype=complex).reshape(-1)
+        psi = state.astype(complex).reshape(-1)
         rho = np.outer(psi, psi.conj())
     m = system.n // 2
     D = system.d ** m
     Rr = _reflect_twist_matrix(r0, m)
     G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, rho.T.reshape(D, D, D, D),
                   optimize=True).reshape(D * D, D * D)
-    blocks = [G[np.ix_(idx, idx)] for idx in _components(G != 0)]
+    pattern = np.divmod(np.flatnonzero(G != 0), D * D)
+    blocks = [G[np.ix_(idx, idx)] for idx in _components(*pattern, D * D)]
     return _rp_gram_verdict(blocks, m, tol, zero_mode=False)

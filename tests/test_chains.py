@@ -1,6 +1,10 @@
 """Finite-chain diagonalization oracle."""
 
+import importlib.util
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,20 +12,89 @@ import scipy.sparse as sp
 
 from fcspin import build_spin_rep, build_twist, chains
 from fcspin.chains import (
+    MAX_BLOCK_BYTES,
     MAX_DENSE_DIM,
+    CooMatrix,
     ThermalState,
     _orbit_blocks,
-    _site_op,
     _two_site_hamiltonian,
     build_chain,
     correlation_profile,
     gibbs,
     ground,
     rp_gram_check,
-    translation_operator,
 )
 from fcspin.errors import ResourceLimitError
 from fcspin.symmetry import _reflect_twist_matrix
+
+
+def _eye(size):
+    return sp.identity(size, dtype=complex, format="csr")
+
+
+def _site_op(ops, d, n):
+    """Sparse operator with the given {position: matrix} factors, identity elsewhere."""
+    out = _eye(1)
+    run = 1  # dimension of the empty sites since the last factor
+    for p in range(n):
+        if p not in ops:
+            run *= d
+            continue
+        factor = sp.csr_matrix(np.asarray(ops[p], dtype=complex))
+        out = sp.kron(sp.kron(out, _eye(run), format="csr"), factor, format="csr")
+        run = 1
+    return sp.kron(out, _eye(run), format="csr")
+
+
+def translation_operator(d, n):
+    """Permutation matrix shifting site p to site p+1 mod n."""
+    dim = d ** n
+    src = np.arange(dim).reshape((d,) * n)
+    dst = np.moveaxis(src, -1, 0).reshape(-1)  # new leading index = old last site
+    return sp.csr_matrix((np.ones(dim), (dst, np.arange(dim))), shape=(dim, dim))
+
+
+def _csr(H):
+    """A CooMatrix as scipy csr, its entries neither summed nor dropped."""
+    out = sp.csr_matrix((H.data, (H.row, H.col)), shape=H.shape)
+    assert out.nnz == H.nnz
+    return out
+
+
+def _coo(M):
+    """A dense matrix as a CooMatrix of its nonzero entries."""
+    col, row = np.nonzero(M.T)
+    return CooMatrix(shape=M.shape, row=row, col=col, data=M[row, col])
+
+
+def _scipy_reference_chain(d, n, J, periodic, model, field):
+    """H as the scipy builder that build_chain replaced assembled it: the
+    open bonds as I (x) h2 (x) I, the wrap bond as the last one conjugated
+    by the translation, the field site by site, then (H + H*)/2."""
+    h2 = chains._two_site_hamiltonian(d, float(J), model)
+    H = sp.csr_matrix((d ** n, d ** n), dtype=complex)
+    bond = sp.csr_matrix(h2)
+    for p in range(n - 1):
+        last = sp.kron(sp.kron(_eye(d ** p), bond, format="csr"),
+                       _eye(d ** (n - p - 2)), format="csr")
+        H = H + last
+    if periodic:
+        T = translation_operator(d, n)
+        H = H + T.T @ last @ T  # bond (n-2, n-1) moved onto (n-1, 0)
+    if field is not None:
+        rep = build_spin_rep(d)
+        one = sum(f * S for f, S in zip(field, rep.generators()))
+        for p in range(n):
+            H = H + _site_op({p: one}, d, n)
+    H = (H + H.conj().T) / 2
+    return H.tocsr()
+
+
+def _spectrum(system):
+    """Every eigenvalue of the chain from its blocks, a paired block's twice."""
+    return np.sort(np.concatenate([
+        w for _, bl in system.blocks for b in bl
+        for w in [np.linalg.eigvalsh(b.dense())] * (1 + b.pair)]))
 
 
 def two_site_expectation(system, state, A, B, p, q):
@@ -60,11 +133,12 @@ def test_singlet_ground_and_ferro_triplet():
 def test_commutation_invariants():
     system = build_chain(3, 4)
     rep = build_spin_rep(3)
+    H = _csr(system.H)
     T = translation_operator(3, 4)
-    assert abs((system.H @ T - T @ system.H)).max() < 1e-10
+    assert abs((H @ T - T @ H)).max() < 1e-10
     for S in rep.generators():
         tot = sum(_site_op({p: S}, 3, 4) for p in range(4))
-        assert abs((system.H @ tot - tot @ system.H)).max() < 1e-10
+        assert abs((H @ tot - tot @ H)).max() < 1e-10
 
 
 def test_d3_n4_ground_is_total_singlet():
@@ -218,6 +292,30 @@ def test_rp_gram_ground_vector():
     assert rp_gram_check(system, g.vectors[:, 0], tw).passed
 
 
+@pytest.mark.parametrize("beta", [1, 1.0, np.int64(1), np.float32(1.0),
+                                  np.array(1.0)])
+def test_rp_gram_takes_any_real_number_as_beta(beta):
+    system = build_chain(2, 4)
+    tw = build_twist(build_spin_rep(2))
+    want = rp_gram_check(system, gibbs(system, 1.0), tw)
+    got = rp_gram_check(system, beta, tw)
+    assert got.passed and got.details == want.details
+
+
+@pytest.mark.parametrize("state", [True, np.bool_(False), 1 + 0j])
+def test_rp_gram_rejects_a_bool_or_complex_beta(state):
+    system = build_chain(2, 4)
+    with pytest.raises(TypeError, match="real inverse temperature"):
+        rp_gram_check(system, state, build_twist(build_spin_rep(2)))
+
+
+@pytest.mark.parametrize("size", [15, 17, 256])
+def test_rp_gram_rejects_a_vector_of_the_wrong_length(size):
+    system = build_chain(2, 4)
+    with pytest.raises(ValueError, match="system.dim = 16"):
+        rp_gram_check(system, np.ones(size), build_twist(build_spin_rep(2)))
+
+
 def test_rp_gram_field_control_fails():
     tw = build_twist(build_spin_rep(2))
     system = build_chain(2, 4, field=(0.0, 0.0, 1.5))
@@ -340,19 +438,22 @@ def test_two_site_expectation_either_order(kind):
         assert abs(got - want) <= 1e-12
 
 
-def test_correlation_profile_builds_no_chain_operator(monkeypatch):
-    system = build_chain(2, 6)
+def test_correlation_profile_builds_no_chain_operator():
+    # a dense operator of the whole chain takes 16 dim^2 bytes, 16 MiB at
+    # d = 2, n = 10; what the profile allocates must stay under a sixteenth
+    system = build_chain(2, 10)
     g = ground(system)
     states = (gibbs(system, 0.8), g.vectors, g.vectors[:, 0])
     Sz = build_spin_rep(2).Sz
-
-    def refuse(*args):
-        raise AssertionError("a chain operator was built")
-
-    monkeypatch.setattr(chains, "_site_op", refuse)
     for state in states:
-        assert len(correlation_profile(system, state, 5)) == 5
-        two_site_expectation(system, state, Sz, Sz, 0, 3)
+        tracemalloc.start()
+        try:
+            assert len(correlation_profile(system, state, 9)) == 9
+            two_site_expectation(system, state, Sz, Sz, 0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < system.dim ** 2
 
 
 def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
@@ -386,13 +487,11 @@ def test_ground_above_the_gibbs_cap_is_exact(monkeypatch):
     system = build_chain(3, 8, model="aklt-parent")
     assert system.dim > MAX_DENSE_DIM
     v0 = np.random.default_rng(0).normal(size=system.dim)
-    want = scipy.sparse.linalg.eigsh(system.H, k=6, which="SA", v0=v0)[0]
+    want = scipy.sparse.linalg.eigsh(_csr(system.H), k=6, which="SA", v0=v0)[0]
     _refuse_eigsh(monkeypatch)
     report = ground(system)
     assert report.degeneracy == 1 and abs(report.energy) <= 1e-12
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(b.dense())
-                                for _, bl in system.blocks for b in bl]))
-    assert np.abs(w[:6] - np.sort(want)).max() <= 1e-10
+    assert np.abs(_spectrum(system)[:6] - np.sort(want)).max() <= 1e-10
 
 
 def test_iterative_ground_is_deterministic(monkeypatch):
@@ -427,24 +526,44 @@ def test_block_eigh_matches_dense_spectrum(case):
     comps = system.blocks
     idx_all = np.sort(np.concatenate([idx for idx, _ in comps]))
     assert np.array_equal(idx_all, np.arange(system.dim))
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(b.dense())
-                                for _, blocks in comps for b in blocks]))
-    assert np.abs(w - np.linalg.eigvalsh(H)).max() <= 1e-12
+    assert np.abs(_spectrum(system) - np.linalg.eigvalsh(H)).max() <= 1e-12
     for idx, blocks in comps:
-        # the eigenvectors of every momentum, back on the basis, are an
-        # orthonormal eigenbasis of the component
+        # the eigenvectors of every momentum, a paired block's conjugates
+        # standing for its partner's, back on the basis, are an orthonormal
+        # eigenbasis of the component
         U = []
         for b in blocks:
             wb, Vb = np.linalg.eigh(b.dense())
-            x = np.zeros((system.dim, len(wb)), dtype=complex)
-            x[idx[b.rows]] = b.expand(Vb)
-            assert np.abs(H @ x - x * wb).max() <= 1e-12
+            x = np.zeros((system.dim, len(wb) * (1 + b.pair)), dtype=complex)
+            E = b.expand(Vb)
+            x[idx[b.rows]] = np.hstack([E, E.conj()]) if b.pair else E
+            assert np.abs(H @ x - x * np.tile(wb, 1 + b.pair)).max() <= 1e-12
             U.append(x[idx])
         U = np.hstack(U)
         assert np.abs(U.conj().T @ U - np.eye(len(idx))).max() <= 1e-12
     assert (len(comps) == 1) == (case[5] is not None)
     # an open chain has momentum 0 alone, a periodic one splits by momentum
     assert (sum(len(blocks) for _, blocks in comps) > len(comps)) == case[3]
+    # only a chain with a real H pairs the momenta q and L - q, and a
+    # periodic one does so from n = 3 on
+    paired = any(b.pair for _, bl in comps for b in bl)
+    real = case[5] is None or case[5][1] == 0
+    assert paired == (real and case[3] and case[1] > 2)
+
+
+@pytest.mark.parametrize("case", ED_CASES + [(2, 5, 1.0, True, "xxx", None)])
+def test_ground_vectors_are_eigenvectors(case):
+    # the frustrated five-ring has its fourfold ground space at momenta
+    # q and L - q, so half of its vectors are the partners' conjugates
+    system = build_chain(*case)
+    g = ground(system)
+    H = system.H.toarray()
+    assert np.linalg.norm(H @ g.vectors - g.energy * g.vectors) <= 1e-12
+    assert np.abs(g.vectors.conj().T @ g.vectors
+                  - np.eye(g.degeneracy)).max() <= 1e-12
+    w = np.linalg.eigvalsh(H)
+    assert abs(g.energy - w[0]) <= 1e-12
+    assert g.degeneracy == np.sum(w - w[0] <= 1e-9 * max(1.0, abs(w[0])))
 
 
 @pytest.mark.parametrize("case", ED_CASES)
@@ -492,7 +611,7 @@ def _schmidt_reference_chain(d, n, J, periodic, model, field):
 def test_build_chain_matches_schmidt_reference(case):
     H = build_chain(*case).H
     ref = _schmidt_reference_chain(*case)
-    assert abs(H - ref).max() <= 1e-14
+    assert abs(_csr(H) - ref).max() <= 1e-14
     assert H.nnz <= ref.nnz
 
 
@@ -531,13 +650,118 @@ def _matrix_unit_reference_chain(d, n, J, periodic, model, field):
     (3, 8, 1.0, True, "aklt-parent", None),
 ])
 def test_build_chain_bit_identical_to_matrix_unit_reference(case):
-    H = build_chain(*case).H
+    H = _csr(build_chain(*case).H)
     ref = _matrix_unit_reference_chain(*case)
     H.sort_indices()
     ref.sort_indices()
     assert np.array_equal(H.indptr, ref.indptr)
     assert np.array_equal(H.indices, ref.indices)
     assert np.array_equal(H.data, ref.data)
+
+
+def _workload_chains():
+    """(d, n, J, periodic, model, field) of every chain the benchmark's
+    correlation-oracle workload diagonalizes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return ([(d, n, 1.0, True, model, None) for model, d, n in workloads.ED_GROUND]
+            + [(d, n, 1.0, True, "xxx", None) for d, n in workloads.ED_THERMAL])
+
+
+# the chains of the golden ed commands in test_cli_golden
+GOLDEN_CHAINS = [
+    (2, 6, 1.0, True, "xxx", None), (3, 6, 1.0, True, "aklt-parent", None),
+    (3, 6, 1.0, True, "xxx", None), (2, 10, 1.0, True, "xxx", None),
+    (3, 8, 1.0, True, "aklt-parent", None), (3, 8, -1.0, True, "xxx", None),
+]
+
+
+@pytest.mark.parametrize("case", ED_CASES + _workload_chains())
+def test_build_chain_entries_equal_the_scipy_builder(case):
+    # same pattern, same values bit for bit, same nnz
+    H = build_chain(*case).H
+    ref = _scipy_reference_chain(*case)
+    got = _csr(H)
+    got.sort_indices()
+    ref.sort_indices()
+    assert H.nnz == ref.nnz
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+    # ordered by column, then by row
+    assert np.all(np.diff(H.col * H.shape[0] + H.row) > 0)
+
+
+def test_build_chain_hermitizes_like_the_scipy_builder(monkeypatch):
+    # a two-site term that is Hermitian only to 1e-3 makes (H + H*)/2 move
+    # every entry off the diagonal; the field adds a complex one-site term
+    original = chains._two_site_hamiltonian
+
+    def skewed(d, J, model):
+        h2 = original(d, J, model)
+        rng = np.random.default_rng(3)
+        noise = rng.normal(size=h2.shape) + 1j * rng.normal(size=h2.shape)
+        return h2 + 1e-3 * noise * (h2 != 0)
+
+    monkeypatch.setattr(chains, "_two_site_hamiltonian", skewed)
+    for case in [(3, 4, 1.0, True, "aklt-parent", None),
+                 (2, 5, 1.0, False, "xxx", (0.3, 0.5, 0.2))]:
+        H = _csr(build_chain(*case).H)
+        ref = _scipy_reference_chain(*case)
+        H.sort_indices()
+        ref.sort_indices()
+        assert np.array_equal(H.indptr, ref.indptr)
+        assert np.array_equal(H.indices, ref.indices)
+        assert np.array_equal(H.data, ref.data)
+
+
+def test_dense_block_cap_refuses_before_allocating():
+    # an open chain in a transverse field is one block of all 6561 states,
+    # 344 MB even as a real matrix
+    system = build_chain(3, 8, periodic=False, field=(0.1, 0.0, 0.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="dense block of 6561"):
+            ground(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_BLOCK_BYTES / 8
+
+
+@pytest.mark.parametrize("case", ED_CASES + _workload_chains() + GOLDEN_CHAINS)
+def test_no_oracle_chain_reaches_the_block_cap(case):
+    blocks = [b for _, bl in build_chain(*case).blocks for b in bl]
+    biggest = max(b.size ** 2 * b.entries[2].itemsize for b in blocks)
+    assert biggest <= MAX_BLOCK_BYTES / 8
+
+
+def test_equal_blocks_share_one_eigensolve(monkeypatch):
+    # d = 2, n = 6 has 32 (component, momentum) blocks, of which the
+    # conjugate pairs leave 22, in 7 classes of (size, type)
+    system = build_chain(2, 6)
+    blocks = [b for _, bl in system.blocks for b in bl]
+    classes = {(b.size, b.entries[2].dtype) for b in blocks}
+    assert len(blocks) == 22 and len(classes) == 7
+    assert sum(1 + b.pair for b in blocks) == 32
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    spectra = chains._solve(blocks, vectors=False)
+    assert len(calls) == len(classes)
+    for b, w in zip(blocks, spectra):
+        assert np.abs(w - eigvalsh(b.dense())).max() <= 1e-14
 
 
 def test_aklt_parent_has_no_fill_in():
@@ -552,7 +776,7 @@ def test_aklt_parent_has_no_fill_in():
 
 def test_imaginary_coupling_is_one_block():
     # casting the complex matrix to a real graph would drop the 0-1 edge
-    H = sp.csr_matrix(np.array([[0.0, 1j, 0.0], [-1j, 0.0, 2.0], [0.0, 2.0, 1.0]]))
+    H = _coo(np.array([[0.0, 1j, 0.0], [-1j, 0.0, 2.0], [0.0, 2.0, 1.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         comps = _orbit_blocks(H, np.arange(3))

@@ -1,9 +1,11 @@
-"""Start-up imports: only the exact-diagonalization oracle loads scipy.
+"""Start-up imports: fcspin and every command load numpy alone.
 
 The pytest session has imported scipy already, so each check runs in a
-fresh interpreter and reports its sys.modules as JSON.
+fresh interpreter and reports its sys.modules as JSON.  An AST walk of the
+package's sources checks the same at every import statement.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -48,7 +50,7 @@ def test_certificate_commands_load_no_scipy():
     assert result["scipy"] == []
 
 
-def test_ed_loads_scipy_and_keeps_its_answers():
+def test_ed_loads_no_scipy_and_keeps_its_answers():
     golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
     command = "ed --model xxx --d 2 --n 10"
     result = _run("ed --d 2 --n 4", command)
@@ -64,6 +66,17 @@ def test_ed_loads_scipy_and_keeps_its_answers():
     want_skeleton, want_numbers = _split(golden[command]["stdout"])
     assert skeleton == want_skeleton
     assert max(abs(a - b) for a, b in zip(numbers, want_numbers)) <= 1e-12
-    # csgraph, which splits H into blocks, itself imports scipy.sparse.linalg
-    # and scipy.linalg, so only the package is asserted
-    assert "scipy.sparse" in result["scipy"]
+    assert result["scipy"] == []
+
+
+def test_package_imports_nothing_third_party_but_numpy():
+    # function-level imports included, where a lazy scipy import would hide
+    imported = set()
+    for path in Path(SRC, "fcspin").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fcspin"}
+    assert third_party == {"numpy"}
