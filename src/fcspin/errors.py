@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and argument checks."""
+
+import math
 
 
 class ResourceLimitError(Exception):
@@ -12,3 +14,10 @@ class KrausFileError(Exception):
         self.line = line
         self.message = message
         super().__init__(f"line {line}: {message}")
+
+
+def _require_tol(tol):
+    """Raise ValueError unless tol is a finite positive number: an infinite
+    tolerance passes every defect and a NaN one fails every comparison."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _require_tol
 from .fcs import _products, max_window_entries, modular_data, window_expectations
 from .su2 import TwistMatrix, compute_mu
 from .transfer import decay_certificate
@@ -147,6 +147,7 @@ def _verdict(name, window, defect, tol, details):
 
 def check_real(state, m, tol=1e-9):
     """Transpose invariance in the fixed basis on windows of length <= m."""
+    _require_tol(tol)
     details = {}
     for length in range(1, m + 1):
         W = window_expectations(state, length)
@@ -156,6 +157,7 @@ def check_real(state, m, tol=1e-9):
 
 def check_lattice_twist(state, twist, m, tol=1e-9):
     """Invariance under site reversal about a bond with a per-site twist."""
+    _require_tol(tol)
     r0 = _as_twist_matrix(twist, state.d)
     details = {}
     for length in range(1, m + 1):
@@ -207,6 +209,7 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
     The length-2m window is never built, and the size cap bounds the
     D^2 k^2 entries of A.
     """
+    _require_tol(tol)
     r0 = _as_twist_matrix(twist, state.d)
     if m == 0:
         return SymmetryVerdict(name="reflection-positive", window=0, defect=0.0,
@@ -243,6 +246,7 @@ def check_su2(state, rep, m, *, tol=1e-8):
     The entries of W are expectations of matrix units, so |W| <= 1 and the
     defect is absolute.
     """
+    _require_tol(tol)
     if rep.d != state.d:
         raise ValueError(
             f"representation dimension {rep.d} != physical dimension {state.d}"
@@ -291,6 +295,8 @@ _TWIST_ASCENT_ROUNDS = 20
 # ~ phi, so 1e-6 groups summands up to a joint defect ~ 7e-4, below the 1e-3
 # fail threshold.
 _TWIST_CLUSTER = 1e-6
+# Rounding margin of the pass gate, per k^2 (see check_kraus_twist_relation).
+_TWIST_GATE_SLACK = 16 * np.finfo(float).eps
 
 
 def _twist_residual(W, C, targets):
@@ -302,85 +308,7 @@ def _twist_residual(W, C, targets):
     return float(np.linalg.norm(targets - lam * M, 2, axis=(1, 2)).max()), lam
 
 
-def check_kraus_twist_relation(state, twist, tol=1e-8):
-    """Direct solve of the twisted-adjoint relation of the Kraus family.
-
-    Decides whether there exist a bond unitary W and a phase lam with
-    v_i* = lam * W c_i W* for all i, where c_i = sum_j r[j, i] v_j and r is
-    the real form of the twist (a TwistMatrix, or a bare unitary involution
-    r0 with conj(r0) = +-r0).  For unitary W and |lam| = 1,
-
-        sum_i ||v_i* W - lam W c_i||_F^2 = 2k - 2 Re(lam <vec W, Q vec W>),
-
-    with Q = sum_i v_i (x) c_i^T, a k^2 x k^2 matrix of norm <= 1.  The best
-    pair is therefore the top eigenvector of Re(e^{i theta} Q) at the theta
-    maximizing its top eigenvalue (the numerical radius of Q): a phase grid,
-    then ascent steps alternating that eigenvector with its optimal phase.
-    The eigenvector, reshaped to k x k and polar-projected, is W; when the
-    top eigenspace is degenerate (non-injective families) a fixed
-    combination of it is projected instead, followed by one polar step if
-    that still misses tol.  The defect is the residual of that unitary W at
-    its optimal phase, so a pass never rests on the eigenvalue estimate.
-
-    status is "pass" for defect <= tol, "fail" for defect >= 1e-3, and
-    "indeterminate" in between.  details holds the gauge W, the phase lam,
-    the multiplicity of the top eigenspace and lower_bound, a value no
-    unitary W and phase can beat: sqrt(2 (1 - w) / d), with w an upper bound
-    on the numerical radius.
-    """
-    d, k = state.d, state.k
-    V = state.kraus.stacked()
-    targets = V.conj().transpose(0, 2, 1)
-    C = _twist_combination(state.kraus, _real_form(twist, d))
-    # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
-    # sum_i tr(W* v_i W c_i) for row-major vec
-    Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)
-
-    def hermitian_part(theta):
-        A = np.exp(1j * theta) * Q
-        return (A + A.conj().T) / 2
-
-    # the eigenvalues at theta also give the top one at theta + pi: -e[0]
-    half = _TWIST_GRID // 2
-    radius, theta = -np.inf, 0.0
-    for n in range(half):
-        e = np.linalg.eigvalsh(hermitian_part(np.pi * n / half))
-        for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
-            if val > radius:
-                radius, theta = val, angle
-    lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
-
-    def ascend(theta):
-        """Eigenpairs at theta and the optimal phase of the top vector."""
-        e, X = np.linalg.eigh(hermitian_part(theta))
-        z = np.exp(1j * theta) * np.vdot(X[:, -1], Q @ X[:, -1])
-        return e, X, theta - np.angle(z)
-
-    # Each step theta -> theta - arg(e^{i theta} z) fits the phase of the
-    # current top vector and never lowers the top eigenvalue.  The steps
-    # shrink geometrically, so two of them give Aitken's estimate of the limit.
-    for _ in range(_TWIST_ASCENT_ROUNDS):
-        e, X, t1 = ascend(theta)
-        if abs(t1 - theta) <= 1e-13:
-            break
-        t2 = ascend(t1)[2]
-        rate = (t2 - t1) / (t1 - theta)
-        theta = t1 + (t2 - t1) / (1 - rate) if 0 < rate < 1 else t2
-
-    top = X[:, e >= e[-1] - _TWIST_CLUSTER]
-    multiplicity = top.shape[1]
-    x = top[:, -1]
-    if multiplicity > 1:
-        rng = np.random.default_rng(0)
-        x = top @ (rng.normal(size=multiplicity) + 1j * rng.normal(size=multiplicity))
-    W = _polar_unitary(x.reshape(k, k))
-    defect, lam = _twist_residual(W, C, targets)
-    if multiplicity > 1 and defect > tol:
-        W_step = _polar_unitary(lam * np.einsum("iab,bc,icd->ad", V, W, C))
-        step = _twist_residual(W_step, C, targets)
-        if step[0] < defect:
-            W, (defect, lam) = W_step, step
-
+def _twist_verdict(W, defect, lam, multiplicity, lower_bound, tol):
     if np.isfinite(defect) and defect <= tol:
         status = "pass"
     elif np.isfinite(defect) and defect < 1e-3:
@@ -395,6 +323,115 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     )
 
 
+def check_kraus_twist_relation(state, twist, tol=1e-8):
+    """Direct solve of the twisted-adjoint relation of the Kraus family.
+
+    Decides whether there exist a bond unitary W and a phase lam with
+    v_i* = lam * W c_i W* for all i, where c_i = sum_j r[j, i] v_j and r is
+    the real form of the twist (a TwistMatrix, or a bare unitary involution
+    r0 with conj(r0) = +-r0).  For unitary W and |lam| = 1,
+
+        sum_i ||v_i* W - lam W c_i||_F^2 = 2k - 2 Re(lam <vec W, Q vec W>),
+
+    with Q = sum_i v_i (x) c_i^T, a k^2 x k^2 matrix of norm <= 1.  The best
+    pair is therefore the top eigenvector of Re(e^{i theta} Q) at the theta
+    maximizing its top eigenvalue (the numerical radius w of Q), found by
+    ascent steps alternating that eigenvector with its optimal phase.  The
+    eigenvector, reshaped to k x k and polar-projected, is W; when the top
+    eigenspace is degenerate (non-injective families) a fixed combination of
+    it is projected instead, followed by one polar step if that still misses
+    tol.  The defect is the residual of that unitary W at its optimal phase,
+    so a pass never rests on an eigenvalue estimate.
+
+    Each term of the sum is at most k defect^2, so a pass forces
+    w >= 1 - d tol^2 / 2 and hence sigma_max(Q)^2 >= 1 - d tol^2.  When one
+    eigensolve of Q* Q allows that, a pass is tried first: a unimodular
+    eigenvalue mu of the contraction Q has an eigenvector x with Q* x =
+    conj(mu) x, a top singular vector, so one ascent round starts from the
+    phase -arg(x* Q x) of the top eigenvector x of Q* Q.  Otherwise, or when
+    that attempt misses tol, a 64-point phase grid locates w and the ascent
+    runs from the grid maximum.
+
+    status is "pass" for defect <= tol, "fail" for defect >= 1e-3, and
+    "indeterminate" in between.  details holds the gauge W, the phase lam,
+    the multiplicity of the top eigenspace and lower_bound, a value no
+    unitary W and phase can beat: sqrt(2 (1 - w') / d), with w' = grid
+    maximum + pi / 64 an upper bound on w.  A pass reports the trivial
+    lower_bound 0.0, which is also what the grid gives whenever
+    w cos(pi / 64) >= 1 - pi / 64, as at every pass with d tol^2 <= 0.09.
+    """
+    _require_tol(tol)
+    d, k = state.d, state.k
+    V = state.kraus.stacked()
+    targets = V.conj().transpose(0, 2, 1)
+    C = _twist_combination(state.kraus, _real_form(twist, d))
+    # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
+    # sum_i tr(W* v_i W c_i) for row-major vec
+    Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)
+
+    def hermitian_part(theta):
+        A = np.exp(1j * theta) * Q
+        return (A + A.conj().T) / 2
+
+    def ascend(theta):
+        """Eigenpairs at theta and the optimal phase of the top vector."""
+        e, X = np.linalg.eigh(hermitian_part(theta))
+        z = np.exp(1j * theta) * np.vdot(X[:, -1], Q @ X[:, -1])
+        return e, X, theta - np.angle(z)
+
+    def solve(theta, rounds):
+        """Gauge, defect, phase and top multiplicity after at most `rounds`
+        ascent rounds from theta."""
+        # Each step theta -> theta - arg(e^{i theta} z) fits the phase of the
+        # current top vector and never lowers the top eigenvalue.  The steps
+        # shrink geometrically, so two of them give Aitken's estimate of the
+        # limit.
+        for _ in range(rounds):
+            e, X, t1 = ascend(theta)
+            if abs(t1 - theta) <= 1e-13:
+                break
+            t2 = ascend(t1)[2]
+            rate = (t2 - t1) / (t1 - theta)
+            theta = t1 + (t2 - t1) / (1 - rate) if 0 < rate < 1 else t2
+
+        top = X[:, e >= e[-1] - _TWIST_CLUSTER]
+        multiplicity = top.shape[1]
+        x = top[:, -1]
+        if multiplicity > 1:
+            rng = np.random.default_rng(0)
+            x = top @ (rng.normal(size=multiplicity) + 1j * rng.normal(size=multiplicity))
+        W = _polar_unitary(x.reshape(k, k))
+        defect, lam = _twist_residual(W, C, targets)
+        if multiplicity > 1 and defect > tol:
+            W_step = _polar_unitary(lam * np.einsum("iab,bc,icd->ad", V, W, C))
+            step = _twist_residual(W_step, C, targets)
+            if step[0] < defect:
+                W, (defect, lam) = W_step, step
+        return W, defect, lam, multiplicity
+
+    # The eigenvalues of Q* Q (norm <= 1) carry a backward error of a small
+    # multiple of k^2 eps, so the gate gives way by _TWIST_GATE_SLACK k^2:
+    # a family that can pass is never routed around the pass attempt.
+    s, X = np.linalg.eigh(Q.conj().T @ Q)
+    if s[-1] >= 1 - d * tol ** 2 - _TWIST_GATE_SLACK * k * k:
+        x = X[:, -1]
+        W, defect, lam, multiplicity = solve(-np.angle(np.vdot(x, Q @ x)), 1)
+        if defect <= tol:
+            return _twist_verdict(W, defect, lam, multiplicity, 0.0, tol)
+
+    # the eigenvalues at theta also give the top one at theta + pi: -e[0]
+    half = _TWIST_GRID // 2
+    radius, theta = -np.inf, 0.0
+    for n in range(half):
+        e = np.linalg.eigvalsh(hermitian_part(np.pi * n / half))
+        for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
+            if val > radius:
+                radius, theta = val, angle
+    lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
+    W, defect, lam, multiplicity = solve(theta, _TWIST_ASCENT_ROUNDS)
+    return _twist_verdict(W, defect, lam, multiplicity, lower_bound, tol)
+
+
 def find_intertwiner(state, rep, tol=1e-8):
     """Bond generators X_a of the rotation covariance of the Kraus family.
 
@@ -407,6 +444,7 @@ def find_intertwiner(state, rep, tol=1e-8):
     sum_j u(g)_{ji} v_j = U_g v_i U_g* with U_g = exp(i theta.X) for every
     g = exp(i theta.S).
     """
+    _require_tol(tol)
     if rep.d != state.d:
         raise ValueError(
             f"representation dimension {rep.d} != physical dimension {state.d}"
@@ -444,6 +482,7 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
     operator, twisted-adjoint Kraus relation, and exponential decay of
     two-point correlations.  Clause order is fixed for stable output.
     """
+    _require_tol(tol)
     if windows < 1:
         raise ValueError("window length must be >= 1")
     clauses = []

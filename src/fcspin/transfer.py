@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _require_tol
 from .fcs import _rho_roots
 
 __all__ = [
@@ -163,6 +164,7 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
     eigenvalue from 1 and the self-adjoint defect ||T - T*|| that counts as
     self-adjoint.  A degenerate fixed space refuses a pass.
     """
+    _require_tol(tol)
     t = build_transfer(state)
     rep = gap(t, tol)
     Tc = t.centered()
@@ -173,11 +175,12 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
     if selfadjoint:
         bounds = [rep.delta ** (n - 1) * scale for n in range(1, n_max + 1)]
     else:
-        power = np.eye(Tc.shape[0], dtype=complex)
-        bounds = []
-        for _ in range(n_max):
+        # ||T_c^0|| = ||I|| = 1
+        bounds, power = [scale], Tc
+        for n in range(2, n_max + 1):
+            if n > 2:
+                power = power @ Tc
             bounds.append(float(np.linalg.norm(power, 2)) * scale)
-            power = power @ Tc
     corr = _correlations(Tc, a, b, n_max)
     rows = [DecayRow(n=n, corr=c, bound=bd)
             for n, c, bd in zip(range(1, n_max + 1), corr, bounds)]

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from fcspin import (
@@ -34,6 +34,16 @@ from fcspin import (
 )
 from fcspin import fcs, symmetry, transfer
 from fcspin.errors import ResourceLimitError
+from fcspin.symmetry import (
+    _TWIST_ASCENT_ROUNDS,
+    _TWIST_CLUSTER,
+    _TWIST_GRID,
+    SymmetryVerdict,
+    _polar_unitary,
+    _real_form,
+    _twist_combination,
+    _twist_residual,
+)
 from fcspin.fcs import window_expectations
 from fcspin.su2 import random_group_elements
 
@@ -318,6 +328,27 @@ def test_verdict_monotone_in_tol(aklt, twist3):
     assert tight.defect == loose.defect
 
 
+_TOL_CALLS = {
+    "real": lambda st, rep, tw, tol: check_real(st, 2, tol),
+    "lattice-twist": lambda st, rep, tw, tol: check_lattice_twist(st, tw, 2, tol),
+    "reflection-positive": lambda st, rep, tw, tol: check_reflection_positive(st, tw, 2, tol),
+    "su2": lambda st, rep, tw, tol: check_su2(st, rep, 2, tol=tol),
+    "twist-relation": lambda st, rep, tw, tol: check_kraus_twist_relation(st, tw, tol),
+    "intertwiner": lambda st, rep, tw, tol: find_intertwiner(st, rep, tol),
+    "decay": lambda st, rep, tw, tol: transfer.decay_certificate(st, rep.Sz, rep.Sz, 12, tol),
+    "audit": lambda st, rep, tw, tol: theorem_audit(st, rep, tw, 2, tol=tol),
+}
+
+
+@pytest.mark.parametrize("call", list(_TOL_CALLS))
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+def test_tolerance_must_be_finite_positive(call, tol, rep3, twist3):
+    # an infinite tol passes every defect, and a NaN one fails every comparison
+    st = random_fcs_state(3, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="tolerance"):
+        _TOL_CALLS[call](st, rep3, twist3, tol)
+
+
 # ---- NaN-safe verdicts ---------------------------------------------------------
 
 def _nan_at_length_two(monkeypatch):
@@ -494,6 +525,204 @@ def test_kraus_twist_bare_matrix_without_real_form_refused():
         check_kraus_twist_relation(st, r0)
     with pytest.raises(ValueError):
         check_kraus_twist_relation(st, np.diag([1.0, 1.0, -1.0]))
+
+
+# ---- pass first, with the grid-first solve as the reference -----------------------
+
+def _grid_first_reference(state, twist, tol=1e-8):
+    """Grid-first twist solve, the reference for check_kraus_twist_relation:
+    the 64-point phase grid, ascent from its maximum, then the polar gauge
+    and its residual."""
+    d, k = state.d, state.k
+    V = state.kraus.stacked()
+    targets = V.conj().transpose(0, 2, 1)
+    C = _twist_combination(state.kraus, _real_form(twist, d))
+    # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
+    # sum_i tr(W* v_i W c_i) for row-major vec
+    Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)
+
+    def hermitian_part(theta):
+        A = np.exp(1j * theta) * Q
+        return (A + A.conj().T) / 2
+
+    # the eigenvalues at theta also give the top one at theta + pi: -e[0]
+    half = _TWIST_GRID // 2
+    radius, theta = -np.inf, 0.0
+    for n in range(half):
+        e = np.linalg.eigvalsh(hermitian_part(np.pi * n / half))
+        for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
+            if val > radius:
+                radius, theta = val, angle
+    lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
+
+    def ascend(theta):
+        """Eigenpairs at theta and the optimal phase of the top vector."""
+        e, X = np.linalg.eigh(hermitian_part(theta))
+        z = np.exp(1j * theta) * np.vdot(X[:, -1], Q @ X[:, -1])
+        return e, X, theta - np.angle(z)
+
+    # Each step theta -> theta - arg(e^{i theta} z) fits the phase of the
+    # current top vector and never lowers the top eigenvalue.  The steps
+    # shrink geometrically, so two of them give Aitken's estimate of the limit.
+    for _ in range(_TWIST_ASCENT_ROUNDS):
+        e, X, t1 = ascend(theta)
+        if abs(t1 - theta) <= 1e-13:
+            break
+        t2 = ascend(t1)[2]
+        rate = (t2 - t1) / (t1 - theta)
+        theta = t1 + (t2 - t1) / (1 - rate) if 0 < rate < 1 else t2
+
+    top = X[:, e >= e[-1] - _TWIST_CLUSTER]
+    multiplicity = top.shape[1]
+    x = top[:, -1]
+    if multiplicity > 1:
+        rng = np.random.default_rng(0)
+        x = top @ (rng.normal(size=multiplicity) + 1j * rng.normal(size=multiplicity))
+    W = _polar_unitary(x.reshape(k, k))
+    defect, lam = _twist_residual(W, C, targets)
+    if multiplicity > 1 and defect > tol:
+        W_step = _polar_unitary(lam * np.einsum("iab,bc,icd->ad", V, W, C))
+        step = _twist_residual(W_step, C, targets)
+        if step[0] < defect:
+            W, (defect, lam) = W_step, step
+
+    if np.isfinite(defect) and defect <= tol:
+        status = "pass"
+    elif np.isfinite(defect) and defect < 1e-3:
+        status = "indeterminate"
+    else:
+        status = "fail"
+    return SymmetryVerdict(
+        name="twist-adjoint-relation", window=1, defect=defect, tol=tol,
+        status=status, details={"gauge": W, "phase": lam,
+                                "multiplicity": multiplicity,
+                                "lower_bound": lower_bound},
+    )
+
+
+def _same_verdict(a, b):
+    return (a.status == b.status and a.defect == b.defect
+            and a.details["phase"] == b.details["phase"]
+            and np.array_equal(a.details["gauge"], b.details["gauge"])
+            and a.details["multiplicity"] == b.details["multiplicity"]
+            and a.details["lower_bound"] == b.details["lower_bound"])
+
+
+def _non_pass_families():
+    fams = [random_fcs_state(d, k, np.random.default_rng(seed))
+            for d, k in RANDOM_NEGATIVES for seed in range(3)]
+    fams += [_perturbed_covariant(s, j, eps, np.random.default_rng(17))
+             for s, j in NEAR_THRESHOLD for eps in (1e-7, 1e-5)]
+    for phi in (1e-4, 0.1):
+        b = KrausFamily(tuple(np.exp(1j * phi) * v for v in covariant_kraus(1, 1).v))
+        fams.append(_with_gauge(
+            fixed_point(direct_sum(covariant_kraus(1, Fraction(1, 2)), b)), 5))
+    return fams
+
+
+@pytest.mark.parametrize("st", _non_pass_families())
+def test_kraus_twist_non_pass_equals_grid_first(st):
+    tw = _twist_for(st)
+    ref = _grid_first_reference(st, tw)
+    assert ref.status != "pass"
+    assert _same_verdict(check_kraus_twist_relation(st, tw), ref)
+
+
+def _covariant_pairs():
+    """(s, j) of every covariant family with integer s <= 3 and j <= 7/2."""
+    return [(s, Fraction(two_j, 2)) for s in (1, 2, 3)
+            for two_j in range(s, 8)]
+
+
+def _pass_families():
+    fams, ids = [], []
+    for s, j in _covariant_pairs():
+        st = covariant_state(s, j)
+        fams += [st, _with_gauge(st, 11)]
+        ids += [f"cov-{s}-{j}", f"cov-{s}-{j}-gauge"]
+    return fams + _direct_sums(), ids + ["aklt+aklt", "aklt+aklt-gauge",
+                                          "cov+cov", "cov+cov-gauge"]
+
+
+PASS_FAMILIES, PASS_IDS = _pass_families()
+
+
+@pytest.mark.parametrize("st", PASS_FAMILIES, ids=PASS_IDS)
+def test_kraus_twist_pass_agrees_with_grid_first(st):
+    tw = _twist_for(st)
+    ref = _grid_first_reference(st, tw)
+    v = check_kraus_twist_relation(st, tw)
+    assert ref.passed and v.passed
+    assert abs(v.defect - ref.defect) <= 1e-12
+    assert v.details["lower_bound"] == ref.details["lower_bound"] == 0.0
+
+
+def _count_grid_calls(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_kraus_twist_covariant_pass_skips_the_grid(monkeypatch):
+    st = _with_gauge(covariant_state(2, Fraction(7, 2)), 12)
+    calls = _count_grid_calls(monkeypatch)
+    assert check_kraus_twist_relation(st, _twist_for(st)).passed
+    assert len(calls) <= 1
+
+
+def test_kraus_twist_random_negative_runs_the_grid(monkeypatch):
+    st = random_fcs_state(3, 8, np.random.default_rng(0))
+    calls = _count_grid_calls(monkeypatch)
+    assert check_kraus_twist_relation(st, _twist_for(st)).status == "fail"
+    assert calls.count((64, 64)) == _TWIST_GRID // 2
+
+
+GATE_FAMILIES = [("random", d, k) for d, k in ((2, 2), (3, 2), (3, 3), (5, 2))]
+GATE_FAMILIES += [("perturbed", s, j) for s, j in
+                  ((1, Fraction(1, 2)), (1, 1), (2, 1), (1, Fraction(3, 2)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st_.integers(0, len(GATE_FAMILIES) - 1),
+       eps=st_.sampled_from([1e-9, 1e-7, 1e-5]),
+       seed=st_.integers(0, 2 ** 32 - 1),
+       slack=st_.sampled_from([1.0, 1.001, 2.0, 100.0]))
+# sigma_max(Q)^2 lands a rounding error below 1 - d tol^2 on these two
+@example(index=4, eps=1e-9, seed=0, slack=1.0)
+@example(index=7, eps=1e-9, seed=0, slack=1.0)
+def test_kraus_twist_gate_never_routes_a_pass_around(index, eps, seed, slack):
+    kind, a, b = GATE_FAMILIES[index]
+    rng = np.random.default_rng(seed)
+    st = (random_fcs_state(a, b, rng) if kind == "random"
+          else _perturbed_covariant(a, b, eps, rng))
+    tw = _twist_for(st)
+    # tol at or just above the reference defect, so the reference passes
+    tol = max(_grid_first_reference(st, tw).defect, 1e-15) * slack
+    if not _grid_first_reference(st, tw, tol).passed:
+        return
+    # the pass attempt evaluates a residual before any grid eigensolve
+    grid_calls, seen = [], []
+    real_eigvalsh, real_residual = np.linalg.eigvalsh, symmetry._twist_residual
+
+    def eigvalsh(a, *args, **kwargs):
+        grid_calls.append(a.shape)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    def residual(*args):
+        seen.append(len(grid_calls))
+        return real_residual(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", eigvalsh)
+        mp.setattr(symmetry, "_twist_residual", residual)
+        check_kraus_twist_relation(st, tw, tol)
+    assert seen[0] == 0
 
 
 # ---- reflection positivity in bond space ----------------------------------------

@@ -352,3 +352,26 @@ def test_decay_certificate_selfadjoint_at_its_tol():
     scale = loose.rows[0].bound
     for row in loose.rows:
         assert row.bound == pytest.approx(loose.delta ** (row.n - 1) * scale, rel=1e-12)
+
+
+def _norm_power_bounds(Tc, scale, n_max):
+    """||T_c^(n-1)|| scale for n = 1..n_max, one power and one SVD per row."""
+    power = np.eye(Tc.shape[0], dtype=complex)
+    bounds = []
+    for _ in range(n_max):
+        bounds.append(float(np.linalg.norm(power, 2)) * scale)
+        power = power @ Tc
+    return bounds
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 12])
+@pytest.mark.parametrize("d, k", [(3, 8), (5, 6)])
+def test_decay_bounds_equal_norm_power_formula(d, k, n_max):
+    st = random_fcs_state(d, k, np.random.default_rng(200 + d + k))
+    Sz = build_spin_rep(d).Sz
+    cert = decay_certificate(st, Sz, Sz, n_max)
+    assert not cert.selfadjoint
+    t = build_transfer(st)
+    a, b = transfer._insertions(st, t, Sz, Sz)
+    scale = float(np.linalg.norm(a) * np.linalg.norm(b))
+    assert [row.bound for row in cert.rows] == _norm_power_bounds(t.centered(), scale, n_max)
