@@ -12,10 +12,13 @@ of H's nonzero pattern under translation, at one momentum.  An open chain
 has the trivial group, so its blocks are the components alone.  When every
 entry of H is real, the blocks at momenta q and L - q are complex
 conjugates, and only one of each such pair is diagonalized.  The layers
-after the diagonalization keep to the blocks the state already has:
-correlations are read from two-site reduced density matrices, and the RP
-Gram matrix, exactly zero between the connected components of its own
-pattern, is decided one component at a time.
+after the diagonalization keep to the blocks the state already has: a
+Gibbs state is one dense block per component, correlations are read from
+two-site reduced density matrices summed block by block, and the RP Gram
+matrix is gathered entry by entry from those blocks (the twist is
+monomial) and decided one connected component of its pattern at a time.
+Neither a Gibbs state nor its Gram forms a dim x dim array of the whole
+chain, and MAX_BLOCK_BYTES caps every dense block.
 
 The module uses numpy alone.
 """
@@ -27,9 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _require_tol
 from .su2 import build_spin_rep
-from .symmetry import _as_twist_matrix, _reflect_twist_matrix, _rp_gram_verdict
+from .symmetry import _as_twist_matrix, _rp_gram_verdict
 
 __all__ = [
     "SpinChainSystem",
@@ -38,7 +41,6 @@ __all__ = [
     "ThermalState",
     "CorrelationRow",
     "MAX_CHAIN_DIM",
-    "MAX_DENSE_DIM",
     "MAX_BLOCK_BYTES",
     "build_chain",
     "ground",
@@ -48,10 +50,9 @@ __all__ = [
 ]
 
 MAX_CHAIN_DIM = 6561   # largest Hilbert-space dimension we diagonalize
-MAX_DENSE_DIM = 4096   # cap on the dense Gibbs state: rho has dim**2 entries
-# cap on one dense block H_q, so that no eigensolve holds more than a Gibbs
-# state at MAX_DENSE_DIM does
-MAX_BLOCK_BYTES = 16 * MAX_DENSE_DIM ** 2
+# cap on any one dense array the oracle forms per block: H_q, the
+# eigenvectors and density matrix of a component, a block of the RP Gram
+MAX_BLOCK_BYTES = 2 ** 28
 GROUND_WINDOW = 1e-9   # relative width of the ground-energy window
 
 
@@ -109,8 +110,11 @@ class GroundReport:
 
 @dataclass(frozen=True)
 class ThermalState:
+    """A density matrix held as its diagonal blocks: (idx, rho_c) pairs,
+    rho_c the dense block on the sorted basis states idx, with rho zero
+    off them.  A dense rho is the one block ((np.arange(dim), rho),)."""
     beta: float
-    rho: np.ndarray
+    blocks: tuple
 
 
 @dataclass(frozen=True)
@@ -214,10 +218,9 @@ def _by_change(op, d, k):
     return out
 
 
-def _components(u, v, dim):
-    """Index arrays of the connected components of the undirected graph on
-    range(dim) with edges (u[i], v[i]), ordered by their smallest state;
-    each array is sorted.
+def _labels(u, v, dim):
+    """The smallest state of the connected component of each state of the
+    undirected graph on range(dim) with edges (u[i], v[i]).
 
     Label propagation over trees of pointers that always point to a smaller
     state: each round every root hooks onto the smallest root it has an
@@ -232,8 +235,15 @@ def _components(u, v, dim):
         while not np.array_equal(hooked, jumped := hooked[hooked]):
             hooked = jumped
         if np.array_equal(hooked, label):
-            break
+            return label
         label = hooked
+
+
+def _components(u, v, dim):
+    """Index arrays of the connected components of the undirected graph on
+    range(dim) with edges (u[i], v[i]), ordered by their smallest state;
+    each array is sorted."""
+    label = _labels(u, v, dim)
     order = np.argsort(label, kind="stable")
     sizes = np.unique(label, return_counts=True)[1]
     return np.split(order, np.cumsum(sizes)[:-1])
@@ -344,6 +354,15 @@ def _dense(blocks):
     return out
 
 
+def _require_block(size, dtype, what):
+    """Refuse a dense size x size array of dtype above MAX_BLOCK_BYTES."""
+    nbytes = size ** 2 * np.dtype(dtype).itemsize
+    if nbytes > MAX_BLOCK_BYTES:
+        raise ResourceLimitError(
+            f"a dense {what} of {size} rows needs {nbytes} bytes, "
+            f"over the cap of {MAX_BLOCK_BYTES}")
+
+
 def _solve(blocks, vectors):
     """eigvalsh of every block, or eigh if vectors, in the order of blocks.
 
@@ -353,11 +372,7 @@ def _solve(blocks, vectors):
     """
     groups = {}
     for i, b in enumerate(blocks):
-        nbytes = b.size ** 2 * b.entries[2].itemsize
-        if nbytes > MAX_BLOCK_BYTES:
-            raise ResourceLimitError(
-                f"a dense block of {b.size} states needs {nbytes} bytes, "
-                f"over the cap of {MAX_BLOCK_BYTES}")
+        _require_block(b.size, b.entries[2].dtype, "block")
         groups.setdefault((b.size, b.entries[2].dtype), []).append(i)
     out = [None] * len(blocks)
     for members in groups.values():
@@ -405,14 +420,16 @@ def ground(system):
 
 
 def gibbs(system, beta):
-    """Thermal state exp(-beta H)/Z via the spectral decomposition."""
+    """Thermal state exp(-beta H)/Z via the spectral decomposition, one
+    dense block per component of H.
+
+    Each component's eigenvectors, every block's side by side on its rows,
+    are checked against MAX_BLOCK_BYTES before anything is solved.
+    """
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
-    if system.dim > MAX_DENSE_DIM:
-        raise ResourceLimitError(
-            f"Gibbs state needs a dense eigensolve; dimension {system.dim} "
-            f"exceeds {MAX_DENSE_DIM}"
-        )
+    for idx, _ in system.blocks:
+        _require_block(idx.size, complex, "Gibbs block")
     solved = iter(_solve([b for _, bl in system.blocks for b in bl],
                          vectors=True))
     comps = [(idx, [(b, *next(solved)) for b in bl])
@@ -421,12 +438,13 @@ def gibbs(system, beta):
     Z = sum((1 + b.pair) * np.exp(-beta * (w - w_min)).sum()  # shift guards
             for _, parts in comps for b, w, _ in parts)  # against overflow
     real = not system.H.data.imag.any()
-    rho = np.zeros((system.dim, system.dim), dtype=complex)
+    blocks = []
     for idx, parts in comps:
-        # the eigenvectors of every block side by side on the component's
-        # rows, so that rho is written once per component.  A paired block
-        # and its partner, whose vectors are the conjugates, add
-        # 2 Re(E e^(-beta w) E*); the other blocks of a real H are real
+        # rho_c = X X* with X = U (z/Z)^(1/2) over the eigenvectors U of
+        # every block.  A paired block and its partner, whose vectors are
+        # the conjugates, add 2 Re(E e^(-beta w) E*), and the other blocks
+        # of a real H are real, so there rho_c = Re(X X*): [Re X, Im X]
+        # times its transpose
         U = np.zeros((idx.size, sum(w.size for _, w, _ in parts)),
                      dtype=complex)
         z = np.concatenate([(1 + b.pair) * np.exp(-beta * (w - w_min))
@@ -435,9 +453,13 @@ def gibbs(system, beta):
         for b, w, V in parts:
             U[b.rows, col:col + w.size] = b.expand(V)
             col += w.size
-        block = (U * (z / Z)) @ U.conj().T
-        rho[np.ix_(idx, idx)] = block.real if real else block
-    return ThermalState(beta=float(beta), rho=rho)
+        X = U * np.sqrt(z / Z)
+        if real:
+            X = np.hstack([X.real, X.imag])
+            blocks.append((idx, X @ X.T))
+        else:
+            blocks.append((idx, X @ X.conj().T))
+    return ThermalState(beta=float(beta), blocks=tuple(blocks))
 
 
 def _pair_marginal(system, state, p, q):
@@ -446,12 +468,36 @@ def _pair_marginal(system, state, p, q):
 
     state is a thermal state, a vector, or a dim x k block of orthonormal
     vectors, whose marginal is the average over its columns.  One partial
-    trace; no operator of the whole chain is formed.
+    trace; no operator of the whole chain is formed.  A thermal state's is
+    gathered from its blocks: the basis states whose digits agree off sites
+    p and q form a group, and rho between two states of a group, when both
+    lie in one block, adds into R at their digits (a, b) and (c, e).
     """
     d, n = system.d, system.n
-    shape = (d ** p, d, d ** (q - p - 1), d, d ** (n - q - 1))
     if isinstance(state, ThermalState):
-        return np.einsum("xaybzxcyez->abce", state.rho.reshape(shape + shape))
+        sizes = np.array([idx.size for idx, _ in state.blocks])
+        u = np.concatenate([idx for idx, _ in state.blocks])
+        c = np.repeat(np.arange(sizes.size), sizes)
+        block = np.full(system.dim, -1)  # each state's block
+        block[u] = c
+        row = np.empty(system.dim, dtype=np.intp)  # and its row there
+        row[u] = np.arange(u.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # every state of a block against each state of its group, in the
+        # order of their digits (a, b) at p and q, kept if in that block
+        hi, lo = d ** (n - 1 - p), d ** (n - 1 - q)
+        offset = (np.arange(d)[:, None] * hi + np.arange(d) * lo).ravel()
+        slot = u // hi % d * d + u // lo % d
+        v = (u - offset[slot])[:, None] + offset
+        pair = block[v] == c[:, None]
+        at = ((row[u] * sizes[c])[:, None] + row[v])[pair]
+        cut = np.r_[0, np.cumsum(pair.sum(axis=1))][np.cumsum(sizes)[:-1]]
+        value = np.concatenate([rho.reshape(-1)[a] for (_, rho), a in
+                                zip(state.blocks, np.split(at, cut))])
+        where = (slot[:, None] * d * d + np.arange(d * d))[pair]
+        R = (np.bincount(where, value.real, d ** 4)
+             + 1j * np.bincount(where, value.imag, d ** 4))
+        return R.reshape(d, d, d, d)
+    shape = (d ** p, d, d ** (q - p - 1), d, d ** (n - q - 1))
     psi = np.asarray(state).reshape(shape + (-1,))
     return np.einsum("xaybzj,xcyezj->abce", psi, psi.conj(),
                      optimize=True) / psi.shape[-1]
@@ -483,42 +529,80 @@ def correlation_profile(system, state, r_max):
 def rp_gram_check(system, state, twist, tol=1e-9):
     """Reflection-positivity Gram check about the central bond.
 
-    state may be a ThermalState, an inverse temperature (any real number
-    but a bool; a Gibbs state is built), or a pure-state vector of
-    system.dim amplitudes.  Its density matrix, transposed, is the
-    window tensor W[I, J] = omega(|e_I><e_J|) of the whole chain; the Gram
-    matrix over the matrix units of the right half pairs each against its
-    twisted mirror image on the left half.  G is exactly zero between the
-    connected components of its nonzero pattern, so the verdict of
-    check_reflection_positive is taken on its diagonal blocks there, each
-    hermitized on its own.  rho vanishes outside H's blocks and the spin
-    twist is a signed permutation, so the Gram of a chain without a
-    transverse field splits by its conserved quantum numbers.
+    state is a ThermalState or a pure-state vector of system.dim
+    amplitudes, which enters as the one block on its support.  Its density
+    matrix, transposed, is the window tensor of the whole chain, and the
+    Gram matrix over the matrix units (x, y) of the right half pairs each
+    against its twisted mirror image (a, b) on the left half:
+    G[(a, b), (x, y)] = sum_ij conj(Rr[i, a]) Rr[j, b] rho[(j, y), (i, x)],
+    with Rr the site reversal of the half chain followed by the per-site
+    twist.  The twist must be monomial, one nonzero per column as the spin
+    twist is, so that Rr[pi(c), c] = sigma_c and each nonzero of a block
+    of rho is one entry conj(sigma_a) sigma_b rho[(pi b, y), (pi a, x)] of
+    G.  G is exactly zero between the connected components of its nonzero
+    pattern, so the verdict of check_reflection_positive is taken on its
+    diagonal blocks there, each hermitized on its own; no dense rho or G is
+    formed.
     """
+    _require_tol(tol)
     if system.n % 2 != 0:
         raise ValueError("reflection about the central bond needs an even chain")
-    if not isinstance(state, ThermalState):
-        state = np.asarray(state)
-        if state.dtype == bool or np.iscomplexobj(state) and state.ndim == 0:
-            raise TypeError("state must be a ThermalState, a real inverse "
-                            f"temperature or a vector, got {state!r}")
-        if state.ndim == 0:
-            state = gibbs(system, float(state))
-        elif state.size != system.dim:
+    if isinstance(state, ThermalState):
+        blocks = state.blocks
+    else:
+        psi = np.asarray(state)
+        if psi.size != system.dim:
             raise ValueError(
                 f"a pure state needs system.dim = {system.dim} amplitudes, "
-                f"got an array of shape {state.shape}")
-    r0 = _as_twist_matrix(twist, system.d)
-    if isinstance(state, ThermalState):
-        rho = state.rho
-    else:
-        psi = state.astype(complex).reshape(-1)
-        rho = np.outer(psi, psi.conj())
-    m = system.n // 2
-    D = system.d ** m
-    Rr = _reflect_twist_matrix(r0, m)
-    G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, rho.T.reshape(D, D, D, D),
-                  optimize=True).reshape(D * D, D * D)
-    pattern = np.divmod(np.flatnonzero(G != 0), D * D)
-    blocks = [G[np.ix_(idx, idx)] for idx in _components(*pattern, D * D)]
-    return _rp_gram_verdict(blocks, m, tol, zero_mode=False)
+                f"got an array of shape {psi.shape}")
+        psi = psi.astype(complex).reshape(-1)
+        on = np.flatnonzero(psi)
+        _require_block(on.size, complex, "pure-state block")
+        blocks = ((on, np.outer(psi[on], psi[on].conj())),)
+    d, m = system.d, system.n // 2
+    r0 = _as_twist_matrix(twist, d)
+    nonzero = r0 != 0
+    if not (nonzero.sum(axis=1) == 1).all():
+        raise ValueError("the chain RP Gram needs a monomial twist, one "
+                         "nonzero entry per row and column")
+    D = d ** m
+    # Rr[w, mirror[w]] = sign[w] for a left half w: the digits of mirror[w]
+    # are those of w reversed, each sent back through r0
+    col0 = nonzero.argmax(axis=1)
+    digits = np.arange(D) // d ** np.arange(m - 1, -1, -1)[:, None] % d
+    mirror = d ** np.arange(m) @ col0[digits]
+    sign = r0[digits, col0[digits]].prod(axis=0)
+    sign = sign if sign.imag.any() else sign.real  # a real G for a real rho
+
+    def place(idx, rho):
+        """The nonzeros (i, j) of a block and their rows and columns in G."""
+        left, right = idx // D, idx % D
+        i, j = np.nonzero(rho)
+        return (i, j, mirror[left[j]] * D + mirror[left[i]],
+                right[j] * D + right[i])
+
+    # G's components, merged from those of each block's entries so that no
+    # edge list outgrows one block's: a block's partition enters as edges
+    # from every (a, b) to the smallest member of its part
+    labels = [_labels(*place(idx, rho)[2:], D * D) for idx, rho in blocks]
+    comps = _components(np.tile(np.arange(D * D), len(labels)),
+                        np.concatenate(labels), D * D)
+    dtype = np.result_type(sign, *{rho.dtype for _, rho in blocks})
+    sizes = np.array([nodes.size for nodes in comps])
+    for size in sizes:
+        _require_block(size, dtype, "Gram block")
+    comp = np.empty(D * D, dtype=np.intp)    # the component of each (a, b)
+    within = np.empty(D * D, dtype=np.intp)  # and its row there
+    for c, nodes in enumerate(comps):
+        comp[nodes] = c
+        within[nodes] = np.arange(nodes.size)
+    end = np.cumsum(sizes ** 2)
+    flat = np.zeros(end[-1], dtype=dtype)  # the blocks of G, one after another
+    for idx, rho in blocks:
+        i, j, row, col = place(idx, rho)
+        s = sign[idx // D]
+        c = comp[row]
+        at = end[c] - sizes[c] ** 2 + within[row] * sizes[c] + within[col]
+        flat[at] = s[i] * rho[i, j] * s[j].conj()
+    grams = [flat[e - s * s:e].reshape(s, s) for s, e in zip(sizes, end)]
+    return _rp_gram_verdict(grams, m, tol, zero_mode=False)

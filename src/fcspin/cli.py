@@ -173,11 +173,9 @@ def cmd_spectrum(args):
 
 def cmd_ed(args):
     system = build_chain(args.d, args.n, args.J, not args.open, args.model)
-    # the Gibbs state comes first: above its dense cap it refuses before
-    # ground diagonalizes the chain
+    rep = ground(system)
     if args.beta is not None or args.rp:
         thermal = gibbs(system, args.beta if args.beta is not None else 1.0)
-    rep = ground(system)
     r_max = args.r_max if args.r_max is not None else min(3, args.n - 1)
     # without --beta, the average over the ground space
     state = thermal if args.beta is not None else rep.vectors

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _require_tol
 
 __all__ = [
     "KrausFamily",
@@ -173,6 +173,7 @@ def fixed_point(kraus, tol=1e-9):
     Ergodicity is read from transfer.gap(...).fixed_multiplicity.  Raises
     ValueError if the resulting rho is not faithful.
     """
+    _require_tol(tol)
     rep = validate(kraus, tol)
     if not rep.passed:
         raise ValueError(f"Kraus family is not unital, defect {rep.defect:g}")

@@ -23,7 +23,7 @@ import re
 
 import numpy as np
 
-from .errors import KrausFileError
+from .errors import KrausFileError, _require_tol
 from .fcs import FcsState, KrausFamily, fixed_point, validate
 
 __all__ = ["read_kraus", "write_kraus", "load_state", "dump_state"]
@@ -157,6 +157,7 @@ def load_state(text, tol=1e-9):
     fixed_point applies to its own rho; otherwise the fixed point is
     computed.
     """
+    _require_tol(tol)
     name, kraus, rho = read_kraus(text)
     rep = validate(kraus, tol)
     if not rep.passed:

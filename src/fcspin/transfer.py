@@ -107,6 +107,7 @@ def gap(t, tol=1e-9):
     T once the one eigenvalue nearest 1, that of the cyclic vector, is
     removed.  For a degenerate fixed space delta is reported as 1 (no gap).
     """
+    _require_tol(tol)
     w = np.linalg.eigvals(t.matrix)
     fixed_mult = int(np.sum(np.abs(w - 1.0) <= tol))
     wc = np.delete(w, np.argmin(np.abs(w - 1.0)))

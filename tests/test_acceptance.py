@@ -31,7 +31,7 @@ from fcspin import (
     theorem_audit,
     two_point,
 )
-from fcspin.chains import build_chain, correlation_profile, ground, rp_gram_check
+from fcspin.chains import build_chain, correlation_profile, gibbs, ground, rp_gram_check
 from fcspin.fcs import (
     LocalObservable,
     evaluate_local,
@@ -201,7 +201,7 @@ def test_criterion_6_ed_cross_check():
         tw = build_twist(build_spin_rep(d))
         chain = build_chain(d, 4)
         for beta in (0.5, 1.0, 2.0):
-            v = rp_gram_check(chain, beta, tw, tol=1e-9)
+            v = rp_gram_check(chain, gibbs(chain, beta), tw, tol=1e-9)
             min_eigs.append(v.details["min_eig"])
             rp_ok = rp_ok and v.passed and v.details["min_eig"] >= -1e-9
     checks["rp"] = rp_ok

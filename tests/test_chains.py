@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from fcspin import build_spin_rep, build_twist, chains
 from fcspin.chains import (
     MAX_BLOCK_BYTES,
-    MAX_DENSE_DIM,
+    MAX_CHAIN_DIM,
     CooMatrix,
     ThermalState,
     _orbit_blocks,
@@ -95,6 +95,40 @@ def _spectrum(system):
     return np.sort(np.concatenate([
         w for _, bl in system.blocks for b in bl
         for w in [np.linalg.eigvalsh(b.dense())] * (1 + b.pair)]))
+
+
+def _dense_rho(system, state):
+    """The density matrix of a thermal state, a vector or a block of
+    orthonormal vectors, formed densely."""
+    if isinstance(state, ThermalState):
+        rho = np.zeros((system.dim, system.dim), dtype=complex)
+        for idx, block in state.blocks:
+            rho[np.ix_(idx, idx)] = block
+        return rho
+    psi = np.asarray(state).reshape(system.dim, -1)
+    return psi @ psi.conj().T / psi.shape[1]
+
+
+def _random_block_state(dim, rng, parts=3):
+    """A random density matrix, zero off a random split of the basis into
+    parts blocks.  No symmetry relates it to its transpose."""
+    label = rng.integers(parts, size=dim)
+    blocks = []
+    for c in range(parts):
+        idx = np.flatnonzero(label == c)
+        z = rng.normal(size=(idx.size,) * 2) + 1j * rng.normal(size=(idx.size,) * 2)
+        blocks.append((idx, z @ z.conj().T))
+    total = sum(np.trace(rho).real for _, rho in blocks)
+    return ThermalState(beta=0.0, blocks=tuple((idx, rho / total)
+                                               for idx, rho in blocks))
+
+
+def _dense_pair_marginal(system, rho, p, q):
+    """The reduced density matrix of sites p < q as one partial trace of a
+    dense rho: the reference for the marginal gathered from blocks."""
+    d, n = system.d, system.n
+    shape = (d ** p, d, d ** (q - p - 1), d, d ** (n - q - 1))
+    return np.einsum("xaybzxcyez->abce", rho.reshape(shape + shape))
 
 
 def two_site_expectation(system, state, A, B, p, q):
@@ -195,15 +229,15 @@ def test_model_validation():
 
 def test_gibbs_limits():
     system = build_chain(2, 4)
-    hot = gibbs(system, 0.0)
-    assert np.abs(hot.rho - np.eye(16) / 16).max() < 1e-12
+    hot = _dense_rho(system, gibbs(system, 0.0))
+    assert np.abs(hot - np.eye(16) / 16).max() < 1e-12
     g = ground(system)
-    cold = gibbs(system, 50.0)
+    cold = _dense_rho(system, gibbs(system, 50.0))
     proj = g.vectors @ g.vectors.conj().T / g.degeneracy
-    assert np.abs(cold.rho - proj).max() < 1e-6
+    assert np.abs(cold - proj).max() < 1e-6
     # energy nonincreasing in beta
     H = system.H.toarray()
-    energies = [float(np.trace(gibbs(system, b).rho @ H).real)
+    energies = [float(np.trace(_dense_rho(system, gibbs(system, b)) @ H).real)
                 for b in (0.1, 0.5, 1.0, 2.0, 5.0)]
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
@@ -217,10 +251,10 @@ def test_gibbs_rejects_non_finite_or_negative_beta(beta):
 
 def test_gibbs_one_site_marginal_translation_invariant():
     system = build_chain(2, 4)
-    state = gibbs(system, 1.3)
+    rho = _dense_rho(system, gibbs(system, 1.3))
     rep = build_spin_rep(2)
     vals = [
-        complex(np.trace(state.rho @ _site_op({p: rep.Sz}, 2, 4).toarray()))
+        complex(np.trace(rho @ _site_op({p: rep.Sz}, 2, 4).toarray()))
         for p in range(4)
     ]
     assert max(abs(v - vals[0]) for v in vals) < 1e-12
@@ -280,7 +314,7 @@ def test_gap_scan():
 def test_rp_gram_xxx(d, beta):
     system = build_chain(d, 4)
     tw = build_twist(build_spin_rep(d))
-    v = rp_gram_check(system, beta, tw)
+    v = rp_gram_check(system, gibbs(system, beta), tw)
     assert v.passed
     assert v.details["min_eig"] >= -1e-9
 
@@ -295,17 +329,19 @@ def test_rp_gram_ground_vector():
 @pytest.mark.parametrize("beta", [1, 1.0, np.int64(1), np.float32(1.0),
                                   np.array(1.0)])
 def test_rp_gram_takes_any_real_number_as_beta(beta):
+    # through the Gibbs state, which reads any real number as beta
     system = build_chain(2, 4)
     tw = build_twist(build_spin_rep(2))
     want = rp_gram_check(system, gibbs(system, 1.0), tw)
-    got = rp_gram_check(system, beta, tw)
+    got = rp_gram_check(system, gibbs(system, beta), tw)
     assert got.passed and got.details == want.details
 
 
 @pytest.mark.parametrize("state", [True, np.bool_(False), 1 + 0j])
 def test_rp_gram_rejects_a_bool_or_complex_beta(state):
+    # no number is read as an inverse temperature: it is a one-entry vector
     system = build_chain(2, 4)
-    with pytest.raises(TypeError, match="real inverse temperature"):
+    with pytest.raises(ValueError, match="system.dim = 16"):
         rp_gram_check(system, state, build_twist(build_spin_rep(2)))
 
 
@@ -319,7 +355,7 @@ def test_rp_gram_rejects_a_vector_of_the_wrong_length(size):
 def test_rp_gram_field_control_fails():
     tw = build_twist(build_spin_rep(2))
     system = build_chain(2, 4, field=(0.0, 0.0, 1.5))
-    v = rp_gram_check(system, 1.0, tw)
+    v = rp_gram_check(system, gibbs(system, 1.0), tw)
     assert not v.passed
     assert v.details["min_eig"] < -1e-3
 
@@ -328,7 +364,7 @@ def test_rp_gram_needs_even_chain():
     system = build_chain(2, 5)
     tw = build_twist(build_spin_rep(2))
     with pytest.raises(ValueError):
-        rp_gram_check(system, 1.0, tw)
+        rp_gram_check(system, gibbs(system, 1.0), tw)
 
 
 def _rp_reference(system, rho, r0):
@@ -344,35 +380,57 @@ def _rp_reference(system, rho, r0):
     return float(np.linalg.eigvalsh((G + G.conj().T) / 2).min()), herm_defect
 
 
+def _monomial_involution(d, rng):
+    """A random unitary involution with one nonzero per column and conj(r0)
+    != +-r0: two random sites swapped with the phases e^(+-i phi), every
+    other site fixed with a random sign."""
+    r0 = np.diag(rng.choice([1.0, -1.0], size=d)).astype(complex)
+    a, b = rng.choice(d, size=2, replace=False)
+    phase = np.exp(1j * rng.uniform(0.1, np.pi / 2 - 0.1))
+    r0[a, a] = r0[b, b] = 0
+    r0[a, b], r0[b, a] = phase, phase.conj()
+    return r0
+
+
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("kind", ["thermal", "open", "pure", "field"])
+@pytest.mark.parametrize("kind", ["thermal", "open", "pure", "field", "random"])
 @pytest.mark.parametrize("generic", [False, True])
 def test_rp_gram_matches_density_matrix_contraction(d, kind, generic):
     # the transverse field makes rho complex; at d = 2 the half-chain m = 3
-    # is odd, so the reflected spin twist is complex as well
+    # is odd, so the reflected spin twist is complex as well.  The chains'
+    # states give the same Gram spectrum from rho and from its transpose;
+    # a random state in blocks does not under the generic twist, so only
+    # those cases catch a Gram gathered from rho.T
     field = (0.3, 0.5, 1.5) if kind == "field" else None
     n = 6 if d == 2 else 4
     system = build_chain(d, n, periodic=kind != "open", field=field)
     if kind == "pure":
         state = ground(system).vectors[:, 0]
-        rho = np.outer(state, state.conj())
+    elif kind == "random":
+        state = _random_block_state(system.dim, np.random.default_rng(8))
     else:
         state = gibbs(system, 1.3)
-        rho = state.rho
     r0 = build_twist(build_spin_rep(d)).r0
     if generic:
-        # a unitary involution with conj(r0) != +-r0: with a field, the Gram
-        # forms of rho and of its transpose then differ in herm_defect
-        rng = np.random.default_rng(1)
-        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        r0 = u @ np.diag([1.0] + [-1.0] * (d - 1)) @ u.conj().T
-    min_eig, herm_defect = _rp_reference(system, rho, r0)
+        r0 = _monomial_involution(d, np.random.default_rng(1))
+    min_eig, herm_defect = _rp_reference(system, _dense_rho(system, state), r0)
     v = rp_gram_check(system, state, r0)
     assert abs(v.details["min_eig"] - min_eig) <= 1e-13
     assert abs(v.details["herm_defect"] - herm_defect) <= 1e-13
     assert v.passed == (max(0.0, -min_eig) <= 1e-9 and herm_defect <= 1e-7)
     if not generic:
-        assert v.passed == (kind != "field")
+        assert v.passed == (kind in ("thermal", "open", "pure"))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rp_gram_refuses_a_twist_that_is_not_monomial(d):
+    # a unitary involution that mixes every site state
+    rng = np.random.default_rng(1)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    r0 = u @ np.diag([1.0] + [-1.0] * (d - 1)) @ u.conj().T
+    system = build_chain(d, 4)
+    with pytest.raises(ValueError, match="monomial"):
+        rp_gram_check(system, gibbs(system, 1.0), r0)
 
 
 @pytest.mark.parametrize("d, n, beta, field", [
@@ -381,10 +439,11 @@ def test_rp_gram_matches_density_matrix_contraction(d, kind, generic):
 def test_thermal_profile_matches_dense_trace(d, n, beta, field):
     system = build_chain(d, n, field=field)
     state = gibbs(system, beta)
+    rho = _dense_rho(system, state)
     rep = build_spin_rep(d)
 
     def dense(ops):
-        return complex(np.trace(state.rho @ _site_op(ops, d, n).toarray()))
+        return complex(np.trace(rho @ _site_op(ops, d, n).toarray()))
 
     for row in correlation_profile(system, state, n - 1):
         r = row.r
@@ -401,11 +460,7 @@ def test_thermal_profile_matches_dense_trace(d, n, beta, field):
 
 def _dense_expectation(system, state, ops):
     """tr(rho O) with the chain operator O built and rho formed densely."""
-    if isinstance(state, ThermalState):
-        rho = state.rho
-    else:
-        psi = np.asarray(state).reshape(system.dim, -1)
-        rho = psi @ psi.conj().T / psi.shape[1]
+    rho = _dense_rho(system, state)
     return complex(np.trace(rho @ _site_op(ops, system.d, system.n).toarray()))
 
 
@@ -426,7 +481,8 @@ def test_two_site_expectation_either_order(kind):
     if kind == "thermal":
         rng = np.random.default_rng(8)
         z = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        state = ThermalState(beta=0.0, rho=z @ z.conj().T / np.trace(z @ z.conj().T))
+        rho = z @ z.conj().T / np.trace(z @ z.conj().T)
+        state = ThermalState(beta=0.0, blocks=((np.arange(32), rho),))
     else:
         g = ground(system)
         assert g.degeneracy == 4
@@ -440,10 +496,21 @@ def test_two_site_expectation_either_order(kind):
 
 def test_correlation_profile_builds_no_chain_operator():
     # a dense operator of the whole chain takes 16 dim^2 bytes, 16 MiB at
-    # d = 2, n = 10; what the profile allocates must stay under a sixteenth
+    # d = 2, n = 10; the thermal path, from the Gibbs state through the RP
+    # Gram, must allocate less than one, and the profile under a sixteenth
     system = build_chain(2, 10)
     g = ground(system)
-    states = (gibbs(system, 0.8), g.vectors, g.vectors[:, 0])
+    tw = build_twist(build_spin_rep(2))
+    tracemalloc.start()
+    try:
+        thermal = gibbs(system, 0.8)
+        correlation_profile(system, thermal, 9)
+        assert rp_gram_check(system, thermal, tw).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * system.dim ** 2
+    states = (thermal, g.vectors, g.vectors[:, 0])
     Sz = build_spin_rep(2).Sz
     for state in states:
         tracemalloc.start()
@@ -456,8 +523,8 @@ def test_correlation_profile_builds_no_chain_operator():
         assert peak < system.dim ** 2
 
 
-def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
-    # d = 3, n = 6: the 729 x 729 Gram splits into 13 blocks of <= 141 rows
+def _gram_block_sizes(monkeypatch):
+    """The sizes of the matrices passed to eigvalsh from now on."""
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -466,10 +533,46 @@ def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    v = rp_gram_check(build_chain(3, 6), 0.9, build_twist(build_spin_rep(3)))
+    return sizes
+
+
+def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
+    # d = 3, n = 6: the 729 x 729 Gram splits into 13 blocks of <= 141 rows
+    system = build_chain(3, 6)
+    state = gibbs(system, 0.9)
+    sizes = _gram_block_sizes(monkeypatch)
+    v = rp_gram_check(system, state, build_twist(build_spin_rep(3)))
     assert v.passed
     assert sum(sizes) == 729
     assert len(sizes) == 13 and max(sizes) == 141
+
+
+def test_thermal_path_answers_on_the_largest_chain(monkeypatch):
+    # d = 3, n = 8 has 6561 states, more than a dense Gibbs state allowed
+    system = build_chain(3, 8)
+    state = gibbs(system, 1.0)
+    assert abs(sum(np.trace(rho) for _, rho in state.blocks) - 1) <= 1e-12
+    # the Gibbs state is SU(2)-invariant, so <S0 . Sr> = 3 <Sz_0 Sz_r>
+    for row in correlation_profile(system, state, 7):
+        assert abs(row.total - 3 * row.zz) <= 1e-12
+    sizes = _gram_block_sizes(monkeypatch)
+    v = rp_gram_check(system, state, build_twist(build_spin_rep(3)))
+    assert v.passed
+    assert sum(sizes) == 6561 and max(sizes) == 1107
+
+
+def test_gibbs_block_cap_refuses_before_allocating():
+    # a ring in a transverse field is one component of all 6561 states,
+    # whose eigenvectors alone would take 689 MB
+    system = build_chain(3, 8, field=(0.1, 0.0, 0.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="Gibbs block of 6561"):
+            gibbs(system, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_BLOCK_BYTES / 8
 
 
 def _refuse_eigsh(monkeypatch):
@@ -485,7 +588,7 @@ def test_ground_above_the_gibbs_cap_is_exact(monkeypatch):
     import scipy.sparse.linalg
 
     system = build_chain(3, 8, model="aklt-parent")
-    assert system.dim > MAX_DENSE_DIM
+    assert system.dim == MAX_CHAIN_DIM
     v0 = np.random.default_rng(0).normal(size=system.dim)
     want = scipy.sparse.linalg.eigsh(_csr(system.H), k=6, which="SA", v0=v0)[0]
     _refuse_eigsh(monkeypatch)
@@ -572,7 +675,20 @@ def test_gibbs_matches_dense_build(case):
     w, V = np.linalg.eigh(system.H.toarray())
     z = np.exp(-1.3 * (w - w.min()))
     rho = (V * (z / z.sum())) @ V.conj().T
-    assert np.abs(gibbs(system, 1.3).rho - rho).max() <= 1e-12
+    assert np.abs(_dense_rho(system, gibbs(system, 1.3)) - rho).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ED_CASES)
+def test_block_marginals_match_the_dense_partial_trace(case):
+    system = build_chain(*case)
+    rng = np.random.default_rng(3)
+    for state in (gibbs(system, 1.3), _random_block_state(system.dim, rng)):
+        rho = _dense_rho(system, state)
+        for p in range(system.n):
+            for q in range(p + 1, system.n):
+                got = chains._pair_marginal(system, state, p, q)
+                want = _dense_pair_marginal(system, rho, p, q)
+                assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d, n, periodic, deg", [
@@ -802,7 +918,8 @@ def test_ground_correlations_basis_independent(case):
     rows = correlation_profile(system, g.vectors, r_max)
     rotated = correlation_profile(system, g.vectors @ u, r_max)
     # the ground-space average is the thermal expectation in P / deg
-    proj = ThermalState(beta=np.inf, rho=g.vectors @ g.vectors.conj().T / k)
+    proj = ThermalState(beta=np.inf, blocks=(
+        (np.arange(system.dim), g.vectors @ g.vectors.conj().T / k),))
     averaged = correlation_profile(system, proj, r_max)
     for a, b, c in zip(rows, rotated, averaged):
         assert abs(a.total - b.total) <= 1e-12 and abs(a.zz - b.zz) <= 1e-12

@@ -216,7 +216,7 @@ def test_ed_ferromagnet_multiplet_above_the_gibbs_cap(capsys):
 @pytest.mark.parametrize("argv, code", [
     (["ed", "--d", "2", "--n", "5", "--rp"], 2),          # odd chain
     (["ed", "--d", "2", "--n", "4", "--r-max", "7"], 2),  # r_max >= n
-    (["ed", "--d", "3", "--n", "8", "--beta", "1"], 4),   # Gibbs above dense cap
+    (["ed", "--d", "3", "--n", "12", "--beta", "1"], 4),  # chain above its cap
 ])
 def test_ed_error_prints_no_partial_report(argv, code, capsys):
     assert main(argv) == code
@@ -225,20 +225,13 @@ def test_ed_error_prints_no_partial_report(argv, code, capsys):
     assert captured.err != ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["ed", "--d", "3", "--n", "8", "--beta", "1"],
-    ["ed", "--d", "3", "--n", "8", "--rp"],
-])
-def test_ed_gibbs_refused_before_ground(argv, monkeypatch, capsys):
-    def refuse(system):
-        raise AssertionError("ground ran before the Gibbs refusal")
-
-    monkeypatch.setattr(chains, "ground", refuse)
-    monkeypatch.setattr(cli, "ground", refuse)
-    assert main(argv) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "refused" in captured.err
+def test_ed_thermal_rp_on_the_largest_chain(capsys):
+    # 6561 states: the Gibbs state and the RP Gram are held by blocks
+    assert main(["ed", "--d", "3", "--n", "8", "--beta", "1", "--rp"]) == 0
+    out = capsys.readouterr().out
+    fields = dict(line.split(" ", 1) for line in out.splitlines() if " " in line)
+    assert fields["degeneracy"] == "1"
+    assert fields["rp_status"] == "pass"
 
 
 def test_demo_aklt(capsys):

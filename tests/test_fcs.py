@@ -11,6 +11,8 @@ from fcspin import (
     KrausFamily,
     aklt_kraus,
     aklt_state,
+    build_spin_rep,
+    build_twist,
     covariant_state,
     direct_sum,
     gauge_transform,
@@ -18,6 +20,7 @@ from fcspin import (
     random_fcs_state,
     random_unital_kraus,
 )
+from fcspin.chains import build_chain, gibbs, rp_gram_check
 from fcspin.errors import ResourceLimitError
 from fcspin.fcs import (
     LocalObservable,
@@ -29,6 +32,7 @@ from fcspin.fcs import (
     validate,
     window_expectations,
 )
+from fcspin.krausfile import dump_state, load_state
 from fcspin.transfer import build_transfer, gap
 
 
@@ -215,3 +219,22 @@ def test_transfer_matrix_trace_preserving_dual():
     # unitality: identity is a fixed point of the forward map
     eye = np.eye(3).reshape(-1)
     assert np.abs(M @ eye - eye).max() < 1e-12
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_bad_tol_refused_at_every_entry_point(tol):
+    # an infinite tol passes every defect and a NaN one fails every
+    # comparison: gap counted 16 fixed eigenvalues at inf, and a NaN tol
+    # called a unital family not unital
+    st = random_fcs_state(3, 4, np.random.default_rng(0))
+    chain = build_chain(2, 4)
+    calls = [
+        lambda: gap(build_transfer(st), tol),
+        lambda: fixed_point(aklt_kraus(), tol),
+        lambda: load_state(dump_state(st), tol),
+        lambda: rp_gram_check(chain, gibbs(chain, 1.0),
+                              build_twist(build_spin_rep(2)), tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tolerance must be"):
+            call()
