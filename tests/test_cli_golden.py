@@ -33,6 +33,10 @@ COMMANDS = tuple(
     "ed --model xxx --d 2 --n 10",
     "ed --model aklt-parent --d 3 --n 8",
     "ed --d 3 --n 8 --J -1",
+    "ed --d 2 --n 5",
+    "ed --d 2 --n 7 --open",
+    "ed --d 3 --n 5 --J -1 --open",
+    "ed --d 2 --n 6 --open --beta 0.8 --rp",
 )
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
