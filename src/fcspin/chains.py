@@ -7,26 +7,31 @@ finite-volume reflection-positivity Gram check.  A basis state is a label
 x < d^n whose base-d digits are the site states, site 0 the most
 significant.  H is built from those labels in integer arithmetic and held
 as its nonzero entries.  Every chain is diagonalized the same way, densely,
-one block at a time: a block is a connected component of the orbit graph
-of H's nonzero pattern under translation, at one momentum.  An open chain
-has the trivial group, so its blocks are the components alone.  When every
-entry of H is real, the blocks at momenta q and L - q are complex
-conjugates, and only one of each such pair is diagonalized.  The layers
-after the diagonalization keep to the blocks the state already has: a
-Gibbs state is one dense block per component, correlations are read from
-two-site reduced density matrices summed block by block, and the RP Gram
-matrix is gathered entry by entry from those blocks (the twist is
-monomial) and decided one connected component of its pattern at a time.
-Neither a Gibbs state nor its Gram forms a dim x dim array of the whole
-chain, and MAX_BLOCK_BYTES caps every dense block.
+one block at a time, by three symmetries of H that permute the labels.
+Translation: a block lies in a connected component of the orbit graph of
+H's nonzero pattern under translation, at one momentum; an open chain has
+the trivial group, so its components are H's own.  Spin flip (every
+digit a -> d - 1 - a): of two components it exchanges, only one is built.
+Site reflection (the digits reversed), when H is real: it halves the
+blocks at momenta 0 and L/2 into even and odd parts, and makes the blocks
+at the other momenta real, so that every block of a real H is real and
+only one of each conjugate pair q, L - q is diagonalized.  A symmetry is
+used only when H's entries are invariant under it.  The layers after the
+diagonalization keep to the blocks the state already has: a Gibbs state
+is one dense block per component, correlations are read from two-site
+reduced density matrices summed block by block, and the RP Gram matrix is
+gathered entry by entry from those blocks (the twist is monomial) and
+decided one connected component of its pattern at a time.  Neither a
+Gibbs state nor its Gram forms a dim x dim array of the whole chain, and
+MAX_BLOCK_BYTES caps every dense block.
 
 The module uses numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -90,14 +95,16 @@ class SpinChainSystem:
 
     @cached_property
     def blocks(self):
-        """H split into its (component, momentum) blocks, built once and
+        """H split into its symmetry blocks by _orbit_blocks, built once and
         shared by ground and gibbs; an open chain has momentum 0 alone."""
         x = np.arange(self.dim)
         # translation rolls the digits by one place: x's leading digit,
         # the state of site 0, becomes the state of site n - 1
         shift = (x * self.d % self.dim + x // self.d ** (self.n - 1)
                  if self.periodic else x)
-        return _orbit_blocks(self.H, shift)
+        place = self.d ** np.arange(self.n)
+        reflect = x[:, None] // place[::-1] % self.d @ place
+        return _orbit_blocks(self.H, shift, reflect)
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,8 @@ def build_chain(d, n, J=1.0, periodic=True, model="xxx", field=None):
         if delta:
             down[:] = up.conj()
     col, k = np.divmod(np.flatnonzero((herm != 0).T), len(deltas))
-    H = CooMatrix(shape=(dim, dim), row=col + np.array(deltas)[k], col=col,
+    H = CooMatrix(shape=(dim, dim),
+                  row=col + np.array(deltas, dtype=np.intp)[k], col=col,
                   data=herm[k, col])
     return SpinChainSystem(d=d, n=n, J=float(J), periodic=bool(periodic),
                            model=model, H=H)
@@ -251,31 +259,44 @@ def _components(u, v, dim):
 
 @dataclass(frozen=True)
 class _Block:
-    """H on the momentum-q orbit states of one component, with the map back
-    onto the basis: |r, q> = sum over its orbit x = T^t r of
-    e^(-2 pi i q t / L) / sqrt(p_r) |x>.  H_q is kept as its entries and
-    made dense only while it is diagonalized, so a chain's blocks together
-    hold about as much as H.  A paired block also stands for its partner
-    at momentum L - q, whose H_(L-q) is conj(H_q) on the same orbits: the
-    partner's eigenvalues are its own and its eigenvectors, back on the
-    basis, are the conjugates of its own."""
-    size: int         # the number of orbit states |r, q>
-    entries: tuple    # (i, j, value) of H_q; values at a repeated (i, j) add
-    rows: np.ndarray  # the basis states they span, as rows of the component
-    pos: np.ndarray   # the orbit state each of those lies in
-    coef: np.ndarray  # and its amplitude there
+    """H on one symmetry sector of a component, with the map back onto the
+    basis.  The sector's basis vectors are combinations of at most two
+    orbit states |r, q> = sum over its orbit x = T^t r of
+    e^(-2 pi i q t / L) / sqrt(p_r) |x>, so each basis state has amplitudes
+    on at most two of them.  The block is kept as the entries of its lower
+    triangle and made dense only while it is diagonalized, so a chain's
+    blocks together hold about as much as H; the map back is worked out on
+    first use, since most blocks' vectors are never needed.  A paired
+    block also stands for its partner at momentum L - q, whose block is its
+    conjugate on the same orbits: the partner's eigenvalues are its own and
+    its eigenvectors, back on the basis, are the conjugates of its own."""
+    size: int         # the number of basis vectors of the sector
+    entries: tuple    # (i, j, value), i >= j, one per position
     pair: bool        # whether it also stands for its conjugate partner
+    # () -> (rows, pos, coef): the basis states the sector spans, as rows
+    # of the component, and rows x 2 arrays of the vectors each has
+    # amplitudes on and of those amplitudes (0 for a missing one)
+    spread: object = field(repr=False, compare=False)
+
+    @cached_property
+    def _basis(self):
+        return self.spread()
+
+    @property
+    def rows(self):
+        return self._basis[0]
 
     def dense(self):
         return _dense([self])[0]
 
     def expand(self, V):
-        """Columns V over the orbit states, as columns over `rows`."""
-        return self.coef[:, None] * V[self.pos]
+        """Columns V over the sector's vectors, as columns over `rows`."""
+        _, pos, coef = self._basis
+        return np.einsum("rk,rkj->rj", coef, V[pos])
 
 
-def _orbit_blocks(H, shift):
-    """H split exactly into blocks, one per component and momentum.
+def _orbit_blocks(H, shift, reflect):
+    """H split exactly into blocks by translation, spin flip and reflection.
 
     shift is the basis permutation x -> T x of a symmetry T of H: the
     translation of a periodic chain, the identity of an open one.  A
@@ -286,10 +307,31 @@ def _orbit_blocks(H, shift):
     L the order of T.  The orbit state |r, q> exists when q p_r = 0 mod L,
     and H_q[b, a] = sqrt(p_a / p_b) sum_{x in orbit b} H[x, a]
     e^(2 pi i q t_x / L).  When H is real, H_(L-q) = conj(H_q), so only
-    q <= L/2 is built, the blocks with 0 < q < L/2 paired, and the blocks
-    at q = 0 and q = L/2, whose phases are +-1, are real.  Returns a list of
-    (idx, blocks): the sorted basis states of each component and its
-    _Blocks.
+    q <= L/2 is built and the blocks with 0 < q < L/2 are paired.
+
+    Two more permutations are used when H's entries are invariant under
+    them, to 16 eps max|H|.  The spin flip F, x -> dim - 1 - x, maps each
+    component onto one with the same spectrum: of two components it
+    exchanges only the first is built, and it stands for the other too.
+    reflect is the site reflection P, the digits of x reversed, used when
+    H is real and P maps every component onto itself.  P T P = T^(-1), so
+    P |r, q> = e^(-2 pi i q s_r / L) |r', -q> with P r = T^(s_r) r'.  At
+    q = 0 and q = L/2 that is a signed permutation of the orbit states,
+    and the block splits into its even and odd halves, spanned by e_r and
+    by (e_r +- phi_r e_r') / sqrt 2.  At 0 < q < L/2, PK (K is complex
+    conjugation) acts on the orbit states as the symmetric monomial J with
+    J[r', r] = phi_r = e^(2 pi i q s_r / L), and the columns of the Takagi
+    factor W (W W^T = J): e^(i theta_r / 2) e_r where r' = r, else
+    (e_r + phi_r e_r') / sqrt 2 and i (e_r - phi_r e_r') / sqrt 2, are
+    fixed by PK, so W* H_q W is real.  Either way a sector vector u_a made
+    from the pair {r, r'} has <u_b | H | u_a> = m_r U[r, a] <u_b | H e_r>
+    (its real part, under PK), m_r the size of the pair, so only the
+    columns of the first member of each pair are read, and every block of
+    a real H is real.
+
+    Returns a list of (idx, blocks, flip): the sorted basis states of each
+    component built, its _Blocks (by q, then even before odd), and whether
+    it stands for its flip image.
     """
     dim = H.shape[0]
     powers = [np.arange(dim)]  # powers[t][x] = T^t x
@@ -307,56 +349,143 @@ def _orbit_blocks(H, shift):
     ent = np.flatnonzero(rep[H.col] == H.col)
     x, a = H.row[ent], H.col[ent]
     comps = _components(np.r_[rep[x], rep], np.r_[a, powers[0]], dim)
-    comp = np.empty(dim, dtype=np.intp)     # the component of each state
-    within = np.empty(dim, dtype=np.intp)   # and its row there
+    comp = np.empty(dim, dtype=np.intp)  # the component of each state
     for c, idx in enumerate(comps):
         comp[idx] = c
-        within[idx] = np.arange(idx.size)
-    by = np.argsort(comp[a], kind="stable")
-    x, a = x[by], a[by]
-    value = (H.data.real if real else H.data)[ent[by]] * np.sqrt(p[a] / p[x])
-    states = np.concatenate(comps)
+
+    def invariant(g):
+        # g maps T to T or T^(-1), so H[g y, g a] is the entry of a
+        # representative's column moved there by a power of T
+        moved = rep[g[a]] * dim + orbit[-t[g[a]] % L, g[x]]
+        order = np.argsort(moved)
+        return bool(np.array_equal(moved[order], a * dim + x) and (
+            x.size == 0 or np.abs(H.data[ent[order]] - H.data[ent]).max()
+            <= 16 * np.finfo(float).eps * np.abs(H.data).max()))
+
+    first = np.array([idx[0] for idx in comps])
+    own = np.arange(len(comps))
+    partner = comp[dim - 1 - first] if invariant(dim - 1 - powers[0]) else own
+    built = partner >= own
+    mirror = (real and invariant(reflect)
+              and np.array_equal(comp[reflect[first]], own))
+    states = np.concatenate([idx for idx, keep in zip(comps, built) if keep])
     R = states[rep[states] == states]  # the representatives, by component
-    out = [(idx, []) for idx in comps]
-    for q in range(L // 2 + 1 if real else L):
-        ok = q * p % L == 0  # whether the orbit of x has a state at q
-        pair = real and 0 < q and 2 * q != L
-        kept_R = R[ok[R]]
-        sizes = np.bincount(comp[kept_R], minlength=len(comps))
-        new = np.empty(dim, dtype=np.intp)  # the row of H_q of each orbit
-        new[kept_R] = (np.arange(kept_R.size)
-                       - np.repeat(np.cumsum(sizes) - sizes, sizes))
-        kept = ok[x] & ok[a]
-        phase = roots[q * t[x[kept]] % L]
-        i, j = new[rep[x[kept]]], new[a[kept]]
-        v = value[kept] * (phase.real if real and not pair else phase)
-        at = states[ok[states]]
-        pos = new[rep[at]]
-        coef = roots[-q * t[at] % L] / np.sqrt(p[at])
-        e_end = np.cumsum(np.bincount(comp[a[kept]], minlength=len(comps)))
-        s_end = np.cumsum(np.bincount(comp[at], minlength=len(comps)))
-        for c in np.flatnonzero(sizes):
-            e = slice(e_end[c - 1] if c else 0, e_end[c])
-            s = slice(s_end[c - 1] if c else 0, s_end[c])
-            out[c][1].append(_Block(
-                size=int(sizes[c]), entries=(i[e], j[e], v[e]),
-                rows=within[at[s]], pos=pos[s], coef=coef[s], pair=pair))
-    return out
+    slot = np.empty(dim, dtype=np.intp)  # the number of each representative
+    slot[R] = np.arange(R.size)
+    # the reflection partner r' of each representative and s_r; without
+    # the reflection every representative is its own partner, s_r = 0
+    img = slot[rep[reflect[R]]] if mirror else np.arange(R.size)
+    s = t[reflect[R]] if mirror else np.zeros(R.size, dtype=np.intp)
+    lead = np.arange(R.size) <= img            # the first of its pair
+    head = np.minimum(np.arange(R.size), img)  # and that first member
+    m = 1 + (img != np.arange(R.size))         # and the size of the pair
+    # the entries in the columns of first members, at every q at once
+    ent = ent[built[comp[a]]]
+    ent = ent[lead[slot[H.col[ent]]]]
+    x, a = H.row[ent], H.col[ent]
+    value = (H.data.real if real else H.data)[ent] * np.sqrt(p[a] / p[x])
+    qs = np.arange(L // 2 + 1 if real else L)
+    pair = real & (qs > 0) & (2 * qs != L)
+    split = mirror & ~pair  # even and odd halves, or one sector
+    ok = qs[:, None] * p[R] % L == 0  # whether |r, q> exists
+    phi = roots[qs[:, None] * s % L]
+    # u[q, r, k]: the amplitude of |r, q> on the k-th vector of its pair
+    c1 = np.where(pair, 1j, 1.0)[:, None]
+    u = np.stack([np.where(lead, 1.0, phi), np.where(lead, c1, -c1 * phi)],
+                 axis=2) / np.sqrt(2)
+    u[:, m == 1] = 0
+    u[:, m == 1, 0] = np.where(
+        pair[:, None], np.exp(1j * np.pi * (qs[:, None] * s[m == 1] % L) / L),
+        1.0)
+    # the vectors, numbered by sector (component, q, parity)
+    q0, h0 = np.nonzero(ok & lead)
+    q1, h1 = q0[m[h0] == 2], h0[m[h0] == 2]
+    key = ((comp[R[np.concatenate([h0, h1])]] * qs.size
+            + np.concatenate([q0, q1])) * 2
+           + np.concatenate([split[q0] & (m[h0] == 1) & (phi[q0, h0].real < 0),
+                             split[q1]]))
+    order = np.argsort(key, kind="stable")
+    rank = np.empty(order.size + 1, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    rank[-1] = order.size  # a missing vector, in no sector
+    vec = np.full((qs.size, R.size, 2), -1)
+    vec[q0, h0, 0] = np.arange(h0.size)
+    vec[q1, h1, 1] = np.arange(h0.size, order.size)
+    vec = rank[vec[:, head]]  # the second member shares the first's vectors
+    sizes = np.bincount(key, minlength=2 * qs.size * len(comps))
+    sector = np.append(key[order], -1)
+    number = np.append(np.arange(order.size)
+                       - np.repeat(np.cumsum(sizes) - sizes, sizes), 0)
+    # vectors a' to the end of the sector of a': b >= a' in that sector
+    room = np.append(np.repeat(np.cumsum(sizes), sizes)
+                     - np.arange(order.size), 0)
+    # the lower triangle of H'[b, a'] = sum conj(U[k, b]) H_q[k, r] m_r
+    # U[r, a'], r a first member; rows k of one pair share their vectors
+    q, e = np.nonzero(ok[:, slot[rep[x]]] & ok[:, slot[a]])
+    k, r = slot[rep[x[e]]], slot[a[e]]
+    bi, aj = vec[q, k], vec[q, r]
+    step = bi[:, :, None] - aj[:, None, :]
+    n, kb, ka = np.nonzero((step >= 0) & (step < room[aj][:, None, :]))
+    q, e, k, r = q[n], e[n], k[n], r[n]
+    bi, aj = bi[n, kb], aj[n, ka]
+    val = (u[q, k, kb].conj() * m[r] * u[q, r, ka] * value[e]
+           * roots[q * t[x[e]] % L])
+    complex_q = pair & (not mirror) | (not real)
+    if not complex_q.any():
+        val = val.real
+    flat = bi * order.size + aj
+    by = np.argsort(flat)
+    flat = flat[by]
+    fresh = np.ones(flat.size, dtype=bool)  # the first entry at a position
+    fresh[1:] = flat[1:] != flat[:-1]
+    start = np.flatnonzero(fresh)
+    total = np.add.reduceat(val[by], start) if start.size else val
+    bi, aj = np.divmod(flat[start], order.size)
+    e_end = np.searchsorted(sector[bi], np.arange(sizes.size), side="right")
+    # the states of each component built, a run of `states`
+    ends = np.cumsum([idx.size if keep else 0 for idx, keep in zip(comps, built)])
+    base = roots[-qs[:, None] * t[states] % L] / np.sqrt(p[states])
+    kk = slot[rep[states]]
+
+    def spread(c, q, sec):
+        """The block's rows and each row's vectors and amplitudes there: a
+        state has one vector of its pair in each sector, or both in one."""
+        run = slice(ends[c] - comps[c].size, ends[c])
+        k = kk[run]
+        at = vec[q, k]
+        take = ok[q, k, None] & (sector[at] == sec)
+        rows = np.flatnonzero(take.any(axis=1))
+        coef = base[q, run, None] * u[q, k] * take
+        return rows, np.where(take, number[at], 0)[rows], coef[rows]
+
+    out = [(idx, [], bool(partner[c] != c)) for c, idx in enumerate(comps)]
+    for sec in np.flatnonzero(sizes):
+        c, q = divmod(sec // 2, qs.size)
+        e = slice(e_end[sec - 1] if sec else 0, e_end[sec])
+        out[c][1].append(_Block(
+            size=int(sizes[sec]),
+            entries=(number[bi[e]], number[aj[e]],
+                     total[e] if complex_q[q] else total[e].real),
+            pair=bool(pair[q]), spread=partial(spread, c, q, sec)))
+    return [entry for entry, keep in zip(out, built) if keep]
 
 
 def _dense(blocks):
-    """The dense H_q of blocks of one size and type, stacked."""
+    """The dense blocks of one size and type, stacked."""
     first = blocks[0]
     out = np.zeros((len(blocks), first.size, first.size),
                    dtype=first.entries[2].dtype)
     for slot, b in zip(out, blocks):
-        np.add.at(slot, b.entries[:2], b.entries[2])
+        i, j, v = b.entries
+        slot[j, i] = v.conj()
+        slot[i, j] = v
     return out
 
 
-def _require_block(size, dtype, what):
-    """Refuse a dense size x size array of dtype above MAX_BLOCK_BYTES."""
-    nbytes = size ** 2 * np.dtype(dtype).itemsize
+def _require_block(size, dtype, what, cols=None):
+    """Refuse a dense size x cols array of dtype (square by default) above
+    MAX_BLOCK_BYTES."""
+    nbytes = size * (size if cols is None else cols) * np.dtype(dtype).itemsize
     if nbytes > MAX_BLOCK_BYTES:
         raise ResourceLimitError(
             f"a dense {what} of {size} rows needs {nbytes} bytes, "
@@ -393,53 +522,58 @@ def _solve(blocks, vectors):
 
 def ground(system):
     """Lowest eigenpair(s), exact, with the degeneracy counted in a relative
-    window.  Every block's spectrum is taken, a paired block's twice; only
-    the blocks that reach into the window are diagonalized with their
-    vectors, which are returned at full dimension."""
-    blocks = [(idx, b) for idx, bl in system.blocks for b in bl]
-    spectra = _solve([b for _, b in blocks], vectors=False)
-    w = np.sort(np.concatenate([wb for (_, b), wb in zip(blocks, spectra)
-                                for _ in range(1 + b.pair)]))
+    window.  Every block's spectrum is taken, a paired block's twice and a
+    flipped component's twice again; only the blocks that reach into the
+    window are diagonalized with their vectors, which are returned at full
+    dimension, a flipped component's also at the flipped rows."""
+    blocks = [(idx, b, flip) for idx, bl, flip in system.blocks for b in bl]
+    spectra = _solve([b for _, b, _ in blocks], vectors=False)
+    w = np.sort(np.concatenate([wb for (_, b, flip), wb in zip(blocks, spectra)
+                                for _ in range((1 + b.pair) * (1 + flip))]))
     e0 = float(w[0])
     window = GROUND_WINDOW * max(1.0, abs(e0))
     deg = int(np.sum(w - e0 <= window))
     above = w[w - e0 > window]
     gap_val = float(above[0] - e0) if above.size else float("nan")
-    low = [(idx, b, k) for (idx, b), wb in zip(blocks, spectra)
+    low = [(idx, b, flip, k) for (idx, b, flip), wb in zip(blocks, spectra)
            if (k := int(np.sum(wb - e0 <= window)))]
+    _require_block(system.dim, complex, "ground space", cols=deg)
     vectors = np.zeros((system.dim, deg), dtype=complex)
     j = 0
-    solved = _solve([b for _, b, _ in low], vectors=True)
-    for (idx, b, k), (_, V) in zip(low, solved):
+    solved = _solve([b for _, b, _, _ in low], vectors=True)
+    for (idx, b, flip, k), (_, V) in zip(low, solved):
         E = b.expand(V[:, :k])
-        for part in (E, E.conj()) if b.pair else (E,):
-            vectors[idx[b.rows], j:j + k] = part
-            j += k
+        rows = idx[b.rows]
+        for at in (rows, system.dim - 1 - rows) if flip else (rows,):
+            for part in (E, E.conj()) if b.pair else (E,):
+                vectors[at, j:j + k] = part
+                j += k
     return GroundReport(energy=e0, degeneracy=deg, vectors=vectors,
                         gap=gap_val)
 
 
 def gibbs(system, beta):
     """Thermal state exp(-beta H)/Z via the spectral decomposition, one
-    dense block per component of H.
+    dense block per component of H, a flipped component's image included.
 
     Each component's eigenvectors, every block's side by side on its rows,
     are checked against MAX_BLOCK_BYTES before anything is solved.
     """
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
-    for idx, _ in system.blocks:
+    for idx, _, _ in system.blocks:
         _require_block(idx.size, complex, "Gibbs block")
-    solved = iter(_solve([b for _, bl in system.blocks for b in bl],
+    solved = iter(_solve([b for _, bl, _ in system.blocks for b in bl],
                          vectors=True))
-    comps = [(idx, [(b, *next(solved)) for b in bl])
-             for idx, bl in system.blocks]
-    w_min = min(w.min() for _, parts in comps for _, w, _ in parts)
-    Z = sum((1 + b.pair) * np.exp(-beta * (w - w_min)).sum()  # shift guards
-            for _, parts in comps for b, w, _ in parts)  # against overflow
+    comps = [(idx, [(b, *next(solved)) for b in bl], flip)
+             for idx, bl, flip in system.blocks]
+    w_min = min(w.min() for _, parts, _ in comps for _, w, _ in parts)
+    Z = sum((1 + b.pair) * (1 + flip)  # the shift guards against overflow
+            * np.exp(-beta * (w - w_min)).sum()
+            for _, parts, flip in comps for b, w, _ in parts)
     real = not system.H.data.imag.any()
     blocks = []
-    for idx, parts in comps:
+    for idx, parts, flip in comps:
         # rho_c = X X* with X = U (z/Z)^(1/2) over the eigenvectors U of
         # every block.  A paired block and its partner, whose vectors are
         # the conjugates, add 2 Re(E e^(-beta w) E*), and the other blocks
@@ -456,9 +590,14 @@ def gibbs(system, beta):
         X = U * np.sqrt(z / Z)
         if real:
             X = np.hstack([X.real, X.imag])
-            blocks.append((idx, X @ X.T))
+            rho = X @ X.T
         else:
-            blocks.append((idx, X @ X.conj().T))
+            rho = X @ X.conj().T
+        blocks.append((idx, rho))
+        if flip:  # the flip reverses the order of the sorted states; the
+            # copies keep every block contiguous for the gathers after
+            blocks.append(((system.dim - 1 - idx)[::-1].copy(),
+                           rho[::-1, ::-1].copy()))
     return ThermalState(beta=float(beta), blocks=tuple(blocks))
 
 
@@ -581,10 +720,31 @@ def rp_gram_check(system, state, twist, tol=1e-9):
         return (i, j, mirror[left[j]] * D + mirror[left[i]],
                 right[j] * D + right[i])
 
-    # G's components, merged from those of each block's entries so that no
-    # edge list outgrows one block's: a block's partition enters as edges
-    # from every (a, b) to the smallest member of its part
-    labels = [_labels(*place(idx, rho)[2:], D * D) for idx, rho in blocks]
+    # G's components, merged from those of runs of blocks whose entries
+    # together are no more than the largest block's, so that no edge list
+    # outgrows one block's: a run's partition enters as edges from every
+    # (a, b) to the smallest member of its part.  A run of several blocks
+    # keeps their placements for the gather below; a block alone in its
+    # run, a large one, is placed again there rather than held meanwhile
+    counts = [np.count_nonzero(rho) for _, rho in blocks]
+    runs, count = [[]], 0
+    for b, entries in enumerate(counts):
+        if count + entries > max(counts):
+            runs.append([])
+            count = 0
+        runs[-1].append(b)
+        count += entries
+    placed = [None] * len(blocks)
+
+    def run_labels(run):
+        parts = [place(*blocks[b]) for b in run]
+        if len(run) > 1:
+            for b, part in zip(run, parts):
+                placed[b] = part
+        return _labels(np.concatenate([part[2] for part in parts]),
+                       np.concatenate([part[3] for part in parts]), D * D)
+
+    labels = [run_labels(run) for run in runs]
     comps = _components(np.tile(np.arange(D * D), len(labels)),
                         np.concatenate(labels), D * D)
     dtype = np.result_type(sign, *{rho.dtype for _, rho in blocks})
@@ -598,8 +758,8 @@ def rp_gram_check(system, state, twist, tol=1e-9):
         within[nodes] = np.arange(nodes.size)
     end = np.cumsum(sizes ** 2)
     flat = np.zeros(end[-1], dtype=dtype)  # the blocks of G, one after another
-    for idx, rho in blocks:
-        i, j, row, col = place(idx, rho)
+    for (idx, rho), part in zip(blocks, placed):
+        i, j, row, col = part if part is not None else place(idx, rho)
         s = sign[idx // D]
         c = comp[row]
         at = end[c] - sizes[c] ** 2 + within[row] * sizes[c] + within[col]

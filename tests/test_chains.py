@@ -9,12 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_
 
 from fcspin import build_spin_rep, build_twist, chains
 from fcspin.chains import (
     MAX_BLOCK_BYTES,
     MAX_CHAIN_DIM,
     CooMatrix,
+    SpinChainSystem,
     ThermalState,
     _orbit_blocks,
     _two_site_hamiltonian,
@@ -91,10 +94,11 @@ def _scipy_reference_chain(d, n, J, periodic, model, field):
 
 
 def _spectrum(system):
-    """Every eigenvalue of the chain from its blocks, a paired block's twice."""
+    """Every eigenvalue of the chain from its blocks, a paired block's twice
+    and a flipped component's twice again."""
     return np.sort(np.concatenate([
-        w for _, bl in system.blocks for b in bl
-        for w in [np.linalg.eigvalsh(b.dense())] * (1 + b.pair)]))
+        w for _, bl, flip in system.blocks for b in bl
+        for w in [np.linalg.eigvalsh(b.dense())] * ((1 + b.pair) * (1 + flip))]))
 
 
 def _dense_rho(system, state):
@@ -627,13 +631,16 @@ def test_block_eigh_matches_dense_spectrum(case):
     system = build_chain(*case)
     H = system.H.toarray()
     comps = system.blocks
-    idx_all = np.sort(np.concatenate([idx for idx, _ in comps]))
+    # a flipped component also stands for its image under x -> dim - 1 - x
+    idx_all = np.sort(np.concatenate(
+        [part for idx, _, flip in comps
+         for part in ((idx, system.dim - 1 - idx) if flip else (idx,))]))
     assert np.array_equal(idx_all, np.arange(system.dim))
     assert np.abs(_spectrum(system) - np.linalg.eigvalsh(H)).max() <= 1e-12
-    for idx, blocks in comps:
-        # the eigenvectors of every momentum, a paired block's conjugates
+    for idx, blocks, flip in comps:
+        # the eigenvectors of every sector, a paired block's conjugates
         # standing for its partner's, back on the basis, are an orthonormal
-        # eigenbasis of the component
+        # eigenbasis of the component, and flipped, of its image
         U = []
         for b in blocks:
             wb, Vb = np.linalg.eigh(b.dense())
@@ -641,17 +648,105 @@ def test_block_eigh_matches_dense_spectrum(case):
             E = b.expand(Vb)
             x[idx[b.rows]] = np.hstack([E, E.conj()]) if b.pair else E
             assert np.abs(H @ x - x * np.tile(wb, 1 + b.pair)).max() <= 1e-12
+            if flip:
+                y = x[::-1]
+                assert np.abs(H @ y - y * np.tile(wb, 1 + b.pair)).max() <= 1e-12
             U.append(x[idx])
         U = np.hstack(U)
         assert np.abs(U.conj().T @ U - np.eye(len(idx))).max() <= 1e-12
     assert (len(comps) == 1) == (case[5] is not None)
-    # an open chain has momentum 0 alone, a periodic one splits by momentum
-    assert (sum(len(blocks) for _, blocks in comps) > len(comps)) == case[3]
+    # an open chain has momentum 0 alone, split at most into its two
+    # reflection halves; a periodic one splits by momentum as well, from
+    # n = 3 on (on two sites the reflection is the translation)
+    assert ((max(len(blocks) for _, blocks, _ in comps) > 2)
+            == (case[3] and case[1] > 2))
     # only a chain with a real H pairs the momenta q and L - q, and a
     # periodic one does so from n = 3 on
-    paired = any(b.pair for _, bl in comps for b in bl)
+    paired = any(b.pair for _, bl, _ in comps for b in bl)
     real = case[5] is None or case[5][1] == 0
     assert paired == (real and case[3] and case[1] > 2)
+    # and every block of a real H is real
+    kinds = {b.entries[2].dtype.kind for _, bl, _ in comps for b in bl}
+    assert kinds == ({"f"} if real else {"c"})
+    # the spin flip pairs the Sz sectors m and -m unless a field mixes them
+    assert any(flip for _, _, flip in comps) == (case[5] is None)
+
+
+def _matches_dense(system, beta=0.9):
+    """The blocks' spectrum, ground and Gibbs states against one dense eigh
+    of H, to 1e-12."""
+    H = system.H.toarray()
+    w, V = np.linalg.eigh(H)
+    assert np.abs(_spectrum(system) - w).max() <= 1e-12
+    g = ground(system)
+    assert abs(g.energy - w[0]) <= 1e-12
+    assert g.degeneracy == np.sum(w - w[0] <= 1e-9 * max(1.0, abs(w[0])))
+    assert np.linalg.norm(H @ g.vectors - g.energy * g.vectors) <= 1e-12
+    assert np.abs(g.vectors.conj().T @ g.vectors
+                  - np.eye(g.degeneracy)).max() <= 1e-12
+    z = np.exp(-beta * (w - w[0]))
+    rho = (V * (z / z.sum())) @ V.conj().T
+    assert np.abs(_dense_rho(system, gibbs(system, beta)) - rho).max() <= 1e-12
+
+
+@st_.composite
+def _small_chains(draw):
+    """(d, n, J, periodic, model, field) with d^n <= 729: both boundaries,
+    both signs of J and J = 0, both models, and fields along x (real,
+    flip-symmetric), z (real, breaks the flip) and y (complex)."""
+    d = draw(st_.sampled_from([2, 3]))
+    n = draw(st_.integers(2, 9 if d == 2 else 6))
+    f = draw(st_.floats(0.05, 1.5))
+    return (d, n, draw(st_.sampled_from([1.0, -1.0, 0.0])), draw(st_.booleans()),
+            draw(st_.sampled_from(["xxx", "aklt-parent"] if d == 3 else ["xxx"])),
+            draw(st_.sampled_from([None, (f, 0.0, 0.0), (0.0, 0.0, f),
+                                   (0.0, f, 0.0)])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_small_chains())
+# at J = 0 the components are the orbits, and the reflection maps the
+# orbit of 0012 onto that of 0021: it is a symmetry of H but not of the
+# components, so it is not used
+@example(case=(3, 4, 0.0, True, "xxx", (0.0, 0.0, 0.3)))
+def test_symmetry_blocks_match_dense_eigh(case):
+    _matches_dense(build_chain(*case))
+
+
+@pytest.mark.parametrize("axis", [0, 2])
+def test_one_site_field_breaks_the_symmetries_and_still_matches(axis):
+    # a field on site 0 alone: along z it breaks the spin flip and the
+    # reflection, along x the reflection only, and neither is used
+    d, n = 3, 4
+    one = np.kron(build_spin_rep(d).generators()[axis], np.eye(d ** (n - 1)))
+    H = build_chain(d, n, periodic=False).H.toarray() + 0.4 * one
+    system = SpinChainSystem(d=d, n=n, J=1.0, periodic=False, model="xxx",
+                             H=_coo(H))
+    if axis == 2:
+        assert not any(flip for _, _, flip in system.blocks)
+    # without the reflection a component is one block at q = 0
+    assert all(len(bl) == 1 for _, bl, _ in system.blocks)
+    _matches_dense(system)
+
+
+@pytest.mark.parametrize("case", [
+    (3, 5, 1.0, True, "aklt-parent", None), (2, 8, 1.0, True, "xxx", None),
+    (3, 4, -1.0, False, "xxx", None), (2, 6, 1.0, True, "xxx", (0.4, 0.0, 0.3)),
+])
+def test_a_real_hamiltonian_is_solved_in_real_blocks(case, monkeypatch):
+    system = build_chain(*case)
+    kinds = []
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def spy(a, *args, solver=solver, **kwargs):
+            kinds.append(a.dtype.kind)
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    ground(system)
+    gibbs(system, 1.0)
+    assert kinds and set(kinds) == {"f"}
 
 
 @pytest.mark.parametrize("case", ED_CASES + [(2, 5, 1.0, True, "xxx", None)])
@@ -838,9 +933,10 @@ def test_build_chain_hermitizes_like_the_scipy_builder(monkeypatch):
 
 
 def test_dense_block_cap_refuses_before_allocating():
-    # an open chain in a transverse field is one block of all 6561 states,
-    # 344 MB even as a real matrix
-    system = build_chain(3, 8, periodic=False, field=(0.1, 0.0, 0.0))
+    # an open chain in a field along y is one complex block of all 6561
+    # states, 689 MB: the field mixes every Sz sector and breaks the spin
+    # flip, and a complex H has no reflection halves
+    system = build_chain(3, 8, periodic=False, field=(0.0, 0.1, 0.0))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="dense block of 6561"):
@@ -853,19 +949,21 @@ def test_dense_block_cap_refuses_before_allocating():
 
 @pytest.mark.parametrize("case", ED_CASES + _workload_chains() + GOLDEN_CHAINS)
 def test_no_oracle_chain_reaches_the_block_cap(case):
-    blocks = [b for _, bl in build_chain(*case).blocks for b in bl]
+    blocks = [b for _, bl, _ in build_chain(*case).blocks for b in bl]
     biggest = max(b.size ** 2 * b.entries[2].itemsize for b in blocks)
     assert biggest <= MAX_BLOCK_BYTES / 8
 
 
 def test_equal_blocks_share_one_eigensolve(monkeypatch):
-    # d = 2, n = 6 has 32 (component, momentum) blocks, of which the
-    # conjugate pairs leave 22, in 7 classes of (size, type)
+    # d = 2, n = 6 has 36 (component, momentum, reflection parity) blocks,
+    # of which the spin flip and the conjugate pairs leave 16, all real, in
+    # 3 classes of (size, type)
     system = build_chain(2, 6)
-    blocks = [b for _, bl in system.blocks for b in bl]
+    blocks = [b for _, bl, _ in system.blocks for b in bl]
     classes = {(b.size, b.entries[2].dtype) for b in blocks}
-    assert len(blocks) == 22 and len(classes) == 7
-    assert sum(1 + b.pair for b in blocks) == 32
+    assert len(blocks) == 16 and len(classes) == 3
+    assert sum((1 + b.pair) * (1 + flip)
+               for _, bl, flip in system.blocks for b in bl) == 36
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -886,8 +984,13 @@ def test_aklt_parent_has_no_fill_in():
     system = build_chain(3, 6, model="aklt-parent")
     H = system.H
     assert np.abs(H.data).min() >= 1e-12
-    assert len(_orbit_blocks(H, np.arange(system.dim))) == 13
-    assert len(system.blocks) == 13  # translation keeps Sz
+    # the components are the Sz sectors with or without translation and
+    # reflection, which keep Sz; the spin flip builds Sz = 0 and one of
+    # each pair +-m
+    no_symmetry = np.arange(system.dim)
+    for comps in (_orbit_blocks(H, no_symmetry, no_symmetry), system.blocks):
+        assert len(comps) == 7
+        assert sum(1 + flip for _, _, flip in comps) == 13
 
 
 def test_imaginary_coupling_is_one_block():
@@ -895,7 +998,7 @@ def test_imaginary_coupling_is_one_block():
     H = _coo(np.array([[0.0, 1j, 0.0], [-1j, 0.0, 2.0], [0.0, 2.0, 1.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        comps = _orbit_blocks(H, np.arange(3))
+        comps = _orbit_blocks(H, np.arange(3), np.arange(3))
     assert len(comps) == 1 and len(comps[0][1]) == 1
     w = np.linalg.eigvalsh(comps[0][1][0].dense())
     assert np.abs(w - np.linalg.eigvalsh(H.toarray())).max() <= 1e-12

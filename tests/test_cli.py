@@ -202,6 +202,24 @@ def test_ed_oversize(capsys):
     assert "refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, dim", [(["--d", "2", "--n", "4", "--J", "0"], 16),
+                                       (["--d", "1", "--n", "4"], 1)])
+def test_ed_zero_hamiltonian(argv, dim, capsys):
+    # no term has an entry: E0 = 0 on the whole space, and no gap
+    assert main(["ed"] + argv) == 0
+    out = capsys.readouterr().out
+    fields = dict(line.split(" ", 1) for line in out.splitlines() if " " in line)
+    assert float(fields["ground_energy"]) == 0.0
+    assert fields["degeneracy"] == str(dim) and fields["gap"] == "nan"
+
+
+def test_ed_ground_space_over_the_block_cap_is_refused(capsys):
+    # H = 0 on d = 3, n = 8: the ground space is all 6561 states, and its
+    # vectors alone would take 689 MB
+    assert main(["ed", "--d", "3", "--n", "8", "--J", "0"]) == 4
+    assert "ground space of 6561 rows" in capsys.readouterr().err
+
+
 def test_ed_ferromagnet_multiplet_above_the_gibbs_cap(capsys):
     # the ferromagnetic ground space is the 17-state spin-8 multiplet with
     # E0 = -n s^2, and the gap is the one-magnon energy 2 s |J| (1 - cos 2pi/n)
@@ -289,9 +307,9 @@ def test_ed_with_beta_diagonalizes_once(monkeypatch, capsys):
     calls = []
     original = chains._orbit_blocks
 
-    def counted(H, shift):
+    def counted(H, *symmetries):
         calls.append(H.shape)
-        return original(H, shift)
+        return original(H, *symmetries)
 
     monkeypatch.setattr(chains, "_orbit_blocks", counted)
     assert main(["ed", "--d", "3", "--n", "6", "--beta", "0.7", "--rp"]) == 0
