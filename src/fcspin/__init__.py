@@ -14,10 +14,8 @@ from .fcs import (
     KrausFamily,
     FcsState,
     ModularData,
-    LocalObservable,
     validate,
     fixed_point,
-    evaluate_local,
     modular_data,
 )
 from .transfer import (

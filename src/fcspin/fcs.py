@@ -23,13 +23,11 @@ __all__ = [
     "KrausFamily",
     "FcsState",
     "ModularData",
-    "LocalObservable",
     "ValidationReport",
     "validate",
     "fixed_point",
     "transfer_matrix",
     "window_expectations",
-    "evaluate_local",
     "modular_data",
     "max_window_entries",
     "MAX_WINDOW_LEN",
@@ -126,24 +124,6 @@ class ModularData:
         return self.delta_defect <= 1e-10
 
 
-@dataclass(frozen=True)
-class LocalObservable:
-    """An observable on the lattice window [a, b], as a d^(b-a+1) square matrix."""
-
-    support: tuple
-    tensor: np.ndarray
-
-    def __post_init__(self):
-        a, b = self.support
-        if b < a:
-            raise ValueError(f"empty support [{a}, {b}]")
-        object.__setattr__(self, "tensor", np.asarray(self.tensor, dtype=complex))
-
-    @property
-    def length(self):
-        return self.support[1] - self.support[0] + 1
-
-
 def validate(kraus, tol=1e-10):
     """Check the unitality defect ||sum_i v_i v_i* - I||_max."""
     acc = sum(v @ v.conj().T for v in kraus.v)
@@ -233,18 +213,6 @@ def window_expectations(state, m):
     Y = np.matmul(R[:, None], R.conj().transpose(0, 2, 1)[None])  # Y[I2, J2]
     W = np.tensordot(X, Y, axes=([2, 3], [3, 2]))  # W[I1, J1, I2, J2]
     return W.transpose(0, 2, 1, 3).reshape(d ** m, d ** m)
-
-
-def evaluate_local(state, obs):
-    """Translation-invariant expectation of a LocalObservable."""
-    m = obs.length
-    D = state.d ** m
-    if obs.tensor.shape != (D, D):
-        raise ValueError(
-            f"observable tensor has shape {obs.tensor.shape}, expected ({D}, {D})"
-        )
-    W = window_expectations(state, m)
-    return complex(np.sum(obs.tensor * W))
 
 
 def _rho_roots(rho):

@@ -7,6 +7,12 @@ reflection positivity with a twist, and rotation invariance.  Structural
 checks decide the algebraic consequences: triviality of the modular
 operator, self-adjointness of the transfer operator, the twisted-adjoint
 relation of the Kraus family, and existence of a covariance intertwiner.
+
+The windowed checks act on the d^l x d^l window tensor one site at a time:
+a one-site matrix (a rotation generator, the twist r0) is applied at each
+row and column site of its (d,)*2l view, and the site reversal is one
+transpose of that view, so no operator on the whole window is formed.  A
+negative window length is refused; length 0 is the vacuous pass.
 """
 
 from __future__ import annotations
@@ -106,6 +112,8 @@ def _as_twist_matrix(twist, d):
         r0 = np.asarray(twist, dtype=complex)
     if r0.shape != (d, d):
         raise ValueError(f"twist has shape {r0.shape}, expected ({d}, {d})")
+    if not np.isfinite(r0).all():
+        raise ValueError("twist has a non-finite entry")
     if np.abs(r0 @ r0 - np.eye(d)).max() > 1e-10:
         raise ValueError("twist does not square to the identity")
     if np.abs(r0 @ r0.conj().T - np.eye(d)).max() > 1e-10:
@@ -113,23 +121,16 @@ def _as_twist_matrix(twist, d):
     return r0
 
 
-def _site_reversal_perm(d, m):
-    """Permutation sending a base-d multi-index to its site reversal."""
-    idx = np.arange(d ** m).reshape((d,) * m)
-    return idx.transpose(tuple(reversed(range(m)))).reshape(-1)
+def _at_site(W, op, p):
+    """W with the d x d matrix op applied at axis p of its (d,)*n view:
+    W'[.., i, ..] = sum_x op[x, i] W[.., x, ..], one batched matmul."""
+    d = op.shape[0]
+    return np.matmul(op.T, W.reshape(d ** p, d, -1)).reshape(W.shape)
 
 
-def _kron_power(a, m):
-    out = np.ones((1, 1), dtype=complex)
-    for _ in range(m):
-        out = np.kron(out, a)
-    return out
-
-
-def _reflect_twist_matrix(r0, m):
-    """Matrix of site reversal followed by the per-site twist on C^(d^m)."""
-    d = r0.shape[0]
-    return _kron_power(r0, m)[:, _site_reversal_perm(d, m)]
+def _require_window(m):
+    if m < 0:
+        raise ValueError("window length must be >= 0")
 
 
 def _worst(details):
@@ -148,6 +149,7 @@ def _verdict(name, window, defect, tol, details):
 def check_real(state, m, tol=1e-9):
     """Transpose invariance in the fixed basis on windows of length <= m."""
     _require_tol(tol)
+    _require_window(m)
     details = {}
     for length in range(1, m + 1):
         W = window_expectations(state, length)
@@ -156,14 +158,26 @@ def check_real(state, m, tol=1e-9):
 
 
 def check_lattice_twist(state, twist, m, tol=1e-9):
-    """Invariance under site reversal about a bond with a per-site twist."""
+    """Invariance under site reversal about a bond with a per-site twist.
+
+    For each length l <= m the defect is |W' - W|_max, where W' applies
+    r0^T to every row site and r0^* to every column site of the window
+    tensor W, one site at a time, and then reverses the order of the row
+    sites and of the column sites, one transpose of the (d,)*2l view.
+    """
     _require_tol(tol)
-    r0 = _as_twist_matrix(twist, state.d)
+    _require_window(m)
+    d = state.d
+    r0 = _as_twist_matrix(twist, d)
     details = {}
     for length in range(1, m + 1):
         W = window_expectations(state, length)
-        RP = _reflect_twist_matrix(r0, length)
-        details[length] = float(np.abs(RP.T @ W @ RP.conj() - W).max())
+        T = W
+        for p in range(length):
+            T = _at_site(_at_site(T, r0, p), r0.conj(), length + p)
+        mirror = [*range(length - 1, -1, -1), *range(2 * length - 1, length - 1, -1)]
+        T = T.reshape((d,) * 2 * length).transpose(mirror).reshape(W.shape)
+        details[length] = float(np.abs(T - W).max())
     return _verdict("lattice-twist", m, _worst(details), tol, details)
 
 
@@ -199,22 +213,21 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
     each against the twisted mirror image (a, b) of one on the left half.
     It factors through bond space (Fannes-Nachtergaele-Werner) as G = A B,
     with A[(a, b), (p, q)] = (M_b* rho M_a)[p, q] and B[(p, q), (x, y)] =
-    (v_x v_y*)[q, p] over the length-m products v_x, where M_a = sum_x
-    conj(Rr[x, a]) v_x is the reversed product of the twisted family
-    vt_b = sum_i conj(r0[i, b]) v_i.  A is D^2 x k^2 with D = d^m, so the
-    hermitized G has rank <= 2 k^2.  With [A, B*] = Q R, both G and G* map
-    into the span of Q and vanish on its complement, so for C = Q* G Q =
-    R1 R2* the hermitized C has the nonzero spectrum of the hermitized G
-    and |C - C*|_F = |G - G*|_F; when D^2 > 2 k^2, 0 is also an eigenvalue.
+    (v_x v_y*)[q, p] over the length-m products v_x, where M_a =
+    vt_{a_m} .. vt_{a_1} is the reversed product of the twisted family
+    vt_b = sum_i conj(r0[i, b]) v_i; by (ab)^T = b^T a^T, M_a is the
+    transpose of the forward product vt_{a_1}^T .. vt_{a_m}^T.  A is
+    D^2 x k^2 with D = d^m, so the hermitized G has rank <= 2 k^2.  With
+    [A, B*] = Q R, both G and G* map into the span of Q and vanish on its
+    complement, so for C = Q* G Q = R1 R2* the hermitized C has the nonzero
+    spectrum of the hermitized G and |C - C*|_F = |G - G*|_F; when
+    D^2 > 2 k^2, 0 is also an eigenvalue.
     The length-2m window is never built, and the size cap bounds the
     D^2 k^2 entries of A.
     """
     _require_tol(tol)
+    _require_window(m)
     r0 = _as_twist_matrix(twist, state.d)
-    if m == 0:
-        return SymmetryVerdict(name="reflection-positive", window=0, defect=0.0,
-                               tol=tol, status="pass",
-                               details={"min_eig": 1.0, "herm_defect": 0.0})
     d, k = state.d, state.k
     D = d ** m
     if D * D * k * k > max_window_entries():
@@ -223,7 +236,7 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
             "the configured cap"
         )
     V = state.kraus.stacked()
-    M = _products(np.einsum("ib,ipq->bpq", r0.conj(), V), m)[_site_reversal_perm(d, m)]
+    M = _products(np.einsum("ib,iqp->bpq", r0.conj(), V), m).transpose(0, 2, 1)
     L = _products(V, m)
     A = np.matmul(M.conj().transpose(0, 2, 1)[None], (state.rho @ M)[:, None])
     A = A.reshape(D * D, k * k)
@@ -239,7 +252,9 @@ def check_su2(state, rep, m, *, tol=1e-8):
     """Rotation invariance of the windows of length <= m.
 
     For each length and axis a, the defect is |A_a^T W - W conj(A_a)|_max,
-    with A_a the sum of the one-site generators S_a over the window.  This is
+    with A_a the sum of the one-site generators S_a over the window: S_a^T
+    applied to each row site of W minus S_a^* applied to each column site,
+    one site at a time.  This is
     the Lie-algebra form of u(g)^T W conj(u(g)) = W for the product action
     u(g) = exp(i theta.S) on every site; SU(2) is connected, so a zero
     defect certifies invariance under every rotation, not only sampled ones.
@@ -247,6 +262,7 @@ def check_su2(state, rep, m, *, tol=1e-8):
     defect is absolute.
     """
     _require_tol(tol)
+    _require_window(m)
     if rep.d != state.d:
         raise ValueError(
             f"representation dimension {rep.d} != physical dimension {state.d}"
@@ -255,12 +271,9 @@ def check_su2(state, rep, m, *, tol=1e-8):
     for length in range(1, m + 1):
         W = window_expectations(state, length)
         for label, S in zip("xyz", rep.generators()):
-            A = sum(
-                np.kron(np.kron(np.eye(rep.d ** p), S),
-                        np.eye(rep.d ** (length - 1 - p)))
-                for p in range(length)
-            )
-            details[(length, label)] = float(np.abs(A.T @ W - W @ A.conj()).max())
+            C = sum(_at_site(W, S, p) - _at_site(W, S.conj(), length + p)
+                    for p in range(length))
+            details[(length, label)] = float(np.abs(C).max())
     return _verdict("su2-invariant", m, _worst(details), tol, details)
 
 

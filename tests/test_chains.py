@@ -28,7 +28,6 @@ from fcspin.chains import (
     rp_gram_check,
 )
 from fcspin.errors import ResourceLimitError
-from fcspin.symmetry import _reflect_twist_matrix
 
 
 def _eye(size):
@@ -369,6 +368,36 @@ def test_rp_gram_needs_even_chain():
     tw = build_twist(build_spin_rep(2))
     with pytest.raises(ValueError):
         rp_gram_check(system, gibbs(system, 1.0), tw)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_rp_gram_refuses_a_non_finite_twist(bad):
+    # a monomial twist with one non-finite entry gets past the pattern test
+    system = build_chain(2, 4)
+    r0 = build_twist(build_spin_rep(2)).r0.copy()
+    r0[0, 1] = float(bad)
+    for twist in (r0, np.full((2, 2), float(bad))):
+        with pytest.raises(ValueError, match="twist has a non-finite entry"):
+            rp_gram_check(system, gibbs(system, 1.0), twist)
+
+
+def _site_reversal_perm(d, m):
+    """Permutation sending a base-d multi-index to its site reversal."""
+    idx = np.arange(d ** m).reshape((d,) * m)
+    return idx.transpose(tuple(reversed(range(m)))).reshape(-1)
+
+
+def _kron_power(a, m):
+    out = np.ones((1, 1), dtype=complex)
+    for _ in range(m):
+        out = np.kron(out, a)
+    return out
+
+
+def _reflect_twist_matrix(r0, m):
+    """Matrix of site reversal followed by the per-site twist on C^(d^m)."""
+    d = r0.shape[0]
+    return _kron_power(r0, m)[:, _site_reversal_perm(d, m)]
 
 
 def _rp_reference(system, rho, r0):

@@ -23,8 +23,6 @@ from fcspin import (
 from fcspin.chains import build_chain, gibbs, rp_gram_check
 from fcspin.errors import ResourceLimitError
 from fcspin.fcs import (
-    LocalObservable,
-    evaluate_local,
     fixed_point,
     max_window_entries,
     modular_data,
@@ -180,17 +178,6 @@ def test_max_window_entries_override(monkeypatch):
     assert window_expectations(aklt_state(), 2).shape == (9, 9)
     with pytest.raises(ResourceLimitError):
         window_expectations(aklt_state(), 3)
-
-
-def test_evaluate_local_shape_check():
-    st = aklt_state()
-    with pytest.raises(ValueError):
-        evaluate_local(st, LocalObservable((0, 1), np.eye(3)))
-
-
-def test_local_observable_support():
-    with pytest.raises(ValueError):
-        LocalObservable((2, 1), np.eye(3))
 
 
 def test_modular_data_aklt_trivial():

@@ -91,6 +91,23 @@ def test_lattice_twist_invalid_twist(aklt):
         check_lattice_twist(aklt, np.diag([1.0, 2.0, 0.5]), 2)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_twist_refused(bad, aklt, rep3):
+    # abs(NaN) > 1e-10 is False, so only an explicit test keeps NaN out
+    r0 = np.full((3, 3), float(bad))
+    calls = [
+        lambda: check_lattice_twist(aklt, r0, 2),
+        lambda: check_reflection_positive(aklt, r0, 2),
+        lambda: check_kraus_twist_relation(aklt, r0),
+        lambda: theorem_audit(aklt, rep3, r0),
+        lambda: check_lattice_twist(
+            aklt, TwistMatrix(d=3, r0=r0, zeta=1.0 + 0j, mu=1), 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="twist has a non-finite entry"):
+            call()
+
+
 def test_reflection_positive_aklt(aklt, twist3):
     v = check_reflection_positive(aklt, twist3, 2)
     assert v.passed
@@ -99,7 +116,38 @@ def test_reflection_positive_aklt(aklt, twist3):
 
 
 def test_reflection_positive_window_zero(aklt, twist3):
-    assert check_reflection_positive(aklt, twist3, 0).passed
+    # the general path: one empty product, so the 1 x 1 Gram form is tr rho
+    v = check_reflection_positive(aklt, twist3, 0)
+    assert v.passed
+    assert abs(v.details["min_eig"] - 1.0) <= 1e-12
+
+
+_WINDOW_CALLS = {
+    "real": lambda st, rep, tw, m: check_real(st, m),
+    "lattice-twist": lambda st, rep, tw, m: check_lattice_twist(st, tw, m),
+    "reflection-positive": lambda st, rep, tw, m: check_reflection_positive(st, tw, m),
+    "su2": lambda st, rep, tw, m: check_su2(st, rep, m),
+}
+
+
+@pytest.mark.parametrize("call", list(_WINDOW_CALLS))
+def test_negative_window_refused(call, aklt, rep3, twist3):
+    # a negative window has no sub-windows, so it would pass vacuously
+    with pytest.raises(ValueError, match="window length"):
+        _WINDOW_CALLS[call](aklt, rep3, twist3, -1)
+    v = _WINDOW_CALLS[call](aklt, rep3, twist3, 0)
+    assert v.passed and v.defect == 0.0
+
+
+def test_windowed_checks_form_no_kronecker_product(aklt, rep3, twist3, monkeypatch):
+    # one-site operators act on the window tensor site by site
+    def kron(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", kron)
+    assert check_su2(aklt, rep3, 3).passed
+    assert check_lattice_twist(aklt, twist3, 3).passed
+    assert check_reflection_positive(aklt, twist3, 3).passed
 
 
 def test_reflection_positive_product_with_fixed_vector(twist3):
@@ -153,6 +201,50 @@ def test_su2_details_per_length_and_axis(aklt, rep3):
     assert set(v.details) == {(length, a) for length in (1, 2) for a in "xyz"}
 
 
+# ---- dense Kronecker references of the site-wise checks --------------------------
+
+def _site_reversal_perm(d, m):
+    """Permutation sending a base-d multi-index to its site reversal."""
+    idx = np.arange(d ** m).reshape((d,) * m)
+    return idx.transpose(tuple(reversed(range(m)))).reshape(-1)
+
+
+def _kron_power(a, m):
+    out = np.ones((1, 1), dtype=complex)
+    for _ in range(m):
+        out = np.kron(out, a)
+    return out
+
+
+def _reflect_twist_matrix(r0, m):
+    """Matrix of site reversal followed by the per-site twist on C^(d^m)."""
+    d = r0.shape[0]
+    return _kron_power(r0, m)[:, _site_reversal_perm(d, m)]
+
+
+def _dense_lattice_twist_details(state, r0, m):
+    details = {}
+    for length in range(1, m + 1):
+        W = window_expectations(state, length)
+        RP = _reflect_twist_matrix(r0, length)
+        details[length] = float(np.abs(RP.T @ W @ RP.conj() - W).max())
+    return details
+
+
+def _dense_su2_details(state, rep, m):
+    details = {}
+    for length in range(1, m + 1):
+        W = window_expectations(state, length)
+        for label, S in zip("xyz", rep.generators()):
+            A = sum(
+                np.kron(np.kron(np.eye(rep.d ** p), S),
+                        np.eye(rep.d ** (length - 1 - p)))
+                for p in range(length)
+            )
+            details[(length, label)] = float(np.abs(A.T @ W - W @ A.conj()).max())
+    return details
+
+
 def _bundled(name):
     text = resources.files("fcspin.data").joinpath(name).read_text()
     return load_state(text)[1]
@@ -171,6 +263,43 @@ _ORACLE_FAMILIES = {
 }
 
 
+def _generic_involution(d, rng):
+    """A Hermitian unitary involution with conj(r0) != +-r0, which tells
+    r0 from conj(r0)."""
+    u = _haar_unitary(d, rng)
+    return u @ np.diag([1.0] + [-1.0] * (d - 1)) @ u.conj().T
+
+
+def _assert_details_match(got, want):
+    assert set(got) == set(want)
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-13, key
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", list(_ORACLE_FAMILIES))
+def test_site_wise_checks_match_dense_kronecker_reference(family, m):
+    st = _ORACLE_FAMILIES[family]()
+    rep = build_spin_rep(st.d)
+    _assert_details_match(check_su2(st, rep, m).details, _dense_su2_details(st, rep, m))
+    generic = _generic_involution(st.d, np.random.default_rng(m))
+    for r0 in (build_twist(rep).r0, generic):
+        _assert_details_match(check_lattice_twist(st, r0, m).details,
+                              _dense_lattice_twist_details(st, r0, m))
+
+
+@pytest.mark.parametrize("gauge", [False, True], ids=["plain", "gauge"])
+def test_site_wise_checks_match_dense_reference_d7(gauge):
+    st = covariant_state(3, Fraction(7, 2))
+    if gauge:
+        st = _with_gauge(st, 77)
+    rep = build_spin_rep(st.d)
+    r0 = build_twist(rep).r0
+    _assert_details_match(check_su2(st, rep, 3).details, _dense_su2_details(st, rep, 3))
+    _assert_details_match(check_lattice_twist(st, r0, 3).details,
+                          _dense_lattice_twist_details(st, r0, 3))
+
+
 @pytest.mark.parametrize("family", list(_ORACLE_FAMILIES))
 def test_su2_generator_defect_bounds_group_samples(family):
     # Along g_t = exp(i t theta.S) the derivative of U^T W conj(U) is U^T C
@@ -184,7 +313,7 @@ def test_su2_generator_defect_bounds_group_samples(family):
         v = check_su2(st, rep, m)
         eps = max(v.details[(m, a)] for a in "xyz")
         for g in random_group_elements(rep, 20, rng):
-            U = symmetry._kron_power(g.u, m)
+            U = _kron_power(g.u, m)
             sampled = float(np.abs(U.T @ W @ U.conj() - W).max())
             bound = np.linalg.norm(g.theta) * np.sqrt(3) * st.d ** m * eps
             assert sampled <= bound + 1e-12
@@ -731,7 +860,7 @@ def _dense_rp_reference(state, r0, m, tol=1e-9):
     """Min eigenvalue, Frobenius Hermiticity defect and status of the dense
     D^2 x D^2 Gram matrix, contracted from the length-2m window tensor."""
     D = state.d ** m
-    Rr = symmetry._reflect_twist_matrix(r0, m)
+    Rr = _reflect_twist_matrix(r0, m)
     W = window_expectations(state, 2 * m)
     G = np.einsum("ia,jb,ixjy->abxy", Rr.conj(), Rr, W.reshape(D, D, D, D),
                   optimize=True).reshape(D * D, D * D)
@@ -773,8 +902,7 @@ def test_reflection_positive_matches_dense_gram(st, expected, m):
 def test_reflection_positive_generic_twist_matches_dense_gram(name, m):
     # a unitary involution with conj(r0) != +-r0 tells r0 from conj(r0)
     st = RP_ORACLE_FAMILIES[RP_ORACLE_IDS.index(name)][0]
-    u = _haar_unitary(st.d, np.random.default_rng(4))
-    r0 = u @ np.diag([1.0] + [-1.0] * (st.d - 1)) @ u.conj().T
+    r0 = _generic_involution(st.d, np.random.default_rng(4))
     min_eig, herm_defect, status = _dense_rp_reference(st, r0, m)
     v = check_reflection_positive(st, r0, m)
     assert abs(v.details["min_eig"] - min_eig) <= 1e-12
@@ -817,3 +945,22 @@ def test_reflection_positive_bond_gauge_invariant(index, seed):
     moved = check_reflection_positive(_with_gauge(fam, seed), tw, 2)
     assert moved.status == base.status
     assert abs(moved.details["min_eig"] - base.details["min_eig"]) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(index=st_.integers(0, len(GAUGE_FAMILIES) - 1),
+       seed=st_.integers(0, 2 ** 32 - 1))
+def test_windowed_checks_bond_gauge_invariant(index, seed):
+    # window tensors are gauge invariant, so a gauge moves them by roundoff
+    fam = GAUGE_FAMILIES[index]
+    rep = build_spin_rep(fam.d)
+    tw = build_twist(rep)
+    moved = _with_gauge(fam, seed)
+    for check in (lambda st: check_real(st, 2),
+                  lambda st: check_lattice_twist(st, tw, 2),
+                  lambda st: check_su2(st, rep, 2)):
+        base, gauged = check(fam), check(moved)
+        assert gauged.status == base.status
+        assert set(gauged.details) == set(base.details)
+        for key in base.details:
+            assert abs(gauged.details[key] - base.details[key]) <= 1e-12

@@ -25,7 +25,7 @@ from fcspin import (
     two_point,
 )
 from fcspin import fcs, transfer
-from fcspin.fcs import KrausFamily, LocalObservable, evaluate_local
+from fcspin.fcs import KrausFamily, window_expectations
 
 
 def test_aklt_spectrum():
@@ -115,16 +115,23 @@ def test_two_point_requires_disjoint_supports():
         two_point(st, np.eye(3), np.eye(3), 0)
 
 
+def _evaluate_local(state, tensor, m):
+    """Expectation of an observable on a length-m window: its contraction
+    with the window tensor."""
+    W = window_expectations(state, m)
+    return complex(np.sum(tensor * W))
+
+
 def test_two_point_matches_explicit_windows():
     rng = np.random.default_rng(5)
     st = random_fcs_state(2, 3, rng)
     A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    wa = evaluate_local(st, LocalObservable((0, 0), A))
-    wb = evaluate_local(st, LocalObservable((0, 0), B))
+    wa = _evaluate_local(st, A, 1)
+    wb = _evaluate_local(st, B, 1)
     for n in range(1, 7):
-        obs = LocalObservable((0, n), np.kron(A, np.kron(np.eye(2 ** (n - 1)), B)))
-        direct = evaluate_local(st, obs) - wa * wb
+        obs = np.kron(A, np.kron(np.eye(2 ** (n - 1)), B))
+        direct = _evaluate_local(st, obs, n + 1) - wa * wb
         assert abs(two_point(st, A, B, n) - direct) < 1e-9
 
 
