@@ -54,12 +54,12 @@ def max_window_entries():
 
 @dataclass(frozen=True)
 class KrausFamily:
-    """d complex k x k matrices v_1..v_d with sum_i v_i v_i* = I."""
+    """d complex k x k matrices v_1..v_d with sum_i v_i v_i* = I, read-only."""
 
     v: tuple
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=complex) for m in self.v)
+        mats = tuple(_read_only(m, complex) for m in self.v)
         k = mats[0].shape[0]
         for i, m in enumerate(mats):
             if m.shape != (k, k):
@@ -93,10 +93,22 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class FcsState:
-    """A Kraus family together with its invariant faithful state rho."""
+    """A Kraus family together with its invariant faithful state rho, an
+    immutable value: rho is a read-only copy, so what depends on the state
+    alone (its rho roots, its transfer operator) is computed once, by _once."""
 
     kraus: KrausFamily
     rho: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", _read_only(self.rho))
+        object.__setattr__(self, "_memo", {})
+
+    def _once(self, key, compute):
+        """compute() on the first call for key, the kept value after."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def d(self):
@@ -122,6 +134,13 @@ class ModularData:
     @property
     def delta_trivial(self):
         return self.delta_defect <= 1e-10
+
+
+def _read_only(a, dtype=None):
+    """A copy of a that refuses in-place writes."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 def validate(kraus, tol=1e-10):
@@ -227,6 +246,7 @@ def _rho_roots(rho):
 
 def modular_data(state):
     """The defect of Delta = kron(rho, conj(rho^{-1})) from the identity."""
-    Delta = np.kron(state.rho, _rho_roots(state.rho)[2].conj())
+    inv = state._once("rho_roots", lambda: _rho_roots(state.rho))[2]
+    Delta = np.kron(state.rho, inv.conj())
     defect = float(np.abs(Delta - np.eye(state.k ** 2)).max())
     return ModularData(delta_defect=defect)

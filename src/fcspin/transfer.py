@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import _require_tol
-from .fcs import _rho_roots
+from .fcs import _read_only, _rho_roots
 
 __all__ = [
     "TransferOperator",
@@ -36,13 +37,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferOperator:
+    """T in GNS coordinates, read-only; spectrum and defect computed once."""
+
     matrix: np.ndarray        # k^2 x k^2, GNS coordinates
     sqrt_rho: np.ndarray      # rho^{1/2}, the cyclic vector psi as a matrix
     inv_sqrt_rho: np.ndarray  # rho^{-1/2}
 
+    def __post_init__(self):
+        for name in ("matrix", "sqrt_rho", "inv_sqrt_rho"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
     @property
     def k(self):
         return self.sqrt_rho.shape[0]
+
+    @cached_property
+    def spectrum(self):
+        """The eigenvalues of T in the order eigvals returns them."""
+        return _read_only(np.linalg.eigvals(self.matrix))
+
+    @cached_property
+    def selfadjoint_defect(self):
+        """Spectral-norm defect ||T - T*|| in the GNS inner product."""
+        return float(np.linalg.norm(self.matrix - self.matrix.conj().T, 2))
 
     def centered(self):
         """T_c = T - psi psi*."""
@@ -85,15 +102,19 @@ class DecayCertificate:
 
 
 def build_transfer(state):
-    sq, inv_sq, _ = _rho_roots(state.rho)
+    """The transfer operator of state, built on the first call and kept."""
+    return state._once("transfer", lambda: _transfer_operator(state))
+
+
+def _transfer_operator(state):
+    sq, inv_sq, _ = state._once("rho_roots", lambda: _rho_roots(state.rho))
     mat = sum(np.kron(v, (sq @ v @ inv_sq).conj()) for v in state.kraus.v)
     return TransferOperator(matrix=mat, sqrt_rho=sq, inv_sqrt_rho=inv_sq)
 
 
 def check_selfadjoint(t):
-    """Spectral-norm defect ||T - T*|| in the GNS inner product."""
-    defect = float(np.linalg.norm(t.matrix - t.matrix.conj().T, 2))
-    return defect
+    """t.selfadjoint_defect, ||T - T*|| in the GNS inner product."""
+    return t.selfadjoint_defect
 
 
 def _sort_eigs(w):
@@ -108,23 +129,33 @@ def gap(t, tol=1e-9):
     removed.  For a degenerate fixed space delta is reported as 1 (no gap).
     """
     _require_tol(tol)
-    w = np.linalg.eigvals(t.matrix)
+    w = t.spectrum
     fixed_mult = int(np.sum(np.abs(w - 1.0) <= tol))
     wc = np.delete(w, np.argmin(np.abs(w - 1.0)))
     delta = 1.0 if fixed_mult > 1 else min(float(np.abs(wc).max(initial=0.0)), 1.0)
     return GapReport(
         eigenvalues=_sort_eigs(w),
         delta=delta,
-        selfadjoint_defect=check_selfadjoint(t),
+        selfadjoint_defect=t.selfadjoint_defect,
         fixed_multiplicity=max(fixed_mult, 1),
     )
+
+
+def _observable(name, X, d):
+    """X as a complex array; ValueError naming it unless finite and d x d."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape != (d, d):
+        raise ValueError(f"observable {name} must be {d}x{d}, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"observable {name} has a non-finite entry")
+    return X
 
 
 def _insertions(state, t, A, B):
     """GNS vectors a = vec(sigma_Ac* rho^{-1/2}) and b = vec(xBc rho^{1/2})
     of the centered one-site insertions, so corr(n) = <a, T_c^(n-1) b>."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
+    A = _observable("A", A, state.d)
+    B = _observable("B", B, state.d)
     V = state.kraus.stacked()
     rho = state.rho
     # sigma_A with trace(sigma_A x) = omega(A (x) ...) = sum A_ij tr(rho v_i x v_j*)
@@ -163,9 +194,11 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
     pairs.  For a non-self-adjoint T the bound uses the norms ||T_c^(n-1)||
     instead of delta^(n-1).  tol bounds both the distance of a fixed
     eigenvalue from 1 and the self-adjoint defect ||T - T*|| that counts as
-    self-adjoint.  A degenerate fixed space refuses a pass.
+    self-adjoint.  A degenerate fixed space or a non-finite row refuses a pass.
     """
     _require_tol(tol)
+    if n_max < 1:
+        raise ValueError(f"decay certificate needs n_max >= 1, got {n_max}")
     t = build_transfer(state)
     rep = gap(t, tol)
     Tc = t.centered()
@@ -186,7 +219,9 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
     rows = [DecayRow(n=n, corr=c, bound=bd)
             for n, c, bd in zip(range(1, n_max + 1), corr, bounds)]
 
-    violations = [r.n for r in rows if abs(r.corr) > r.bound + 1e-12 * max(1.0, scale)]
+    slack = 1e-12 * max(1.0, scale)
+    violations = [r.n for r in rows
+                  if not (math.isfinite(r.bound) and abs(r.corr) <= r.bound + slack)]
     beta_max = -math.log(rep.delta) if rep.delta > 0 else math.inf
 
     if rep.fixed_multiplicity > 1:

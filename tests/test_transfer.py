@@ -1,5 +1,6 @@
 """Transfer operator spectra, two-point functions, decay certificates."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from fcspin import (
+    FcsState,
     aklt_kraus,
     aklt_state,
     build_spin_rep,
     build_transfer,
+    build_twist,
     check_selfadjoint,
     covariant_kraus,
     covariant_state,
@@ -19,9 +22,11 @@ from fcspin import (
     fixed_point,
     gap,
     gauge_transform,
+    modular_data,
     product_state,
     random_fcs_state,
     random_unital_kraus,
+    theorem_audit,
     two_point,
 )
 from fcspin import fcs, transfer
@@ -382,3 +387,168 @@ def test_decay_bounds_equal_norm_power_formula(d, k, n_max):
     a, b = transfer._insertions(st, t, Sz, Sz)
     scale = float(np.linalg.norm(a) * np.linalg.norm(b))
     assert [row.bound for row in cert.rows] == _norm_power_bounds(t.centered(), scale, n_max)
+
+
+# ---- certificate input checks ------------------------------------------------
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_decay_certificate_refuses_empty_range(n_max):
+    Sz = build_spin_rep(3).Sz
+    with pytest.raises(ValueError, match="n_max"):
+        decay_certificate(aklt_state(), Sz, Sz, n_max)
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_decay_certificate_refuses_non_finite_observable(name, bad):
+    Sz = build_spin_rep(3).Sz
+    X = Sz.astype(complex)
+    X[1, 2] = bad
+    obs = {"A": Sz, "B": Sz, name: X}
+    with pytest.raises(ValueError, match=f"observable {name}"):
+        decay_certificate(aklt_state(), obs["A"], obs["B"], 5)
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (9,)])
+def test_decay_certificate_refuses_observable_of_wrong_shape(name, shape):
+    Sz = build_spin_rep(3).Sz
+    obs = {"A": Sz, "B": Sz, name: np.ones(shape)}
+    with pytest.raises(ValueError, match=f"observable {name}"):
+        decay_certificate(aklt_state(), obs["A"], obs["B"], 5)
+
+
+def test_non_finite_correlation_is_a_violation(monkeypatch):
+    monkeypatch.setattr(transfer, "_correlations",
+                        lambda Tc, a, b, n_max: [complex(math.nan)] * n_max)
+    Sz = build_spin_rep(3).Sz
+    cert = decay_certificate(aklt_state(), Sz, Sz, 4)
+    assert cert.verdict == "fail"
+    assert cert.reason == "bound violated at n = [1, 2, 3, 4]"
+
+
+def test_non_finite_bound_is_a_violation(monkeypatch):
+    real_gap = transfer.gap
+    monkeypatch.setattr(transfer, "gap", lambda t, tol: dataclasses.replace(
+        real_gap(t, tol), delta=math.nan))
+    Sz = build_spin_rep(3).Sz
+    cert = decay_certificate(aklt_state(), Sz, Sz, 4)
+    assert cert.selfadjoint and math.isnan(cert.rows[1].bound)
+    assert cert.verdict == "fail"
+    assert cert.reason == "bound violated at n = [2, 3, 4]"
+
+
+# ---- a state is a value: its transfer data is computed once --------------------
+
+def _haar(k, rng):
+    z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+MEMO_STATES = {
+    "covariant": lambda: covariant_state(2, Fraction(3, 2)),
+    "gauged": lambda: gauge_transform(covariant_state(1, 1),
+                                      _haar(3, np.random.default_rng(4))),
+    "random": lambda: random_fcs_state(3, 4, np.random.default_rng(8)),
+    "direct-sum": lambda: fixed_point(direct_sum(aklt_kraus(), covariant_kraus(1, 1))),
+    # one eigenvalue 1 - 1.1e-4: fixed at tol 1e-2, not at tol 1e-9
+    "near-degenerate": lambda: _blend(direct_sum(aklt_kraus(), covariant_kraus(1, 1)),
+                                      random_unital_kraus(3, 5, np.random.default_rng(6)),
+                                      1e-2),
+}
+
+
+def _cold_copy(st):
+    """A fresh state built from copies of st's arrays.  np.copy keeps each
+    array's memory order; BLAS may round a transposed layout differently."""
+    return FcsState(KrausFamily(tuple(np.copy(v) for v in st.kraus.v)), np.copy(st.rho))
+
+
+def _every_answer(st):
+    rep = build_spin_rep(st.d)
+    t = build_transfer(st)
+    return (gap(t, 1e-9), gap(t, 1e-2),
+            decay_certificate(st, rep.Sz, rep.Sx, 12),
+            decay_certificate(st, rep.Sz, rep.Sz, 12, tol=1e-2),
+            modular_data(st),
+            theorem_audit(st, rep, build_twist(rep)))
+
+
+@pytest.mark.parametrize("name", MEMO_STATES)
+def test_warm_state_answers_equal_cold_state(name):
+    warm = MEMO_STATES[name]()
+    # fill the memo at the loose tol first: nothing it keeps may depend on tol
+    Sz = build_spin_rep(warm.d).Sz
+    gap(build_transfer(warm), 1e-2)
+    decay_certificate(warm, Sz, Sz, 3, tol=1e-2)
+    got = _every_answer(warm)
+    assert build_transfer(warm) is build_transfer(warm)
+    want = _every_answer(_cold_copy(warm))
+    for g, w in zip(got, want):
+        assert g == w
+    if name == "near-degenerate":
+        assert got[0].fixed_multiplicity == 1 and got[1].fixed_multiplicity == 2
+
+
+@pytest.mark.parametrize("make", [MEMO_STATES["covariant"], MEMO_STATES["random"]],
+                         ids=["covariant", "random"])
+def test_state_runs_one_eigensolve_and_one_root(monkeypatch, make):
+    st = make()
+    rep = build_spin_rep(st.d)
+    eigs, roots = [], []
+    real_eigvals, real_roots = np.linalg.eigvals, fcs._rho_roots
+
+    def counted_eigvals(a):
+        eigs.append(a.shape)
+        return real_eigvals(a)
+
+    def counted_roots(rho):
+        roots.append(rho.shape)
+        return real_roots(rho)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(fcs, "_rho_roots", counted_roots)
+    monkeypatch.setattr(transfer, "_rho_roots", counted_roots)
+    gap(build_transfer(st))
+    decay_certificate(st, rep.Sz, rep.Sz, 12)
+    theorem_audit(st, rep, build_twist(rep))
+    assert eigs == [(st.k ** 2, st.k ** 2)]
+    assert roots == [(st.k, st.k)]
+
+
+def test_state_arrays_are_read_only():
+    st = random_fcs_state(3, 3, np.random.default_rng(12))
+    t = build_transfer(st)
+    for arr in (st.rho, st.kraus.v[1], t.matrix, t.sqrt_rho, t.spectrum):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, ...] = 0
+
+
+def test_state_copies_the_callers_arrays():
+    st = random_fcs_state(2, 3, np.random.default_rng(13))
+    v = [m.copy() for m in st.kraus.v]
+    rho = st.rho.copy()
+    own = FcsState(KrausFamily(tuple(v)), rho)
+    v[0] *= 2
+    rho *= 2
+    assert np.array_equal(own.kraus.v[0], st.kraus.v[0])
+    assert np.array_equal(own.rho, st.rho)
+
+
+def test_derived_states_get_their_own_memo():
+    rng = np.random.default_rng(14)
+    st = random_fcs_state(3, 3, rng)
+    other = random_fcs_state(3, 3, rng)
+    t = build_transfer(st)
+    derived = [
+        gauge_transform(st, _haar(3, rng)),
+        dataclasses.replace(st),
+        dataclasses.replace(st, kraus=other.kraus, rho=other.rho),
+    ]
+    for new in derived:
+        assert build_transfer(new) is not t
+    assert gap(build_transfer(derived[0])).delta == pytest.approx(gap(t).delta, abs=1e-12)
+    assert np.array_equal(build_transfer(derived[1]).matrix, t.matrix)
+    assert np.array_equal(build_transfer(derived[2]).matrix,
+                          build_transfer(other).matrix)
