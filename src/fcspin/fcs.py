@@ -137,8 +137,9 @@ class ModularData:
 
 
 def _read_only(a, dtype=None):
-    """A copy of a that refuses in-place writes."""
-    a = np.array(a, dtype=dtype)
+    """A C-ordered copy of a that refuses in-place writes.  C order makes
+    every result independent of how the caller laid out its arrays."""
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 

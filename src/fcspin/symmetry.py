@@ -299,8 +299,16 @@ def _twist_combination(kraus, r_real):
 # Points of the full-circle phase grid.  The numerical radius of Q lies
 # within pi / _TWIST_GRID of the grid maximum because ||Q|| <= 1; that slack
 # enters details["lower_bound"], and at 64 points it still certifies generic
-# families (numerical radius near 0.5-0.9) as failing.
+# families (numerical radius near 0.5-0.9) as failing.  The grid maximum is
+# found by a pruned search (_grid_maximum) that diagonalizes every
+# _TWIST_COARSE-th angle first, so the first bounds span pi / 4.
 _TWIST_GRID = 64
+_TWIST_COARSE = 8
+# A grid direction is skipped only when its bound plus this margin stays
+# below the best value found.  The margin covers the rounding of the
+# eigenvalues behind both, a small multiple of k^2 eps: it is 4 times the
+# gate slack below at k = 8, and the gate slack takes over past k = 16.
+_TWIST_PRUNE_MARGIN = 1e-12
 _TWIST_ASCENT_ROUNDS = 20
 # Eigenvalues of Re(e^{i theta} Q) this close to the top one span the top
 # eigenspace.  Two direct summands whose phases differ by phi give top
@@ -321,7 +329,58 @@ def _twist_residual(W, C, targets):
     return float(np.linalg.norm(targets - lam * M, 2, axis=(1, 2)).max()), lam
 
 
-def _twist_verdict(W, defect, lam, multiplicity, lower_bound, tol):
+def _grid_maximum(hermitian_part, sigma, margin):
+    """Largest top eigenvalue of hermitian_part(phi) over the grid phi =
+    2 pi j / _TWIST_GRID, the first phi reaching it in the order of a full
+    loop over the grid, and the number of angles diagonalized.
+
+    One eigvalsh at phi = pi n / half gives the support function h of the
+    numerical range of Q at two grid directions, h(phi) = e[-1] and
+    h(phi + pi) = -e[0].  h is sublinear, so between evaluated directions
+    a < phi < b less than pi apart
+
+        h(phi) <= [sin(b - phi) h(a) + sin(phi - a) h(b)] / sin(b - a),
+
+    and h <= w(Q) <= sigma = ||Q||.  Every _TWIST_COARSE-th angle is
+    diagonalized first, then the angle of highest bound, until no bound plus
+    margin reaches the best value found.  Every skipped direction then lies
+    strictly below the maximum, so the maximum, its first direction and the
+    angle, computed with the loop's own expression, are those of the full
+    grid.
+    """
+    half = _TWIST_GRID // 2
+    step = 2 * np.pi / _TWIST_GRID
+    h = np.zeros(_TWIST_GRID)
+    done = np.zeros(_TWIST_GRID, dtype=bool)
+    j = np.arange(_TWIST_GRID)
+    todo = range(0, half, _TWIST_COARSE)
+    while todo:
+        for n in todo:
+            e = np.linalg.eigvalsh(hermitian_part(np.pi * n / half))
+            h[n], h[n + half] = e[-1], -e[0]
+            done[n] = done[n + half] = True
+        # nearest evaluated directions a < j < b, cyclically
+        known = np.flatnonzero(done)
+        after = np.searchsorted(known, j) % known.size
+        a, b = known[after - 1], known[after]
+        da, db = (j - a) % _TWIST_GRID, (b - j) % _TWIST_GRID
+        bound = ((np.sin(db * step) * h[a] + np.sin(da * step) * h[b])
+                 / np.sin((da + db) * step))
+        bound = np.where(done, -np.inf, np.minimum(bound, sigma))
+        per_angle = np.maximum(bound[:half], bound[half:])
+        n = int(np.argmax(per_angle))
+        stop = done.all() or per_angle[n] + margin < h[done].max()
+        todo = () if stop else (n,)
+
+    radius, theta = -np.inf, 0.0
+    for n in np.flatnonzero(done[:half]).tolist():
+        for val, angle in ((h[n], np.pi * n / half), (h[n + half], np.pi * (n / half + 1))):
+            if val > radius:
+                radius, theta = val, angle
+    return radius, theta, int(done[:half].sum())
+
+
+def _twist_verdict(W, defect, lam, multiplicity, lower_bound, grid_angles, tol):
     if np.isfinite(defect) and defect <= tol:
         status = "pass"
     elif np.isfinite(defect) and defect < 1e-3:
@@ -332,7 +391,8 @@ def _twist_verdict(W, defect, lam, multiplicity, lower_bound, tol):
         name="twist-adjoint-relation", window=1, defect=defect, tol=tol,
         status=status, details={"gauge": W, "phase": lam,
                                 "multiplicity": multiplicity,
-                                "lower_bound": lower_bound},
+                                "lower_bound": lower_bound,
+                                "grid_angles": grid_angles},
     )
 
 
@@ -363,14 +423,17 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     conj(mu) x, a top singular vector, so one ascent round starts from the
     phase -arg(x* Q x) of the top eigenvector x of Q* Q.  Otherwise, or when
     that attempt misses tol, a 64-point phase grid locates w and the ascent
-    runs from the grid maximum.
+    runs from the grid maximum.  The grid maximum is found exactly by a
+    pruned search (_grid_maximum): the support-function bound of the
+    numerical range skips the grid angles that cannot reach it.
 
     status is "pass" for defect <= tol, "fail" for defect >= 1e-3, and
     "indeterminate" in between.  details holds the gauge W, the phase lam,
-    the multiplicity of the top eigenspace and lower_bound, a value no
-    unitary W and phase can beat: sqrt(2 (1 - w') / d), with w' = grid
-    maximum + pi / 64 an upper bound on w.  A pass reports the trivial
-    lower_bound 0.0, which is also what the grid gives whenever
+    the multiplicity of the top eigenspace, lower_bound, a value no unitary
+    W and phase can beat: sqrt(2 (1 - w') / d), with w' = grid maximum +
+    pi / 64 an upper bound on w, and grid_angles, the number of grid angles
+    diagonalized (0 when the first attempt passes).  A pass reports the
+    trivial lower_bound 0.0, which is also what the grid gives whenever
     w cos(pi / 64) >= 1 - pi / 64, as at every pass with d tol^2 <= 0.09.
     """
     _require_tol(tol)
@@ -430,19 +493,15 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
         x = X[:, -1]
         W, defect, lam, multiplicity = solve(-np.angle(np.vdot(x, Q @ x)), 1)
         if defect <= tol:
-            return _twist_verdict(W, defect, lam, multiplicity, 0.0, tol)
+            return _twist_verdict(W, defect, lam, multiplicity, 0.0, 0, tol)
 
-    # the eigenvalues at theta also give the top one at theta + pi: -e[0]
-    half = _TWIST_GRID // 2
-    radius, theta = -np.inf, 0.0
-    for n in range(half):
-        e = np.linalg.eigvalsh(hermitian_part(np.pi * n / half))
-        for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
-            if val > radius:
-                radius, theta = val, angle
+    margin = max(_TWIST_PRUNE_MARGIN, _TWIST_GATE_SLACK * k * k)
+    radius, theta, grid_angles = _grid_maximum(
+        hermitian_part, np.sqrt(max(s[-1], 0.0)), margin)
     lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
     W, defect, lam, multiplicity = solve(theta, _TWIST_ASCENT_ROUNDS)
-    return _twist_verdict(W, defect, lam, multiplicity, lower_bound, tol)
+    return _twist_verdict(W, defect, lam, multiplicity, lower_bound,
+                          grid_angles, tol)
 
 
 def find_intertwiner(state, rep, tol=1e-8):

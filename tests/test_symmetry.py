@@ -24,6 +24,7 @@ from fcspin import (
     covariant_kraus,
     covariant_state,
     direct_sum,
+    dump_state,
     find_intertwiner,
     fixed_point,
     gauge_transform,
@@ -435,6 +436,16 @@ def test_theorem_audit_counts_fixed_space_at_its_tol(p, tol, mult, rep3, twist3)
         assert decay.status == "fail" and "degenerate" in decay.note
 
 
+def test_theorem_audit_of_a_round_trip_is_bit_identical(rep3, twist3):
+    # random_unital_kraus hands over transposed (Fortran-order) views and a
+    # .kraus file reads back C-ordered matrices; the audit must not tell them
+    # apart
+    st = random_fcs_state(3, 4, np.random.default_rng(8))
+    loaded = load_state(dump_state(st))[1]
+    assert theorem_audit(st, rep3, twist3).clauses == \
+        theorem_audit(loaded, rep3, twist3).clauses
+
+
 def test_theorem_audit_generic_fails(rep3, twist3):
     st = random_fcs_state(3, 3, np.random.default_rng(6))
     report = theorem_audit(st, rep3, twist3)
@@ -737,6 +748,14 @@ def _same_verdict(a, b):
             and a.details["lower_bound"] == b.details["lower_bound"])
 
 
+def _real_random_state(d, k, seed):
+    """Random unital family with real matrices: with a spin twist Q is real,
+    so the grid values at phi and -phi agree up to rounding."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(d * k, k)))
+    q = q * np.sign(np.diag(r))
+    return fixed_point(KrausFamily(tuple(b.T for b in q.reshape(d, k, k))))
+
+
 def _non_pass_families():
     fams = [random_fcs_state(d, k, np.random.default_rng(seed))
             for d, k in RANDOM_NEGATIVES for seed in range(3)]
@@ -746,6 +765,11 @@ def _non_pass_families():
         b = KrausFamily(tuple(np.exp(1j * phi) * v for v in covariant_kraus(1, 1).v))
         fams.append(_with_gauge(
             fixed_point(direct_sum(covariant_kraus(1, Fraction(1, 2)), b)), 5))
+    fams += [random_fcs_state(d, k, np.random.default_rng(seed))
+             for d, k in ((2, 5), (7, 8)) for seed in (3, 4)]
+    # an exact tie of the two directions of one eigensolve (pi/2 and 3pi/2),
+    # and a mirror pair 2e-16 apart at 5pi/32 and -5pi/32
+    fams += [_real_random_state(2, 5, 5), _real_random_state(5, 6, 2)]
     return fams
 
 
@@ -801,15 +825,60 @@ def _count_grid_calls(monkeypatch):
 def test_kraus_twist_covariant_pass_skips_the_grid(monkeypatch):
     st = _with_gauge(covariant_state(2, Fraction(7, 2)), 12)
     calls = _count_grid_calls(monkeypatch)
-    assert check_kraus_twist_relation(st, _twist_for(st)).passed
+    v = check_kraus_twist_relation(st, _twist_for(st))
+    assert v.passed
     assert len(calls) <= 1
+    assert v.details["grid_angles"] == 0
 
 
 def test_kraus_twist_random_negative_runs_the_grid(monkeypatch):
     st = random_fcs_state(3, 8, np.random.default_rng(0))
     calls = _count_grid_calls(monkeypatch)
-    assert check_kraus_twist_relation(st, _twist_for(st)).status == "fail"
-    assert calls.count((64, 64)) == _TWIST_GRID // 2
+    v = check_kraus_twist_relation(st, _twist_for(st))
+    assert v.status == "fail"
+    assert calls.count((64, 64)) == len(calls) == v.details["grid_angles"]
+    assert v.details["grid_angles"] < _TWIST_GRID // 2
+
+
+def test_kraus_twist_grid_is_pruned_on_random_negatives():
+    # the support-function bound leaves about 9 of the 32 grid angles
+    counts = [check_kraus_twist_relation(st, _twist_for(st)).details["grid_angles"]
+              for st in (random_fcs_state(d, k, np.random.default_rng(seed))
+                         for d, k in RANDOM_NEGATIVES for seed in range(3))]
+    assert all(0 < n <= _TWIST_GRID // 2 for n in counts)
+    assert np.mean(counts) <= 16
+
+
+def _full_grid_maximum(hermitian_part):
+    """The grid maximum and its angle by the loop over all 32 angles."""
+    half = _TWIST_GRID // 2
+    radius, theta = -np.inf, 0.0
+    for n in range(half):
+        e = np.linalg.eigvalsh(hermitian_part(np.pi * n / half))
+        for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
+            if val > radius:
+                radius, theta = val, angle
+    return radius, theta
+
+
+def test_grid_maximum_equals_the_full_loop_at_near_ties():
+    # the numerical range of a diagonal Q is the polygon of its entries; with
+    # vertices at radii within 1e-3 of each other the grid values nearly tie,
+    # so a search that stopped short of its bound would miss the maximum
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        m = rng.integers(2, 5)
+        z = 0.9 * (1 + rng.uniform(-1e-3, 1e-3, m)) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+        Q = np.diag(z)
+
+        def hermitian_part(theta):
+            A = np.exp(1j * theta) * Q
+            return (A + A.conj().T) / 2
+
+        radius, theta, angles = symmetry._grid_maximum(
+            hermitian_part, np.abs(z).max(), symmetry._TWIST_PRUNE_MARGIN)
+        assert (radius, theta) == _full_grid_maximum(hermitian_part)
+        assert 0 < angles <= _TWIST_GRID // 2
 
 
 GATE_FAMILIES = [("random", d, k) for d, k in ((2, 2), (3, 2), (3, 3), (5, 2))]
