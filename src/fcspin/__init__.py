@@ -8,7 +8,6 @@ from .su2 import (
     build_spin_rep,
     group_element,
     build_twist,
-    compute_mu,
 )
 from .fcs import (
     KrausFamily,
@@ -22,7 +21,6 @@ from .transfer import (
     TransferOperator,
     GapReport,
     build_transfer,
-    check_selfadjoint,
     gap,
     two_point,
     decay_certificate,

@@ -36,8 +36,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ResourceLimitError, _require_tol
-from .su2 import build_spin_rep
-from .symmetry import _as_twist_matrix, _rp_gram_verdict
+from .su2 import TwistMatrix, build_spin_rep
+from .symmetry import _rp_gram_verdict
 
 __all__ = [
     "SpinChainSystem",
@@ -699,7 +699,7 @@ def rp_gram_check(system, state, twist, tol=1e-9):
         _require_block(on.size, complex, "pure-state block")
         blocks = ((on, np.outer(psi[on], psi[on].conj())),)
     d, m = system.d, system.n // 2
-    r0 = _as_twist_matrix(twist, d)
+    r0 = TwistMatrix.of(twist, d).r0
     nonzero = r0 != 0
     if not (nonzero.sum(axis=1) == 1).all():
         raise ValueError("the chain RP Gram needs a monomial twist, one "

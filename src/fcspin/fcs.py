@@ -54,18 +54,23 @@ def max_window_entries():
 
 @dataclass(frozen=True)
 class KrausFamily:
-    """d complex k x k matrices v_1..v_d with sum_i v_i v_i* = I, read-only."""
+    """d >= 1 finite complex k x k matrices v_1..v_d with sum_i v_i v_i* = I,
+    read-only."""
 
     v: tuple
 
     def __post_init__(self):
         mats = tuple(_read_only(m, complex) for m in self.v)
+        if not mats:
+            raise ValueError("a Kraus family needs at least one matrix")
         k = mats[0].shape[0]
         for i, m in enumerate(mats):
             if m.shape != (k, k):
                 raise ValueError(
                     f"Kraus matrix {i + 1} has shape {m.shape}, expected ({k}, {k})"
                 )
+            if not np.isfinite(m).all():
+                raise ValueError(f"Kraus matrix {i + 1} has a non-finite entry")
         object.__setattr__(self, "v", mats)
 
     @property
@@ -95,13 +100,20 @@ class ValidationReport:
 class FcsState:
     """A Kraus family together with its invariant faithful state rho, an
     immutable value: rho is a read-only copy, so what depends on the state
-    alone (its rho roots, its transfer operator) is computed once, by _once."""
+    alone (its rho roots, its transfer operator) is computed once, by _once.
+    rho must be a finite k x k matrix."""
 
     kraus: KrausFamily
     rho: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _read_only(self.rho))
+        rho = _read_only(self.rho)
+        k = self.kraus.k
+        if rho.shape != (k, k):
+            raise ValueError(f"rho has shape {rho.shape}, expected ({k}, {k})")
+        if not np.isfinite(rho).all():
+            raise ValueError("rho has a non-finite entry")
+        object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "_memo", {})
 
     def _once(self, key, compute):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fcs import _read_only
+
 __all__ = [
     "SpinRep",
     "GroupElement",
@@ -23,7 +25,6 @@ __all__ = [
     "group_element",
     "random_group_elements",
     "build_twist",
-    "compute_mu",
 ]
 
 
@@ -54,23 +55,59 @@ class GroupElement:
     u: np.ndarray
 
 
+TWIST_TOL = 1e-10  # entrywise: r0^2 = I, r0 r0* = I, conj(r0) = mu r0
+
+
 @dataclass(frozen=True)
 class TwistMatrix:
-    """Unitary r0 with r0^2 = I conjugating u(g) to its entrywise conjugate.
+    """A unitary involution r0, checked to TWIST_TOL when built and kept as a
+    read-only complex copy.  mu = +-1 with conj(r0) = mu r0 (a generic
+    involution has none), zeta^2 = mu and the real form zeta r0 follow."""
 
-    mu in {+1, -1} is the parity defined by conj(r0) = mu * r0, and zeta is
-    a phase with zeta^2 = mu such that zeta * r0 has real entries.
-    """
-
-    d: int
     r0: np.ndarray
-    zeta: complex
-    mu: int
+
+    def __post_init__(self):
+        r0 = _read_only(self.r0, complex)
+        if r0.ndim != 2 or r0.shape[0] != r0.shape[1]:
+            raise ValueError(f"twist must be a square matrix, got shape {r0.shape}")
+        if not np.isfinite(r0).all():
+            raise ValueError("twist has a non-finite entry")
+        if np.abs(r0 @ r0 - np.eye(len(r0))).max() > TWIST_TOL:
+            raise ValueError("twist does not square to the identity")
+        if np.abs(r0 @ r0.conj().T - np.eye(len(r0))).max() > TWIST_TOL:
+            raise ValueError("twist is not unitary")
+        object.__setattr__(self, "r0", r0)
+
+    @classmethod
+    def of(cls, twist, d):
+        """twist, a TwistMatrix or a bare matrix, as a d x d TwistMatrix."""
+        r0 = twist.r0 if isinstance(twist, cls) else np.asarray(twist, dtype=complex)
+        if r0.shape != (d, d):
+            raise ValueError(f"twist has shape {r0.shape}, expected ({d}, {d})")
+        return twist if isinstance(twist, cls) else cls(r0)
+
+    @property
+    def d(self):
+        return self.r0.shape[0]
+
+    @property
+    def mu(self):
+        """ValueError without a real form; odd d gives +1, as (i r0)^2 = -I."""
+        r0 = self.r0
+        idx = np.unravel_index(np.argmax(np.abs(r0)), r0.shape)
+        mu = int(round((r0.conj()[idx] / r0[idx]).real))
+        if mu not in (+1, -1) or np.abs(r0.conj() - mu * r0).max() > TWIST_TOL:
+            raise ValueError("conj(r0) is not a real sign times r0; invalid twist")
+        return mu
+
+    @property
+    def zeta(self):
+        return 1.0 + 0j if self.mu == 1 else -1j
 
     @property
     def real_form(self):
-        """The real matrix zeta * r0 (a rotation by pi about the y axis)."""
-        return (self.zeta * self.r0).real
+        """zeta r0: the real part of r0, or its imaginary part."""
+        return self.r0.real if self.mu == 1 else self.r0.imag
 
 
 def build_spin_rep(d):
@@ -125,19 +162,5 @@ def build_twist(rep):
     i = np.arange(d)
     R = np.zeros((d, d), dtype=complex)
     R[d - 1 - i, i] = (-1.0) ** (d - 1 - i)
-    zeta = 1.0 + 0j if d % 2 == 1 else -1j
-    mu = 1 if d % 2 == 1 else -1
-    return TwistMatrix(d=d, r0=R / zeta, zeta=complex(zeta), mu=mu)
-
-
-def compute_mu(t):
-    """Parity mu in {+1, -1} with conj(r0) = mu * r0, from the matrix itself."""
-    r0 = t.r0
-    idx = np.unravel_index(np.argmax(np.abs(r0)), r0.shape)
-    ratio = r0.conj()[idx] / r0[idx]
-    mu = int(round(ratio.real))
-    if mu not in (+1, -1) or np.abs(r0.conj() - mu * r0).max() > 1e-10:
-        raise ValueError("conj(r0) is not a real sign times r0; invalid twist")
-    if t.d % 2 == 1 and mu != 1:
-        raise ValueError(f"mu = {mu} inconsistent with odd dimension {t.d}")
-    return mu
+    # i R as R / -i, whose signed zeros are those `fcspin repr` prints
+    return TwistMatrix(R if d % 2 == 1 else R / -1j)

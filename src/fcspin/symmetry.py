@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, _require_tol
 from .fcs import _products, max_window_entries, modular_data, window_expectations
-from .su2 import TwistMatrix, compute_mu
+from .su2 import TwistMatrix
 from .transfer import decay_certificate
 
 __all__ = [
@@ -93,32 +93,9 @@ class AuditReport:
     clauses: tuple
     delta: float
 
-    def clause(self, name):
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     @property
     def all_pass(self):
         return all(c.status == "pass" for c in self.clauses)
-
-
-def _as_twist_matrix(twist, d):
-    """Accept a TwistMatrix or a bare unitary with square equal to I."""
-    if isinstance(twist, TwistMatrix):
-        r0 = twist.r0
-    else:
-        r0 = np.asarray(twist, dtype=complex)
-    if r0.shape != (d, d):
-        raise ValueError(f"twist has shape {r0.shape}, expected ({d}, {d})")
-    if not np.isfinite(r0).all():
-        raise ValueError("twist has a non-finite entry")
-    if np.abs(r0 @ r0 - np.eye(d)).max() > 1e-10:
-        raise ValueError("twist does not square to the identity")
-    if np.abs(r0 @ r0.conj().T - np.eye(d)).max() > 1e-10:
-        raise ValueError("twist is not unitary")
-    return r0
 
 
 def _at_site(W, op, p):
@@ -168,7 +145,7 @@ def check_lattice_twist(state, twist, m, tol=1e-9):
     _require_tol(tol)
     _require_window(m)
     d = state.d
-    r0 = _as_twist_matrix(twist, d)
+    r0 = TwistMatrix.of(twist, d).r0
     details = {}
     for length in range(1, m + 1):
         W = window_expectations(state, length)
@@ -227,7 +204,7 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
     """
     _require_tol(tol)
     _require_window(m)
-    r0 = _as_twist_matrix(twist, state.d)
+    r0 = TwistMatrix.of(twist, state.d).r0
     d, k = state.d, state.k
     D = d ** m
     if D * D * k * k > max_window_entries():
@@ -275,14 +252,6 @@ def check_su2(state, rep, m, *, tol=1e-8):
                     for p in range(length))
             details[(length, label)] = float(np.abs(C).max())
     return _verdict("su2-invariant", m, _worst(details), tol, details)
-
-
-def _real_form(twist, d):
-    """The real matrix zeta * r0 of a unitary involution r0 (a TwistMatrix or
-    a bare matrix) whose conjugate is +-r0 (ValueError otherwise)."""
-    r0 = _as_twist_matrix(twist, d)
-    mu = compute_mu(TwistMatrix(d=d, r0=r0, zeta=1.0 + 0j, mu=1))
-    return r0.real if mu == 1 else r0.imag  # zeta = 1 or -i, as in build_twist
 
 
 def _polar_unitary(M):
@@ -440,7 +409,7 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     d, k = state.d, state.k
     V = state.kraus.stacked()
     targets = V.conj().transpose(0, 2, 1)
-    C = _twist_combination(state.kraus, _real_form(twist, d))
+    C = _twist_combination(state.kraus, TwistMatrix.of(twist, d).real_form)
     # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
     # sum_i tr(W* v_i W c_i) for row-major vec
     Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)
@@ -557,6 +526,7 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
     _require_tol(tol)
     if windows < 1:
         raise ValueError("window length must be >= 1")
+    twist = TwistMatrix.of(twist, state.d)
     clauses = []
 
     v = check_real(state, windows, tol)

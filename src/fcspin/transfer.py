@@ -28,7 +28,6 @@ __all__ = [
     "DecayRow",
     "DecayCertificate",
     "build_transfer",
-    "check_selfadjoint",
     "gap",
     "two_point",
     "decay_certificate",
@@ -110,11 +109,6 @@ def _transfer_operator(state):
     sq, inv_sq, _ = state._once("rho_roots", lambda: _rho_roots(state.rho))
     mat = sum(np.kron(v, (sq @ v @ inv_sq).conj()) for v in state.kraus.v)
     return TransferOperator(matrix=mat, sqrt_rho=sq, inv_sqrt_rho=inv_sq)
-
-
-def check_selfadjoint(t):
-    """t.selfadjoint_defect, ||T - T*|| in the GNS inner product."""
-    return t.selfadjoint_defect
 
 
 def _sort_eigs(w):

@@ -10,8 +10,11 @@ from fractions import Fraction
 from importlib import resources
 
 import numpy as np
+import pytest
 
 from fcspin import (
+    TwistMatrix,
+    aklt_kraus,
     build_spin_rep,
     build_transfer,
     build_twist,
@@ -19,9 +22,7 @@ from fcspin import (
     check_lattice_twist,
     check_real,
     check_reflection_positive,
-    check_selfadjoint,
     check_su2,
-    compute_mu,
     covariant_state,
     decay_certificate,
     gap,
@@ -31,7 +32,14 @@ from fcspin import (
     theorem_audit,
     two_point,
 )
-from fcspin.chains import build_chain, correlation_profile, gibbs, ground, rp_gram_check
+from fcspin.chains import (
+    _pair_marginal,
+    build_chain,
+    correlation_profile,
+    gibbs,
+    ground,
+    rp_gram_check,
+)
 from fcspin.fcs import (
     modular_data,
     validate,
@@ -94,7 +102,7 @@ def test_criterion_1_representation_suite():
         rng = np.random.default_rng(d)
         for g in random_group_elements(rep, 100, rng):
             worst = max(worst, float(np.abs(tw.r0 @ g.u @ tw.r0 - g.u.conj()).max()))
-        mu_ok = mu_ok and tw.mu == (-1) ** (d + 1) == compute_mu(tw)
+        mu_ok = mu_ok and tw.mu == (-1) ** (d + 1) == TwistMatrix(tw.r0).mu
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and mu_ok and elapsed < 5.0
     assert _verdict(1, "representation suite", ok,
@@ -156,7 +164,7 @@ def test_criterion_4_theorem_chain():
         if not check_kraus_twist_relation(st, tw, tol=1e-8).passed:
             continue
         eligible += 1
-        worst_sa = max(worst_sa, check_selfadjoint(build_transfer(st)))
+        worst_sa = max(worst_sa, build_transfer(st).selfadjoint_defect)
         rep_gap = gap(build_transfer(st))
         if rep_gap.fixed_multiplicity == 1:
             Sz = build_spin_rep(st.d).Sz
@@ -215,6 +223,64 @@ def test_criterion_6_ed_cross_check():
     assert _verdict(6, "ED cross-check", ok,
                     f"failed={failed or 'none'}, min Gram eig "
                     f"{min(min_eigs):.2e}, {elapsed:.1f}s")
+
+
+# ---- the exact ED-FCS bridge: the AKLT parent chain's ground space is the MPS ----
+
+def _aklt_products(n):
+    """The d^n products v_{x1}..v_{xn} of the AKLT family as a (d^n, k, k)
+    array, site 0 (x1) the most significant digit, as in the chain labels."""
+    P = np.eye(2, dtype=complex)[None]
+    for _ in range(n):
+        P = np.einsum("xab,ybc->xyac", P, aklt_kraus().stacked()).reshape(-1, 2, 2)
+    return P
+
+
+def _transfer_with(A):
+    """E_A = sum_xy A[x, y] v_y (x) conj(v_x); A = I gives E."""
+    v = aklt_kraus().v
+    return sum(A[x, y] * np.kron(v[y], v[x].conj())
+               for x in range(3) for y in range(3))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ed_ring_ground_vector_is_the_periodic_mps(n):
+    g = ground(build_chain(3, n, model="aklt-parent"))
+    assert g.degeneracy == 1
+    psi = np.trace(_aklt_products(n), axis1=1, axis2=2)
+    psi = psi / np.linalg.norm(psi)
+    phase = np.vdot(psi, g.vectors[:, 0])
+    phase /= abs(phase)
+    assert np.abs(g.vectors[:, 0] - phase * psi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ed_open_ground_space_is_the_boundary_mps(n):
+    g = ground(build_chain(3, n, periodic=False, model="aklt-parent"))
+    assert g.degeneracy == 4
+    # the 4 vectors <a| v_{x1}..v_{xn} |b>, orthonormalized
+    Q = np.linalg.qr(_aklt_products(n).reshape(-1, 4))[0]
+    # for projectors of equal rank, |P_ed - P_mps|_2 = |(I - P_ed) Q|_2
+    U = g.vectors
+    assert np.linalg.norm(Q - U @ (U.conj().T @ Q), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ed_ring_pair_marginal_is_the_mps_transfer_formula(n):
+    system = build_chain(3, n, model="aklt-parent")
+    g = ground(system)
+    gens = build_spin_rep(3).generators()
+    E = _transfer_with(np.eye(3))
+    norm = np.trace(np.linalg.matrix_power(E, n))
+    for r in range(1, n):
+        R = _pair_marginal(system, g.vectors, 0, r)
+        for A in gens:
+            for B in gens:
+                ed = np.einsum("abce,ca,eb->", R, A, B)
+                mps = np.trace(_transfer_with(A) @ np.linalg.matrix_power(E, r - 1)
+                               @ _transfer_with(B)
+                               @ np.linalg.matrix_power(E, n - r - 1)) / norm
+                assert abs(ed - mps) <= 1e-12
 
 
 def test_criterion_7_negative_controls():

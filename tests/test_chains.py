@@ -1056,3 +1056,8 @@ def test_ground_correlations_basis_independent(case):
     for a, b, c in zip(rows, rotated, averaged):
         assert abs(a.total - b.total) <= 1e-12 and abs(a.zz - b.zz) <= 1e-12
         assert abs(a.total - c.total) <= 1e-12 and abs(a.zz - c.zz) <= 1e-12
+
+
+def test_one_site_chain_refused():
+    with pytest.raises(ValueError, match="a chain needs at least two sites"):
+        build_chain(2, 1)

@@ -11,6 +11,7 @@ from fcspin.cli import main
 from fcspin.fcs import KrausFamily
 from fcspin.krausfile import dump_state, write_kraus
 from fcspin.states import covariant_state, random_unital_kraus
+from fcspin.symmetry import AuditClause, AuditReport
 
 DATA = str(resources.files("fcspin.data").joinpath("aklt.kraus")).rsplit("/", 1)[0]
 
@@ -314,3 +315,37 @@ def test_ed_with_beta_diagonalizes_once(monkeypatch, capsys):
     monkeypatch.setattr(chains, "_orbit_blocks", counted)
     assert main(["ed", "--d", "3", "--n", "6", "--beta", "0.7", "--rp"]) == 0
     assert calls == [(729, 729)]
+
+
+def _stub_audit(statuses):
+    """A theorem_audit stand-in whose report has the given clause statuses."""
+    def audit(state, rep, twist, windows, tol):
+        return AuditReport(clauses=tuple(
+            AuditClause(f"clause-{i}", "hypothesis", status, 0.0)
+            for i, status in enumerate(statuses)), delta=0.5)
+    return audit
+
+
+@pytest.mark.parametrize("statuses, code, overall", [
+    (("pass", "indeterminate", "pass"), 3, "overall indeterminate"),
+    (("indeterminate", "fail", "pass"), 1, "overall fail"),
+    (("fail", "indeterminate"), 1, "overall fail"),
+])
+def test_audit_overall_status_and_exit_code(statuses, code, overall,
+                                            monkeypatch, capsys):
+    monkeypatch.setattr(cli, "theorem_audit", _stub_audit(statuses))
+    assert main(["audit", "@aklt"]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == overall
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--window", "argument --window: expected an integer, got 'abc'"),
+    ("--tol", "argument --tol: expected a number, got 'abc'"),
+])
+def test_audit_non_numeric_option_is_a_usage_error(option, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["audit", "@aklt", option, "abc"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from fcspin import (
+    FcsState,
     KrausFamily,
     aklt_kraus,
     aklt_state,
@@ -56,6 +57,30 @@ def evaluate_monomial(state, I, J):
 def test_kraus_family_shape_check():
     with pytest.raises(ValueError):
         KrausFamily((np.eye(2), np.zeros((3, 3))))
+
+
+def test_kraus_family_empty_refused():
+    with pytest.raises(ValueError, match="a Kraus family needs at least one matrix"):
+        KrausFamily(())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+def test_kraus_family_non_finite_entry_refused(bad):
+    mats = [np.array(v) for v in aklt_kraus().v]
+    mats[1][0, 1] = bad
+    with pytest.raises(ValueError, match="Kraus matrix 2 has a non-finite entry"):
+        KrausFamily(tuple(mats))
+
+
+@pytest.mark.parametrize("rho, message", [
+    ([[np.inf, 0], [0, 0.5]], "rho has a non-finite entry"),
+    ([[np.nan, 0], [0, 0.5]], "rho has a non-finite entry"),
+    (np.eye(3) / 3, r"rho has shape \(3, 3\), expected \(2, 2\)"),
+    ([0.5, 0.5], r"rho has shape \(2,\), expected \(2, 2\)"),
+])
+def test_fcs_state_bad_rho_refused(rho, message):
+    with pytest.raises(ValueError, match=message):
+        FcsState(kraus=aklt_kraus(), rho=rho)
 
 
 def test_validate_unital():
@@ -126,6 +151,11 @@ def test_window_resource_refusal():
     st = aklt_state()
     with pytest.raises(ResourceLimitError):
         window_expectations(st, 13)
+
+
+def test_window_expectations_empty_window_refused():
+    with pytest.raises(ValueError, match="window length must be >= 1"):
+        window_expectations(aklt_state(), 0)
 
 
 @pytest.mark.parametrize("family, m_max", [

@@ -133,3 +133,18 @@ def test_non_finite_entry_rejected(entry):
         read_kraus(text)
     assert err.value.line == 7
     assert "non-finite" in err.value.message
+
+
+def test_non_numeric_entry_rejected():
+    with pytest.raises(KrausFileError) as err:
+        read_kraus("d 1\nk 1\nmatrix 1\n(abc,0)\n")
+    assert err.value.line == 4
+    assert err.value.message == "non-numeric entry in pair '(abc,0)'"
+
+
+@pytest.mark.parametrize("header", ["d 3 4", "d"])
+def test_malformed_d_header_rejected(header):
+    with pytest.raises(KrausFileError) as err:
+        read_kraus(f"# header\n{header}\nk 2\n")
+    assert err.value.line == 2
+    assert err.value.message == f"malformed `d` header: {header!r}"

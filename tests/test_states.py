@@ -14,7 +14,7 @@ import pytest
 
 import fcspin
 from fcspin import build_spin_rep, covariant_kraus, covariant_state, find_intertwiner
-from fcspin.states import _cg_table
+from fcspin.states import _cg_table, direct_sum
 
 # (2s, 2j) of every family with integer s <= 4, 2j <= 8 and s <= 2j
 ALLOWED = [(two_s, two_j) for two_s in range(2, 9, 2) for two_j in range(1, 9)
@@ -102,3 +102,19 @@ def test_covariant_families_do_not_load_sympy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("s, j, message", [
+    (0, 1, "physical spin must be positive"),
+    (Fraction(1, 2), 1, "spin 1/2 (x) spin 1 does not contain spin 1: the "
+                        "physical spin must be an integer"),
+    (2, Fraction(1, 2), "spin 2 (x) spin 1/2 does not contain spin 1/2 unless s <= 2j"),
+])
+def test_covariant_kraus_refuses_families_without_the_bond_irrep(s, j, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        covariant_kraus(s, j)
+
+
+def test_direct_sum_refuses_unequal_physical_dimensions():
+    with pytest.raises(ValueError, match="families must share the physical dimension"):
+        direct_sum(covariant_kraus(1, 1), covariant_kraus(2, 1))

@@ -1,13 +1,16 @@
 """Representation and twist construction."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from fcspin import (
+    TwistMatrix,
     build_spin_rep,
     build_twist,
-    compute_mu,
     group_element,
 )
 from fcspin.su2 import random_group_elements
@@ -72,7 +75,7 @@ def test_mu_parity(d):
     tw = build_twist(build_spin_rep(d))
     expected = 1 if d % 2 == 1 else -1
     assert tw.mu == expected
-    assert compute_mu(tw) == expected
+    assert TwistMatrix(tw.r0).mu == expected
     assert abs(tw.zeta ** 2 - tw.mu) < 1e-14
     # conj(r0) = mu * r0
     assert np.abs(tw.r0.conj() - tw.mu * tw.r0).max() < 1e-12
@@ -110,7 +113,7 @@ def test_twist_closed_form_matches_expm(d):
     r0, zeta, mu = _expm_twist(rep)
     assert np.array_equal(tw.r0, r0)
     assert tw.zeta == zeta
-    assert tw.mu == mu == compute_mu(tw)
+    assert tw.mu == mu == TwistMatrix(tw.r0).mu
     # the real form is the signed antidiagonal R e_m = (-1)^(s+m) e_{-m}
     i = np.arange(d)
     R = np.zeros((d, d))
@@ -129,3 +132,71 @@ def test_group_element_matches_expm(d):
         ref = expm(1j * (theta[0] * rep.Sx + theta[1] * rep.Sy + theta[2] * rep.Sz))
         assert np.abs(g.u - ref).max() < 1e-13
         assert np.abs(g.u @ g.u.conj().T - np.eye(d)).max() < 1e-13
+
+
+# ---- TwistMatrix: validated once, at construction ---------------------------------
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def test_twist_matrix_has_r0_as_its_only_field():
+    assert [f.name for f in dataclasses.fields(TwistMatrix)] == ["r0"]
+
+
+def test_twist_matrix_keeps_a_read_only_complex_copy():
+    r0 = np.diag([1.0, -1.0])
+    tw = TwistMatrix(r0)
+    r0[0, 0] = 5.0
+    assert tw.r0.dtype == complex
+    assert np.array_equal(tw.r0, np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        tw.r0[0, 0] = 2.0
+
+
+def test_twist_matrix_properties_read_off_r0():
+    tw = TwistMatrix(SIGMA_Y)
+    assert tw.d == 2
+    assert tw.mu == -1
+    assert tw.zeta == -1j
+    assert np.array_equal(tw.real_form, [[0.0, -1.0], [1.0, 0.0]])
+    tw = TwistMatrix(SIGMA_X)
+    assert tw.mu == 1
+    assert tw.zeta == 1.0
+    assert np.array_equal(tw.real_form, SIGMA_X.real)
+
+
+@pytest.mark.parametrize("r0, message", [
+    # i sigma_x has conj(r0) = -r0 but squares to -I: no twist at all
+    (1j * SIGMA_X, "twist does not square to the identity"),
+    (np.diag([1.0, 2.0, 0.5]), "twist does not square to the identity"),
+    # squares to I but is not unitary
+    (np.array([[1.0, 1.0], [0.0, -1.0]]), "twist is not unitary"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "twist has a non-finite entry"),
+    (np.eye(3)[:2], re.escape("twist must be a square matrix, got shape (2, 3)")),
+    (np.ones(2), re.escape("twist must be a square matrix, got shape (2,)")),
+])
+def test_twist_matrix_refuses_what_is_not_a_unitary_involution(r0, message):
+    with pytest.raises(ValueError, match=message):
+        TwistMatrix(r0)
+
+
+def test_twist_matrix_without_real_form_has_no_mu():
+    # a unitary involution whose conjugate is not +-itself: a valid twist,
+    # but mu, zeta and the real form do not exist
+    a = np.exp(1j * np.pi / 4)
+    tw = TwistMatrix(np.array([[0.0, a], [np.conj(a), 0.0]]))
+    for prop in ("mu", "zeta", "real_form"):
+        with pytest.raises(ValueError, match="conj\\(r0\\) is not a real sign times r0"):
+            getattr(tw, prop)
+
+
+def test_twist_of_checks_the_shape_first():
+    tw = build_twist(build_spin_rep(3))
+    assert TwistMatrix.of(tw, 3) is tw
+    assert np.array_equal(TwistMatrix.of(tw.r0, 3).r0, tw.r0)
+    # a wrong shape is named even when the entries would be refused too
+    with pytest.raises(ValueError, match=re.escape("twist has shape (3, 3), expected (5, 5)")):
+        TwistMatrix.of(np.diag([1.0, 2.0, 3.0]), 5)
+    with pytest.raises(ValueError, match=re.escape("twist has shape (3, 3), expected (2, 2)")):
+        TwistMatrix.of(tw, 2)

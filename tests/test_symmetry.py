@@ -1,5 +1,6 @@
 """Finite-window symmetry checks and the composite audit."""
 
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -41,10 +42,10 @@ from fcspin.symmetry import (
     _TWIST_GRID,
     SymmetryVerdict,
     _polar_unitary,
-    _real_form,
     _twist_combination,
     _twist_residual,
 )
+from fcspin.chains import build_chain, ground, rp_gram_check
 from fcspin.fcs import window_expectations
 from fcspin.su2 import random_group_elements
 
@@ -101,12 +102,46 @@ def test_non_finite_twist_refused(bad, aklt, rep3):
         lambda: check_reflection_positive(aklt, r0, 2),
         lambda: check_kraus_twist_relation(aklt, r0),
         lambda: theorem_audit(aklt, rep3, r0),
-        lambda: check_lattice_twist(
-            aklt, TwistMatrix(d=3, r0=r0, zeta=1.0 + 0j, mu=1), 2),
+        lambda: check_lattice_twist(aklt, TwistMatrix(r0), 2),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="twist has a non-finite entry"):
             call()
+
+
+# squares to I exactly, but is not unitary
+_NOT_UNITARY = np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("r0, message", [
+    (np.diag([1.0, 2.0, 0.5]), "twist does not square to the identity"),
+    (_NOT_UNITARY, "twist is not unitary"),
+    (np.full((2, 2), np.nan), re.escape("twist has shape (2, 2), expected (3, 3)")),
+])
+def test_invalid_twist_refused_by_every_consumer(r0, message, aklt, rep3):
+    chain = build_chain(3, 2)
+    calls = [
+        lambda: check_lattice_twist(aklt, r0, 2),
+        lambda: check_reflection_positive(aklt, r0, 2),
+        lambda: check_kraus_twist_relation(aklt, r0),
+        lambda: theorem_audit(aklt, rep3, r0),
+        lambda: rp_gram_check(chain, ground(chain).vectors[:, 0], r0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_generic_involution_is_a_twist_without_real_form(aklt):
+    # a unitary involution with conj(r0) != +-r0: the window checks take
+    # it, the Kraus relation, which needs the real form, refuses it
+    a = np.exp(1j * np.pi / 4)
+    r0 = np.array([[0.0, a, 0.0], [np.conj(a), 0.0, 0.0], [0.0, 0.0, 1.0]])
+    for twist in (r0, TwistMatrix(r0)):
+        assert check_lattice_twist(aklt, twist, 2).status in ("pass", "fail")
+        assert check_reflection_positive(aklt, twist, 2).status in ("pass", "fail")
+        with pytest.raises(ValueError, match="conj\\(r0\\) is not a real sign times r0"):
+            check_kraus_twist_relation(aklt, twist)
 
 
 def test_reflection_positive_aklt(aklt, twist3):
@@ -379,6 +414,12 @@ def test_intertwiner_breaking_state(rep3):
     assert report.residual > 1e-3
 
 
+def test_intertwiner_mismatched_rep_refused(aklt):
+    with pytest.raises(ValueError,
+                       match="representation dimension 2 != physical dimension 3"):
+        find_intertwiner(aklt, build_spin_rep(2))
+
+
 def test_theorem_audit_aklt(aklt, rep3, twist3):
     report = theorem_audit(aklt, rep3, twist3)
     assert report.all_pass
@@ -635,7 +676,7 @@ def test_kraus_twist_bare_matrix_is_its_own_twist():
     # bare sigma_z is a twist in its own right and must not be replaced by it
     st = product_state(np.array([1.0, 0.0]))
     sigma_z = np.diag([1.0, -1.0]).astype(complex)
-    wrapped = TwistMatrix(d=2, r0=sigma_z, zeta=1.0 + 0j, mu=1)
+    wrapped = TwistMatrix(sigma_z)
     assert check_kraus_twist_relation(st, wrapped).status == "pass"
     bare = check_kraus_twist_relation(st, sigma_z)
     assert bare.status == "pass"
@@ -676,7 +717,7 @@ def _grid_first_reference(state, twist, tol=1e-8):
     d, k = state.d, state.k
     V = state.kraus.stacked()
     targets = V.conj().transpose(0, 2, 1)
-    C = _twist_combination(state.kraus, _real_form(twist, d))
+    C = _twist_combination(state.kraus, TwistMatrix.of(twist, d).real_form)
     # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
     # sum_i tr(W* v_i W c_i) for row-major vec
     Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)

@@ -14,7 +14,6 @@ from fcspin import (
     build_spin_rep,
     build_transfer,
     build_twist,
-    check_selfadjoint,
     covariant_kraus,
     covariant_state,
     decay_certificate,
@@ -79,14 +78,14 @@ def test_spectral_radius_and_fixed_eigenvalue():
 
 def test_selfadjoint_implies_real_spectrum():
     t = build_transfer(aklt_state())
-    assert check_selfadjoint(t) <= 1e-9
+    assert t.selfadjoint_defect <= 1e-9
     rep = gap(t)
     assert max(abs(lam.imag) for lam in rep.eigenvalues) < 1e-8
 
 
 def test_generic_family_not_selfadjoint():
     st = random_fcs_state(3, 3, np.random.default_rng(23))
-    assert check_selfadjoint(build_transfer(st)) > 1e-3
+    assert build_transfer(st).selfadjoint_defect > 1e-3
 
 
 def test_two_point_aklt_values():
