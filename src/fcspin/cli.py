@@ -142,19 +142,18 @@ def cmd_correlate(args):
               "choose from Sx, Sy, Sz", file=sys.stderr)
         return EXIT_USAGE
     cert = decay_certificate(state, A, B, args.n_max, args.tol)
-    print("n,corr_re,corr_im,abs_corr,bound,margin,ratio")
+    # corr is a complex and bound a float, so each field's repr is its _fmt
+    lines = ["n,corr_re,corr_im,abs_corr,bound,margin,ratio"]
     prev = None
     for row in cert.rows:
-        ratio = "" if prev is None or abs(prev) < 1e-300 else _fmt(
-            (row.corr / prev).real)
-        print(",".join([
-            str(row.n), _fmt(row.corr.real), _fmt(row.corr.imag),
-            _fmt(abs(row.corr)), _fmt(row.bound), _fmt(row.margin), ratio,
-        ]))
-        prev = row.corr
-    print(f"# delta {_fmt(cert.delta)}")
-    print(f"# beta_max {_fmt(cert.beta_max)}")
-    print(f"# verdict {cert.verdict}")
+        c = row.corr
+        ratio = "" if prev is None or abs(prev) < 1e-300 else repr((c / prev).real)
+        lines.append(f"{row.n},{c.real!r},{c.imag!r},{abs(c)!r},"
+                     f"{row.bound!r},{row.margin!r},{ratio}")
+        prev = c
+    lines += [f"# delta {_fmt(cert.delta)}", f"# beta_max {_fmt(cert.beta_max)}",
+              f"# verdict {cert.verdict}"]
+    print("\n".join(lines))
     return EXIT_PASS if cert.passed else EXIT_FAIL
 
 

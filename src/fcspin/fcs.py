@@ -52,10 +52,11 @@ def max_window_entries():
     return cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausFamily:
-    """d >= 1 finite complex k x k matrices v_1..v_d with sum_i v_i v_i* = I,
-    read-only."""
+    """d >= 1 finite complex k x k matrices v_1..v_d with k >= 1 and
+    sum_i v_i v_i* = I, read-only.  Equality is identity, so a family
+    hashes."""
 
     v: tuple
 
@@ -63,6 +64,9 @@ class KrausFamily:
         mats = tuple(_read_only(m, complex) for m in self.v)
         if not mats:
             raise ValueError("a Kraus family needs at least one matrix")
+        if mats[0].ndim != 2 or mats[0].size == 0:
+            raise ValueError("Kraus matrix 1 must be a nonempty square matrix, "
+                             f"got shape {mats[0].shape}")
         k = mats[0].shape[0]
         for i, m in enumerate(mats):
             if m.shape != (k, k):
@@ -96,12 +100,13 @@ class ValidationReport:
         return self.defect <= self.tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FcsState:
     """A Kraus family together with its invariant faithful state rho, an
     immutable value: rho is a read-only copy, so what depends on the state
     alone (its rho roots, its transfer operator) is computed once, by _once.
-    rho must be a finite k x k matrix."""
+    rho must be a finite k x k matrix.  Equality is identity, so a state
+    hashes."""
 
     kraus: KrausFamily
     rho: np.ndarray

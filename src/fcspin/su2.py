@@ -58,11 +58,12 @@ class GroupElement:
 TWIST_TOL = 1e-10  # entrywise: r0^2 = I, r0 r0* = I, conj(r0) = mu r0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistMatrix:
     """A unitary involution r0, checked to TWIST_TOL when built and kept as a
     read-only complex copy.  mu = +-1 with conj(r0) = mu r0 (a generic
-    involution has none), zeta^2 = mu and the real form zeta r0 follow."""
+    involution has none), zeta^2 = mu and the real form zeta r0 follow.
+    Equality is identity, so a twist hashes."""
 
     r0: np.ndarray
 

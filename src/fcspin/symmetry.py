@@ -292,10 +292,77 @@ _TWIST_GATE_SLACK = 16 * np.finfo(float).eps
 def _twist_residual(W, C, targets):
     """max_i ||v_i* - lam W c_i W*|| for a bond unitary W at its optimal
     phase lam, and lam."""
-    M = np.einsum("ab,ibc,dc->iad", W, C, W.conj())
+    M = W @ C @ W.conj().T
     h = complex(np.vdot(M, targets))
     lam = h / abs(h) if abs(h) > 1e-14 else 1.0 + 0j
     return float(np.linalg.norm(targets - lam * M, 2, axis=(1, 2)).max()), lam
+
+
+def _hermitian_part(Q, theta):
+    """Re(e^{i theta} Q), the Hermitian part of e^{i theta} Q."""
+    A = np.exp(1j * theta) * Q
+    return (A + A.conj().T) / 2
+
+
+def _ascent_step(Q, theta, e, X):
+    """Step in theta toward a maximum of the top eigenvalue lam(theta) of
+    Re(e^{i theta} Q), read off its eigendecomposition (e, X) at theta.
+
+    With top vector x and z = e^{i theta} x* Q x, lam' = -Im z, and, as
+    H'' = -H for H'(theta) = Re(i e^{i theta} Q),
+
+        lam'' = -lam + 2 sum_{j != top} |x_j* H' x|^2 / (lam - lam_j).
+
+    Where lam'' < 0 the step is Newton's, -lam' / lam''.  Elsewhere, as
+    where two branches cross (direct sums), it is the fixed-point step
+    -arg z, which fits the phase of x and never lowers lam.
+    """
+    x = X[:, -1]
+    Qx = Q @ x
+    u = np.exp(1j * theta)
+    z = u * np.vdot(x, Qx)
+    Hx = 0.5j * (u * Qx - u.conjugate() * (Q.conj().T @ x))  # H' x
+    g = X[:, :-1].conj().T @ Hx
+    # an exact crossing (lam_j = lam) gives inf or nan, hence the fallback
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        curvature = -e[-1] + 2 * np.sum(np.abs(g) ** 2 / (e[-1] - e[:-1]))
+    return z.imag / curvature if curvature < 0 else -np.angle(z)
+
+
+def _twist_ascent(Q, theta, rounds):
+    """Eigendecomposition of Re(e^{i theta} Q) after at most `rounds` of
+    them, each followed by one _ascent_step from theta; the ascent stops
+    once a step is at most 1e-13."""
+    for n in range(rounds):
+        e, X = np.linalg.eigh(_hermitian_part(Q, theta))
+        if n + 1 == rounds:
+            break
+        step = _ascent_step(Q, theta, e, X)
+        if abs(step) <= 1e-13:
+            break
+        theta += step
+    return e, X
+
+
+def _twist_gauge(V, C, e, X, tol):
+    """Gauge, defect, phase and top multiplicity from the eigendecomposition
+    (e, X) of Re(e^{i theta} Q) that the ascent ends at."""
+    k = V.shape[1]
+    targets = V.conj().transpose(0, 2, 1)
+    top = X[:, e >= e[-1] - _TWIST_CLUSTER]
+    multiplicity = top.shape[1]
+    x = top[:, -1]
+    if multiplicity > 1:
+        rng = np.random.default_rng(0)
+        x = top @ (rng.normal(size=multiplicity) + 1j * rng.normal(size=multiplicity))
+    W = _polar_unitary(x.reshape(k, k))
+    defect, lam = _twist_residual(W, C, targets)
+    if multiplicity > 1 and defect > tol:
+        W_step = _polar_unitary(lam * np.einsum("iab,bc,icd->ad", V, W, C))
+        step = _twist_residual(W_step, C, targets)
+        if step[0] < defect:
+            W, (defect, lam) = W_step, step
+    return W, defect, lam, multiplicity
 
 
 def _grid_maximum(hermitian_part, sigma, margin):
@@ -378,23 +445,27 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     with Q = sum_i v_i (x) c_i^T, a k^2 x k^2 matrix of norm <= 1.  The best
     pair is therefore the top eigenvector of Re(e^{i theta} Q) at the theta
     maximizing its top eigenvalue (the numerical radius w of Q), found by
-    ascent steps alternating that eigenvector with its optimal phase.  The
-    eigenvector, reshaped to k x k and polar-projected, is W; when the top
-    eigenspace is degenerate (non-injective families) a fixed combination of
-    it is projected instead, followed by one polar step if that still misses
-    tol.  The defect is the residual of that unitary W at its optimal phase,
-    so a pass never rests on an eigenvalue estimate.
+    an ascent of at most _TWIST_ASCENT_ROUNDS eigendecompositions, each
+    followed by a Newton step on theta read off it, or by the fixed-point
+    step to the optimal phase of the top vector where the top eigenvalue
+    is not concave (_ascent_step).  The top eigenvector of the last
+    eigendecomposition, reshaped to k x k and polar-projected, is W; when
+    the top eigenspace is degenerate (non-injective families) a fixed
+    combination of it is projected instead, followed by one polar step if
+    that still misses tol.  The defect is the residual of that unitary W at
+    its optimal phase, so a pass never rests on an eigenvalue estimate.
 
     Each term of the sum is at most k defect^2, so a pass forces
     w >= 1 - d tol^2 / 2 and hence sigma_max(Q)^2 >= 1 - d tol^2.  When one
     eigensolve of Q* Q allows that, a pass is tried first: a unimodular
     eigenvalue mu of the contraction Q has an eigenvector x with Q* x =
-    conj(mu) x, a top singular vector, so one ascent round starts from the
-    phase -arg(x* Q x) of the top eigenvector x of Q* Q.  Otherwise, or when
-    that attempt misses tol, a 64-point phase grid locates w and the ascent
-    runs from the grid maximum.  The grid maximum is found exactly by a
-    pruned search (_grid_maximum): the support-function bound of the
-    numerical range skips the grid angles that cannot reach it.
+    conj(mu) x, a top singular vector, so W is read off one
+    eigendecomposition, with no step, at the phase -arg(x* Q x) of the top
+    eigenvector x of Q* Q.  Otherwise, or when that attempt misses tol, a
+    64-point phase grid locates w and the ascent runs from the grid
+    maximum.  The grid maximum is found exactly by a pruned search
+    (_grid_maximum): the support-function bound of the numerical range
+    skips the grid angles that cannot reach it.
 
     status is "pass" for defect <= tol, "fail" for defect >= 1e-3, and
     "indeterminate" in between.  details holds the gauge W, the phase lam,
@@ -408,51 +479,10 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     _require_tol(tol)
     d, k = state.d, state.k
     V = state.kraus.stacked()
-    targets = V.conj().transpose(0, 2, 1)
     C = _twist_combination(state.kraus, TwistMatrix.of(twist, d).real_form)
     # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
     # sum_i tr(W* v_i W c_i) for row-major vec
     Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)
-
-    def hermitian_part(theta):
-        A = np.exp(1j * theta) * Q
-        return (A + A.conj().T) / 2
-
-    def ascend(theta):
-        """Eigenpairs at theta and the optimal phase of the top vector."""
-        e, X = np.linalg.eigh(hermitian_part(theta))
-        z = np.exp(1j * theta) * np.vdot(X[:, -1], Q @ X[:, -1])
-        return e, X, theta - np.angle(z)
-
-    def solve(theta, rounds):
-        """Gauge, defect, phase and top multiplicity after at most `rounds`
-        ascent rounds from theta."""
-        # Each step theta -> theta - arg(e^{i theta} z) fits the phase of the
-        # current top vector and never lowers the top eigenvalue.  The steps
-        # shrink geometrically, so two of them give Aitken's estimate of the
-        # limit.
-        for _ in range(rounds):
-            e, X, t1 = ascend(theta)
-            if abs(t1 - theta) <= 1e-13:
-                break
-            t2 = ascend(t1)[2]
-            rate = (t2 - t1) / (t1 - theta)
-            theta = t1 + (t2 - t1) / (1 - rate) if 0 < rate < 1 else t2
-
-        top = X[:, e >= e[-1] - _TWIST_CLUSTER]
-        multiplicity = top.shape[1]
-        x = top[:, -1]
-        if multiplicity > 1:
-            rng = np.random.default_rng(0)
-            x = top @ (rng.normal(size=multiplicity) + 1j * rng.normal(size=multiplicity))
-        W = _polar_unitary(x.reshape(k, k))
-        defect, lam = _twist_residual(W, C, targets)
-        if multiplicity > 1 and defect > tol:
-            W_step = _polar_unitary(lam * np.einsum("iab,bc,icd->ad", V, W, C))
-            step = _twist_residual(W_step, C, targets)
-            if step[0] < defect:
-                W, (defect, lam) = W_step, step
-        return W, defect, lam, multiplicity
 
     # The eigenvalues of Q* Q (norm <= 1) carry a backward error of a small
     # multiple of k^2 eps, so the gate gives way by _TWIST_GATE_SLACK k^2:
@@ -460,15 +490,17 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     s, X = np.linalg.eigh(Q.conj().T @ Q)
     if s[-1] >= 1 - d * tol ** 2 - _TWIST_GATE_SLACK * k * k:
         x = X[:, -1]
-        W, defect, lam, multiplicity = solve(-np.angle(np.vdot(x, Q @ x)), 1)
+        e, X = _twist_ascent(Q, -np.angle(np.vdot(x, Q @ x)), 1)
+        W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)
         if defect <= tol:
             return _twist_verdict(W, defect, lam, multiplicity, 0.0, 0, tol)
 
     margin = max(_TWIST_PRUNE_MARGIN, _TWIST_GATE_SLACK * k * k)
     radius, theta, grid_angles = _grid_maximum(
-        hermitian_part, np.sqrt(max(s[-1], 0.0)), margin)
+        lambda phi: _hermitian_part(Q, phi), np.sqrt(max(s[-1], 0.0)), margin)
     lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
-    W, defect, lam, multiplicity = solve(theta, _TWIST_ASCENT_ROUNDS)
+    e, X = _twist_ascent(Q, theta, _TWIST_ASCENT_ROUNDS)
+    W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)
     return _twist_verdict(W, defect, lam, multiplicity, lower_bound,
                           grid_angles, tol)
 

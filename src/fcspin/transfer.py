@@ -34,9 +34,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferOperator:
-    """T in GNS coordinates, read-only; spectrum and defect computed once."""
+    """T in GNS coordinates, read-only; spectrum and defect computed once.
+    Equality is identity, so an operator hashes."""
 
     matrix: np.ndarray        # k^2 x k^2, GNS coordinates
     sqrt_rho: np.ndarray      # rho^{1/2}, the cyclic vector psi as a matrix
@@ -151,12 +152,18 @@ def _insertions(state, t, A, B):
     A = _observable("A", A, state.d)
     B = _observable("B", B, state.d)
     V = state.kraus.stacked()
+    d, k = state.d, state.k
+    Vh = V.conj().transpose(0, 2, 1)
     rho = state.rho
-    # sigma_A with trace(sigma_A x) = omega(A (x) ...) = sum A_ij tr(rho v_i x v_j*)
-    sigma_A = np.einsum("ij,jba,bc,icd->ad", A, V.conj(), rho, V, optimize=True)
-    xB = np.einsum("ij,iab,jcb->ac", B, V, V.conj(), optimize=True)
+    # sigma_A with trace(sigma_A x) = omega(A (x) ...) = sum A_ij tr(rho v_i x v_j*),
+    # so sigma_A = sum_j v_j* rho (sum_i A_ij v_i) and xB = sum_i v_i (sum_j B_ij v_j*),
+    # each one product of a row of blocks with a column of blocks
+    AV = (A.T @ V.reshape(d, -1)).reshape(d, k, k)
+    BVh = (B @ Vh.reshape(d, -1)).reshape(d, k, k)
+    sigma_A = Vh.transpose(1, 0, 2).reshape(k, -1) @ (rho @ AV).reshape(-1, k)
+    xB = V.transpose(1, 0, 2).reshape(k, -1) @ BVh.reshape(-1, k)
     sigma_Ac = sigma_A - np.trace(sigma_A) * rho
-    xBc = xB - np.trace(rho @ xB) * np.eye(state.k)
+    xBc = xB - np.trace(rho @ xB) * np.eye(k)
     a = (sigma_Ac.conj().T @ t.inv_sqrt_rho).reshape(-1)
     b = (xBc @ t.sqrt_rho).reshape(-1)
     return a, b

@@ -10,7 +10,7 @@ from fcspin import chains, cli
 from fcspin.cli import main
 from fcspin.fcs import KrausFamily
 from fcspin.krausfile import dump_state, write_kraus
-from fcspin.states import covariant_state, random_unital_kraus
+from fcspin.states import covariant_state, gauge_transform, random_unital_kraus
 from fcspin.symmetry import AuditClause, AuditReport
 
 DATA = str(resources.files("fcspin.data").joinpath("aklt.kraus")).rsplit("/", 1)[0]
@@ -122,6 +122,48 @@ def test_correlate_aklt(capsys):
     ratio = float(rows[5].split(",")[-1])
     assert abs(ratio - (-1 / 3)) < 1e-9
     assert "# verdict pass" in out
+
+
+def _row_by_row_correlate(path, n_max):
+    """The correlate output as printed one row at a time, with _fmt on
+    every field, before the table became one string."""
+    name, state = cli._load(path, 1e-9)
+    rep = cli.build_spin_rep(state.d)
+    cert = cli.decay_certificate(state, rep.Sz, rep.Sz, n_max, 1e-9)
+    lines = ["n,corr_re,corr_im,abs_corr,bound,margin,ratio"]
+    prev = None
+    for row in cert.rows:
+        ratio = "" if prev is None or abs(prev) < 1e-300 else cli._fmt(
+            (row.corr / prev).real)
+        lines.append(",".join([
+            str(row.n), cli._fmt(row.corr.real), cli._fmt(row.corr.imag),
+            cli._fmt(abs(row.corr)), cli._fmt(row.bound), cli._fmt(row.margin), ratio,
+        ]))
+        prev = row.corr
+    lines += [f"# delta {cli._fmt(cert.delta)}",
+              f"# beta_max {cli._fmt(cert.beta_max)}", f"# verdict {cert.verdict}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture()
+def gauged_covariant_file(tmp_path):
+    z = np.random.default_rng(4).normal(size=(2, 4, 4))
+    W = np.linalg.qr(z[0] + 1j * z[1])[0]
+    st = gauge_transform(covariant_state(1, Fraction(3, 2)), W)
+    path = tmp_path / "covariant.kraus"
+    path.write_text(dump_state(st, name="covariant"))
+    return str(path)
+
+
+@pytest.mark.parametrize("n_max", [1, 270])
+@pytest.mark.parametrize("which", ["covariant", "random"])
+def test_correlate_table_matches_row_by_row_printer(which, n_max, gauged_covariant_file,
+                                                    capsys):
+    # the random family is not self-adjoint, so its bounds are SVD norms
+    path = (gauged_covariant_file if which == "covariant"
+            else f"{DATA}/random_unital_d3.kraus")
+    main(["correlate", path, "--n-max", str(n_max)])
+    assert capsys.readouterr().out == _row_by_row_correlate(path, n_max)
 
 
 def test_correlate_product_zeros(capsys):

@@ -64,6 +64,31 @@ def test_kraus_family_empty_refused():
         KrausFamily(())
 
 
+@pytest.mark.parametrize("entries, shape", [
+    ((1.0,), "()"),
+    ((np.zeros(3),), r"\(3,\)"),
+    ((np.zeros((0, 0)),), r"\(0, 0\)"),
+])
+def test_kraus_family_degenerate_entry_refused(entries, shape):
+    with pytest.raises(ValueError, match=(
+            f"Kraus matrix 1 must be a nonempty square matrix, got shape {shape}")):
+        KrausFamily(entries)
+
+
+def test_kraus_family_equality_is_identity():
+    fam = aklt_kraus()
+    assert fam == fam and fam != aklt_kraus()
+    assert hash(fam) == hash(fam)
+    assert len({fam, aklt_kraus()}) == 2
+
+
+def test_fcs_state_equality_is_identity():
+    st = aklt_state()
+    assert st == st and st != aklt_state()
+    assert hash(st) == hash(st)
+    assert len({st, aklt_state()}) == 2
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
 def test_kraus_family_non_finite_entry_refused(bad):
     mats = [np.array(v) for v in aklt_kraus().v]

@@ -144,6 +144,14 @@ def test_twist_matrix_has_r0_as_its_only_field():
     assert [f.name for f in dataclasses.fields(TwistMatrix)] == ["r0"]
 
 
+def test_twist_matrix_equality_is_identity():
+    rep = build_spin_rep(3)
+    tw = build_twist(rep)
+    assert tw == tw and tw != build_twist(rep)
+    assert hash(tw) == hash(tw)
+    assert len({tw, build_twist(rep)}) == 2
+
+
 def test_twist_matrix_keeps_a_read_only_complex_copy():
     r0 = np.diag([1.0, -1.0])
     tw = TwistMatrix(r0)

@@ -38,12 +38,9 @@ from fcspin import fcs, symmetry, transfer
 from fcspin.errors import ResourceLimitError
 from fcspin.symmetry import (
     _TWIST_ASCENT_ROUNDS,
-    _TWIST_CLUSTER,
     _TWIST_GRID,
     SymmetryVerdict,
-    _polar_unitary,
     _twist_combination,
-    _twist_residual,
 )
 from fcspin.chains import build_chain, ground, rp_gram_check
 from fcspin.fcs import window_expectations
@@ -710,13 +707,11 @@ def test_kraus_twist_bare_matrix_without_real_form_refused():
 
 # ---- pass first, with the grid-first solve as the reference -----------------------
 
-def _grid_first_reference(state, twist, tol=1e-8):
-    """Grid-first twist solve, the reference for check_kraus_twist_relation:
-    the 64-point phase grid, ascent from its maximum, then the polar gauge
-    and its residual."""
+def _twist_setup(state, twist):
+    """V, the combinations c_i, Q and Re(e^{i theta} Q), built as the check
+    builds them."""
     d, k = state.d, state.k
     V = state.kraus.stacked()
-    targets = V.conj().transpose(0, 2, 1)
     C = _twist_combination(state.kraus, TwistMatrix.of(twist, d).real_form)
     # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
     # sum_i tr(W* v_i W c_i) for row-major vec
@@ -726,6 +721,22 @@ def _grid_first_reference(state, twist, tol=1e-8):
         A = np.exp(1j * theta) * Q
         return (A + A.conj().T) / 2
 
+    return V, C, Q, hermitian_part
+
+
+def _status(defect, tol):
+    if np.isfinite(defect) and defect <= tol:
+        return "pass"
+    if np.isfinite(defect) and defect < 1e-3:
+        return "indeterminate"
+    return "fail"
+
+
+def _grid_first_reference(state, twist, tol=1e-8):
+    """Grid-first twist solve, the reference for check_kraus_twist_relation:
+    the whole 64-point phase grid, then the ascent from its maximum and the
+    polar gauge, both shared with the check."""
+    V, C, Q, hermitian_part = _twist_setup(state, twist)
     # the eigenvalues at theta also give the top one at theta + pi: -e[0]
     half = _TWIST_GRID // 2
     radius, theta = -np.inf, 0.0
@@ -734,8 +745,23 @@ def _grid_first_reference(state, twist, tol=1e-8):
         for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
             if val > radius:
                 radius, theta = val, angle
+    d = state.d
     lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
 
+    e, X = symmetry._twist_ascent(Q, theta, _TWIST_ASCENT_ROUNDS)
+    W, defect, lam, multiplicity = symmetry._twist_gauge(V, C, e, X, tol)
+    return SymmetryVerdict(
+        name="twist-adjoint-relation", window=1, defect=defect, tol=tol,
+        status=_status(defect, tol), details={"gauge": W, "phase": lam,
+                                              "multiplicity": multiplicity,
+                                              "lower_bound": lower_bound},
+    )
+
+
+def _aitken_ascent(Q, hermitian_part, theta, rounds):
+    """The ascent by fixed-point steps with Aitken's acceleration: up to
+    `rounds` rounds of two eigendecompositions each, the second one's
+    eigenvectors unused."""
     def ascend(theta):
         """Eigenpairs at theta and the optimal phase of the top vector."""
         e, X = np.linalg.eigh(hermitian_part(theta))
@@ -745,40 +771,38 @@ def _grid_first_reference(state, twist, tol=1e-8):
     # Each step theta -> theta - arg(e^{i theta} z) fits the phase of the
     # current top vector and never lowers the top eigenvalue.  The steps
     # shrink geometrically, so two of them give Aitken's estimate of the limit.
-    for _ in range(_TWIST_ASCENT_ROUNDS):
+    for _ in range(rounds):
         e, X, t1 = ascend(theta)
         if abs(t1 - theta) <= 1e-13:
             break
         t2 = ascend(t1)[2]
         rate = (t2 - t1) / (t1 - theta)
         theta = t1 + (t2 - t1) / (1 - rate) if 0 < rate < 1 else t2
+    return e, X
 
-    top = X[:, e >= e[-1] - _TWIST_CLUSTER]
-    multiplicity = top.shape[1]
-    x = top[:, -1]
-    if multiplicity > 1:
-        rng = np.random.default_rng(0)
-        x = top @ (rng.normal(size=multiplicity) + 1j * rng.normal(size=multiplicity))
-    W = _polar_unitary(x.reshape(k, k))
-    defect, lam = _twist_residual(W, C, targets)
-    if multiplicity > 1 and defect > tol:
-        W_step = _polar_unitary(lam * np.einsum("iab,bc,icd->ad", V, W, C))
-        step = _twist_residual(W_step, C, targets)
-        if step[0] < defect:
-            W, (defect, lam) = W_step, step
 
-    if np.isfinite(defect) and defect <= tol:
-        status = "pass"
-    elif np.isfinite(defect) and defect < 1e-3:
-        status = "indeterminate"
-    else:
-        status = "fail"
-    return SymmetryVerdict(
-        name="twist-adjoint-relation", window=1, defect=defect, tol=tol,
-        status=status, details={"gauge": W, "phase": lam,
-                                "multiplicity": multiplicity,
-                                "lower_bound": lower_bound},
-    )
+def _aitken_reference(state, twist, tol=1e-8):
+    """check_kraus_twist_relation with the Aitken ascent in place of Newton
+    steps, and the top eigenvalue of Re(e^{i theta} Q) at the theta its
+    gauge comes from."""
+    d, k = state.d, state.k
+    V, C, Q, hermitian_part = _twist_setup(state, twist)
+    s, X = np.linalg.eigh(Q.conj().T @ Q)
+    if s[-1] >= 1 - d * tol ** 2 - symmetry._TWIST_GATE_SLACK * k * k:
+        x = X[:, -1]
+        e, X = _aitken_ascent(Q, hermitian_part, -np.angle(np.vdot(x, Q @ x)), 1)
+        W, defect, lam, multiplicity = symmetry._twist_gauge(V, C, e, X, tol)
+        if defect <= tol:
+            verdict = symmetry._twist_verdict(W, defect, lam, multiplicity, 0.0, 0, tol)
+            return verdict, e[-1]
+    margin = max(symmetry._TWIST_PRUNE_MARGIN, symmetry._TWIST_GATE_SLACK * k * k)
+    radius, theta, grid_angles = symmetry._grid_maximum(
+        hermitian_part, np.sqrt(max(s[-1], 0.0)), margin)
+    lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
+    e, X = _aitken_ascent(Q, hermitian_part, theta, _TWIST_ASCENT_ROUNDS)
+    W, defect, lam, multiplicity = symmetry._twist_gauge(V, C, e, X, tol)
+    return symmetry._twist_verdict(W, defect, lam, multiplicity, lower_bound,
+                                   grid_angles, tol), e[-1]
 
 
 def _same_verdict(a, b):
@@ -820,6 +844,56 @@ def test_kraus_twist_non_pass_equals_grid_first(st):
     ref = _grid_first_reference(st, tw)
     assert ref.status != "pass"
     assert _same_verdict(check_kraus_twist_relation(st, tw), ref)
+
+
+def _checked_with_last_top(st, tw):
+    """check_kraus_twist_relation's verdict and the top eigenvalue of its
+    last eigendecomposition, the one its gauge comes from."""
+    last = []
+    real = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        e, X = real(a, *args, **kwargs)
+        last[:] = [e[-1]]
+        return e, X
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", eigh)
+        v = check_kraus_twist_relation(st, tw)
+    return v, last[0]
+
+
+@pytest.mark.parametrize("st", _non_pass_families() + [
+    random_fcs_state(d, k, np.random.default_rng(seed))
+    for d, k in RANDOM_NEGATIVES for seed in (5, 6, 7)])
+def test_kraus_twist_newton_ascent_agrees_with_aitken(st):
+    tw = _twist_for(st)
+    ref, ref_top = _aitken_reference(st, tw)
+    v, top = _checked_with_last_top(st, tw)
+    assert v.status == ref.status != "pass"
+    for key in ("multiplicity", "lower_bound", "grid_angles"):
+        assert v.details[key] == ref.details[key]
+    assert abs(v.defect - ref.defect) <= 1e-12
+    assert top >= ref_top - 1e-13
+
+
+@pytest.mark.parametrize("d, grid_angles", [(3, 9), (5, 12), (7, 10)])
+def test_kraus_twist_eigensolves_per_random_negative(d, grid_angles, monkeypatch):
+    # the gate's Q* Q, then one eigendecomposition per Newton step (the
+    # Aitken ascent took 8 in all)
+    st = random_fcs_state(d, 8, np.random.default_rng(0))
+    calls = []
+    real = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    v = check_kraus_twist_relation(st, _twist_for(st))
+    assert v.status == "fail"
+    assert v.details["grid_angles"] == grid_angles
+    assert len(calls) <= 5
 
 
 def _covariant_pairs():

@@ -551,3 +551,44 @@ def test_derived_states_get_their_own_memo():
     assert np.array_equal(build_transfer(derived[1]).matrix, t.matrix)
     assert np.array_equal(build_transfer(derived[2]).matrix,
                           build_transfer(other).matrix)
+
+
+def _einsum_insertions(state, t, A, B):
+    """The insertion vectors by the four- and three-operand einsum formulas
+    that _insertions replaced with block products."""
+    V = state.kraus.stacked()
+    rho = state.rho
+    sigma_A = np.einsum("ij,jba,bc,icd->ad", A, V.conj(), rho, V, optimize=True)
+    xB = np.einsum("ij,iab,jcb->ac", B, V, V.conj(), optimize=True)
+    sigma_Ac = sigma_A - np.trace(sigma_A) * rho
+    xBc = xB - np.trace(rho @ xB) * np.eye(state.k)
+    return (sigma_Ac.conj().T @ t.inv_sqrt_rho).reshape(-1), (xBc @ t.sqrt_rho).reshape(-1)
+
+
+@pytest.mark.parametrize("st", [
+    aklt_state(),
+    gauge_transform(covariant_state(2, Fraction(7, 2)), _haar(8, np.random.default_rng(8))),
+    random_fcs_state(3, 8, np.random.default_rng(0)),
+    random_fcs_state(5, 6, np.random.default_rng(0)),
+], ids=["aklt", "cov-2-7/2-gauge", "random-d3-k8", "random-d5-k6"])
+def test_insertions_match_einsum_formulas(st):
+    rep = build_spin_rep(st.d)
+    rng = np.random.default_rng(st.d * st.k)
+    # Sz is diagonal and would not catch a swapped index; A != B below would
+    A, B = (rng.normal(size=(st.d, st.d)) + 1j * rng.normal(size=(st.d, st.d))
+            for _ in range(2))
+    t = build_transfer(st)
+    for X, Y in [*((S, S) for S in rep.generators()), (rep.Sx, rep.Sy), (A, B)]:
+        got = transfer._insertions(st, t, X, Y)
+        want = _einsum_insertions(st, t, X, Y)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= 1e-13 * max(np.linalg.norm(w), 1e-300)
+
+
+def test_transfer_operator_equality_is_identity():
+    st = aklt_state()
+    t = build_transfer(st)
+    other = transfer._transfer_operator(st)
+    assert t == t and t != other
+    assert hash(t) == hash(t)
+    assert len({t, other}) == 2
