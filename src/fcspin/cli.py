@@ -142,14 +142,13 @@ def cmd_correlate(args):
               "choose from Sx, Sy, Sz", file=sys.stderr)
         return EXIT_USAGE
     cert = decay_certificate(state, A, B, args.n_max, args.tol)
-    # corr is a complex and bound a float, so each field's repr is its _fmt
     lines = ["n,corr_re,corr_im,abs_corr,bound,margin,ratio"]
     prev = None
     for row in cert.rows:
         c = row.corr
-        ratio = "" if prev is None or abs(prev) < 1e-300 else repr((c / prev).real)
-        lines.append(f"{row.n},{c.real!r},{c.imag!r},{abs(c)!r},"
-                     f"{row.bound!r},{row.margin!r},{ratio}")
+        ratio = "" if prev is None or abs(prev) < 1e-300 else _fmt((c / prev).real)
+        lines.append(f"{row.n},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c))},"
+                     f"{_fmt(row.bound)},{_fmt(row.margin)},{ratio}")
         prev = c
     lines += [f"# delta {_fmt(cert.delta)}", f"# beta_max {_fmt(cert.beta_max)}",
               f"# verdict {cert.verdict}"]

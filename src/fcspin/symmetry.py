@@ -313,9 +313,12 @@ def _ascent_step(Q, theta, e, X):
 
         lam'' = -lam + 2 sum_{j != top} |x_j* H' x|^2 / (lam - lam_j).
 
-    Where lam'' < 0 the step is Newton's, -lam' / lam''.  Elsewhere, as
-    where two branches cross (direct sums), it is the fixed-point step
-    -arg z, which fits the phase of x and never lowers lam.
+    Where lam'' < 0 the step is Newton's, -lam' / lam'', cut to at most one
+    grid spacing 2 pi / _TWIST_GRID: where lam'' nears 0 from below, as
+    next to an avoided crossing or at a flat maximum, the full step could
+    leave the basin of the grid maximum.  Elsewhere, as where two branches
+    cross (direct sums), it is the fixed-point step -arg z, which fits the
+    phase of x and never lowers lam.
     """
     x = X[:, -1]
     Qx = Q @ x
@@ -326,7 +329,10 @@ def _ascent_step(Q, theta, e, X):
     # an exact crossing (lam_j = lam) gives inf or nan, hence the fallback
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         curvature = -e[-1] + 2 * np.sum(np.abs(g) ** 2 / (e[-1] - e[:-1]))
-    return z.imag / curvature if curvature < 0 else -np.angle(z)
+    if curvature < 0:
+        spacing = 2 * np.pi / _TWIST_GRID
+        return min(max(z.imag / curvature, -spacing), spacing)
+    return -np.angle(z)
 
 
 def _twist_ascent(Q, theta, rounds):
@@ -365,8 +371,8 @@ def _twist_gauge(V, C, e, X, tol):
     return W, defect, lam, multiplicity
 
 
-def _grid_maximum(hermitian_part, sigma, margin):
-    """Largest top eigenvalue of hermitian_part(phi) over the grid phi =
+def _grid_maximum(Q, sigma, margin):
+    """Largest top eigenvalue of Re(e^{i phi} Q) over the grid phi =
     2 pi j / _TWIST_GRID, the first phi reaching it in the order of a full
     loop over the grid, and the number of angles diagonalized.
 
@@ -392,7 +398,7 @@ def _grid_maximum(hermitian_part, sigma, margin):
     todo = range(0, half, _TWIST_COARSE)
     while todo:
         for n in todo:
-            e = np.linalg.eigvalsh(hermitian_part(np.pi * n / half))
+            e = np.linalg.eigvalsh(_hermitian_part(Q, np.pi * n / half))
             h[n], h[n + half] = e[-1], -e[0]
             done[n] = done[n + half] = True
         # nearest evaluated directions a < j < b, cyclically
@@ -446,9 +452,9 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     pair is therefore the top eigenvector of Re(e^{i theta} Q) at the theta
     maximizing its top eigenvalue (the numerical radius w of Q), found by
     an ascent of at most _TWIST_ASCENT_ROUNDS eigendecompositions, each
-    followed by a Newton step on theta read off it, or by the fixed-point
-    step to the optimal phase of the top vector where the top eigenvalue
-    is not concave (_ascent_step).  The top eigenvector of the last
+    followed by a Newton step on theta read off it, cut to one grid
+    spacing, or by the fixed-point step to the optimal phase of the top
+    vector where the top eigenvalue is not concave (_ascent_step).  The top eigenvector of the last
     eigendecomposition, reshaped to k x k and polar-projected, is W; when
     the top eigenspace is degenerate (non-injective families) a fixed
     combination of it is projected instead, followed by one polar step if
@@ -496,8 +502,7 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
             return _twist_verdict(W, defect, lam, multiplicity, 0.0, 0, tol)
 
     margin = max(_TWIST_PRUNE_MARGIN, _TWIST_GATE_SLACK * k * k)
-    radius, theta, grid_angles = _grid_maximum(
-        lambda phi: _hermitian_part(Q, phi), np.sqrt(max(s[-1], 0.0)), margin)
+    radius, theta, grid_angles = _grid_maximum(Q, np.sqrt(max(s[-1], 0.0)), margin)
     lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
     e, X = _twist_ascent(Q, theta, _TWIST_ASCENT_ROUNDS)
     W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)

@@ -38,9 +38,13 @@ from fcspin import fcs, symmetry, transfer
 from fcspin.errors import ResourceLimitError
 from fcspin.symmetry import (
     _TWIST_ASCENT_ROUNDS,
+    _TWIST_CLUSTER,
     _TWIST_GRID,
     SymmetryVerdict,
+    _hermitian_part,
+    _polar_unitary,
     _twist_combination,
+    _twist_residual,
 )
 from fcspin.chains import build_chain, ground, rp_gram_check
 from fcspin.fcs import window_expectations
@@ -708,20 +712,36 @@ def test_kraus_twist_bare_matrix_without_real_form_refused():
 # ---- pass first, with the grid-first solve as the reference -----------------------
 
 def _twist_setup(state, twist):
-    """V, the combinations c_i, Q and Re(e^{i theta} Q), built as the check
-    builds them."""
+    """V, the combinations c_i and Q, built as the check builds them."""
     d, k = state.d, state.k
     V = state.kraus.stacked()
     C = _twist_combination(state.kraus, TwistMatrix.of(twist, d).real_form)
     # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
     # sum_i tr(W* v_i W c_i) for row-major vec
     Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)
+    return V, C, Q
 
-    def hermitian_part(theta):
-        A = np.exp(1j * theta) * Q
-        return (A + A.conj().T) / 2
 
-    return V, C, Q, hermitian_part
+def _reference_gauge(V, C, e, X, tol):
+    """Gauge, defect, phase and top multiplicity from the eigendecomposition
+    (e, X) the ascent ends at: the polar factor of the top vector, or of a
+    fixed combination of the top eigenspace followed by one polar step."""
+    k = V.shape[1]
+    targets = V.conj().transpose(0, 2, 1)
+    top = X[:, e >= e[-1] - _TWIST_CLUSTER]
+    multiplicity = top.shape[1]
+    x = top[:, -1]
+    if multiplicity > 1:
+        rng = np.random.default_rng(0)
+        x = top @ (rng.normal(size=multiplicity) + 1j * rng.normal(size=multiplicity))
+    W = _polar_unitary(x.reshape(k, k))
+    defect, lam = _twist_residual(W, C, targets)
+    if multiplicity > 1 and defect > tol:
+        W_step = _polar_unitary(lam * np.einsum("iab,bc,icd->ad", V, W, C))
+        step = _twist_residual(W_step, C, targets)
+        if step[0] < defect:
+            W, (defect, lam) = W_step, step
+    return W, defect, lam, multiplicity
 
 
 def _status(defect, tol):
@@ -734,14 +754,14 @@ def _status(defect, tol):
 
 def _grid_first_reference(state, twist, tol=1e-8):
     """Grid-first twist solve, the reference for check_kraus_twist_relation:
-    the whole 64-point phase grid, then the ascent from its maximum and the
-    polar gauge, both shared with the check."""
-    V, C, Q, hermitian_part = _twist_setup(state, twist)
+    the whole 64-point phase grid, then the check's ascent from its maximum,
+    then the polar gauge."""
+    V, C, Q = _twist_setup(state, twist)
     # the eigenvalues at theta also give the top one at theta + pi: -e[0]
     half = _TWIST_GRID // 2
     radius, theta = -np.inf, 0.0
     for n in range(half):
-        e = np.linalg.eigvalsh(hermitian_part(np.pi * n / half))
+        e = np.linalg.eigvalsh(_hermitian_part(Q, np.pi * n / half))
         for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
             if val > radius:
                 radius, theta = val, angle
@@ -749,7 +769,7 @@ def _grid_first_reference(state, twist, tol=1e-8):
     lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
 
     e, X = symmetry._twist_ascent(Q, theta, _TWIST_ASCENT_ROUNDS)
-    W, defect, lam, multiplicity = symmetry._twist_gauge(V, C, e, X, tol)
+    W, defect, lam, multiplicity = _reference_gauge(V, C, e, X, tol)
     return SymmetryVerdict(
         name="twist-adjoint-relation", window=1, defect=defect, tol=tol,
         status=_status(defect, tol), details={"gauge": W, "phase": lam,
@@ -758,13 +778,13 @@ def _grid_first_reference(state, twist, tol=1e-8):
     )
 
 
-def _aitken_ascent(Q, hermitian_part, theta, rounds):
+def _aitken_ascent(Q, theta, rounds):
     """The ascent by fixed-point steps with Aitken's acceleration: up to
     `rounds` rounds of two eigendecompositions each, the second one's
     eigenvectors unused."""
     def ascend(theta):
         """Eigenpairs at theta and the optimal phase of the top vector."""
-        e, X = np.linalg.eigh(hermitian_part(theta))
+        e, X = np.linalg.eigh(_hermitian_part(Q, theta))
         z = np.exp(1j * theta) * np.vdot(X[:, -1], Q @ X[:, -1])
         return e, X, theta - np.angle(z)
 
@@ -783,26 +803,25 @@ def _aitken_ascent(Q, hermitian_part, theta, rounds):
 
 def _aitken_reference(state, twist, tol=1e-8):
     """check_kraus_twist_relation with the Aitken ascent in place of Newton
-    steps, and the top eigenvalue of Re(e^{i theta} Q) at the theta its
-    gauge comes from."""
+    steps, the grid maximum (nan after a pass) and the top eigenvalue of
+    Re(e^{i theta} Q) at the theta its gauge comes from."""
     d, k = state.d, state.k
-    V, C, Q, hermitian_part = _twist_setup(state, twist)
+    V, C, Q = _twist_setup(state, twist)
     s, X = np.linalg.eigh(Q.conj().T @ Q)
     if s[-1] >= 1 - d * tol ** 2 - symmetry._TWIST_GATE_SLACK * k * k:
         x = X[:, -1]
-        e, X = _aitken_ascent(Q, hermitian_part, -np.angle(np.vdot(x, Q @ x)), 1)
-        W, defect, lam, multiplicity = symmetry._twist_gauge(V, C, e, X, tol)
+        e, X = _aitken_ascent(Q, -np.angle(np.vdot(x, Q @ x)), 1)
+        W, defect, lam, multiplicity = _reference_gauge(V, C, e, X, tol)
         if defect <= tol:
             verdict = symmetry._twist_verdict(W, defect, lam, multiplicity, 0.0, 0, tol)
-            return verdict, e[-1]
+            return verdict, np.nan, e[-1]
     margin = max(symmetry._TWIST_PRUNE_MARGIN, symmetry._TWIST_GATE_SLACK * k * k)
-    radius, theta, grid_angles = symmetry._grid_maximum(
-        hermitian_part, np.sqrt(max(s[-1], 0.0)), margin)
+    radius, theta, grid_angles = symmetry._grid_maximum(Q, np.sqrt(max(s[-1], 0.0)), margin)
     lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
-    e, X = _aitken_ascent(Q, hermitian_part, theta, _TWIST_ASCENT_ROUNDS)
-    W, defect, lam, multiplicity = symmetry._twist_gauge(V, C, e, X, tol)
+    e, X = _aitken_ascent(Q, theta, _TWIST_ASCENT_ROUNDS)
+    W, defect, lam, multiplicity = _reference_gauge(V, C, e, X, tol)
     return symmetry._twist_verdict(W, defect, lam, multiplicity, lower_bound,
-                                   grid_angles, tol), e[-1]
+                                   grid_angles, tol), radius, e[-1]
 
 
 def _same_verdict(a, b):
@@ -868,13 +887,39 @@ def _checked_with_last_top(st, tw):
     for d, k in RANDOM_NEGATIVES for seed in (5, 6, 7)])
 def test_kraus_twist_newton_ascent_agrees_with_aitken(st):
     tw = _twist_for(st)
-    ref, ref_top = _aitken_reference(st, tw)
+    ref, radius, ref_top = _aitken_reference(st, tw)
     v, top = _checked_with_last_top(st, tw)
     assert v.status == ref.status != "pass"
     for key in ("multiplicity", "lower_bound", "grid_angles"):
         assert v.details[key] == ref.details[key]
     assert abs(v.defect - ref.defect) <= 1e-12
     assert top >= ref_top - 1e-13
+    # the Newton steps never end the ascent below where it started, up to
+    # the rounding of the two eigensolves (6e-16 at a radius of 1)
+    assert top >= radius - 1e-13
+
+
+def test_kraus_twist_newton_step_cut_to_grid_spacing(monkeypatch):
+    # a flat maximum 0.056 from the grid maximum: the first Newton step, 0.22,
+    # overshoots past it and is cut to one grid spacing.  The full step takes
+    # 9 ascent steps and the fixed-point step, at 4e-4 per step, runs into the
+    # cap of 20 short of the maximum.
+    st = random_fcs_state(5, 2, np.random.default_rng(1041))
+    tw = _twist_for(st)
+    ref, radius, _ = _aitken_reference(st, tw)
+    calls = []
+    real = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    v, top = _checked_with_last_top(st, tw)
+    assert v.status == ref.status == "fail"
+    assert abs(v.defect - ref.defect) <= 1e-12
+    assert top >= radius
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("d, grid_angles", [(3, 9), (5, 12), (7, 10)])
@@ -964,12 +1009,12 @@ def test_kraus_twist_grid_is_pruned_on_random_negatives():
     assert np.mean(counts) <= 16
 
 
-def _full_grid_maximum(hermitian_part):
+def _full_grid_maximum(Q):
     """The grid maximum and its angle by the loop over all 32 angles."""
     half = _TWIST_GRID // 2
     radius, theta = -np.inf, 0.0
     for n in range(half):
-        e = np.linalg.eigvalsh(hermitian_part(np.pi * n / half))
+        e = np.linalg.eigvalsh(_hermitian_part(Q, np.pi * n / half))
         for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
             if val > radius:
                 radius, theta = val, angle
@@ -985,14 +1030,9 @@ def test_grid_maximum_equals_the_full_loop_at_near_ties():
         m = rng.integers(2, 5)
         z = 0.9 * (1 + rng.uniform(-1e-3, 1e-3, m)) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
         Q = np.diag(z)
-
-        def hermitian_part(theta):
-            A = np.exp(1j * theta) * Q
-            return (A + A.conj().T) / 2
-
         radius, theta, angles = symmetry._grid_maximum(
-            hermitian_part, np.abs(z).max(), symmetry._TWIST_PRUNE_MARGIN)
-        assert (radius, theta) == _full_grid_maximum(hermitian_part)
+            Q, np.abs(z).max(), symmetry._TWIST_PRUNE_MARGIN)
+        assert (radius, theta) == _full_grid_maximum(Q)
         assert 0 < angles <= _TWIST_GRID // 2
 
 
