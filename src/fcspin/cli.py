@@ -10,6 +10,7 @@ round-trip representations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 
@@ -221,6 +222,7 @@ def cmd_demo_aklt(args):
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fcspin",

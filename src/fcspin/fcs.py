@@ -4,10 +4,7 @@ A family v_1..v_d of k x k matrices with sum_i v_i v_i* = I, together with
 an invariant faithful density matrix rho (sum_i v_i* rho v_i = rho), defines
 a translation-invariant state of the two-sided chain.  Expectations of an
 observable supported on a window of length m are computed from the window
-tensor W[I, J] = trace(rho v_{i1}..v_{im} v*_{jm}..v*_{j1}).  It factors
-through bond space (Fannes-Nachtergaele-Werner): split at m1 = m // 2,
-W[(I1, I2), (J1, J2)] = trace((v_{J1}* rho v_{I1}) (v_{I2} v_{J2}*)), so it is
-built from two half-window factors in O(d^m k^2 + d^(2m)) memory.
+tensor W[I, J] = trace(rho v_{i1}..v_{im} v*_{jm}..v*_{j1}).
 """
 
 from __future__ import annotations
@@ -229,27 +226,20 @@ def _products(V, n):
 def window_expectations(state, m):
     """The d^m x d^m tensor W[I, J] = omega(|e_I><e_J|) on a length-m window.
 
-    Splitting the window at m1 = m // 2 into I = (I1, I2), J = (J1, J2),
-    W[I, J] = tr(X[I1, J1] Y[I2, J2]) with X[I1, J1] = v_{J1}* rho v_{I1}
-    and Y[I2, J2] = v_{I2} v_{J2}*, so W is one contraction over bond space
-    of two half-window factors.  Memory is O(d^m k^2 + d^(2m)).
+    W[I, J] = tr(v_J* rho v_I) = <vec v_J, vec(rho v_I)> over bond space
+    (Fannes-Nachtergaele-Werner), so with the d^m products v_I as the rows
+    of a d^m x k^2 matrix P, W = (rho P) P*.  Memory is O(d^m k^2 + d^(2m)).
     """
-    d = state.d
+    d, k = state.d, state.k
     if m < 1:
         raise ValueError("window length must be >= 1")
     if m > MAX_WINDOW_LEN or (d ** m) ** 2 > max_window_entries():
         raise ResourceLimitError(
             f"window of length {m} at d={d} exceeds the configured cap"
         )
-    V = state.kraus.stacked()
-    m1 = m // 2
-    L = _products(V, m1)
-    R = _products(V, m - m1)
-    Lh = L.conj().transpose(0, 2, 1)
-    X = np.matmul(Lh[None], (state.rho @ L)[:, None])  # X[I1, J1]
-    Y = np.matmul(R[:, None], R.conj().transpose(0, 2, 1)[None])  # Y[I2, J2]
-    W = np.tensordot(X, Y, axes=([2, 3], [3, 2]))  # W[I1, J1, I2, J2]
-    return W.transpose(0, 2, 1, 3).reshape(d ** m, d ** m)
+    P = _products(state.kraus.stacked(), m)
+    rho_P = (state.rho @ P).reshape(d ** m, k * k)
+    return rho_P @ P.reshape(d ** m, k * k).conj().T
 
 
 def _rho_roots(rho):

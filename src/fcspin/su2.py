@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinRep:
     """Spin-s irreducible representation data (hbar = 1).
 
@@ -47,7 +47,7 @@ class SpinRep:
         return (self.Sx, self.Sy, self.Sz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
     """Group element u = exp(i (tx Sx + ty Sy + tz Sz))."""
 

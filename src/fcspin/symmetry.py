@@ -8,16 +8,17 @@ checks decide the algebraic consequences: triviality of the modular
 operator, self-adjointness of the transfer operator, the twisted-adjoint
 relation of the Kraus family, and existence of a covariance intertwiner.
 
-The windowed checks act on the d^l x d^l window tensor one site at a time:
-a one-site matrix (a rotation generator, the twist r0) is applied at each
-row and column site of its (d,)*2l view, and the site reversal is one
-transpose of that view, so no operator on the whole window is formed.  A
-negative window length is refused; length 0 is the vacuous pass.
+The windowed checks share one sweep that builds each d^l x d^l window
+tensor once and applies one-site matrices (a rotation generator, the twist
+r0) at each row and column site of its (d,)*2l view; the site reversal is
+one transpose of that view, so no operator on the whole window is formed.
+A negative window length is refused; length 0 is the vacuous pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +45,7 @@ RP_WINDOW = 2      # longest reflection-positivity half-window of the audit
 DECAY_N_MAX = 12   # correlation distances the audit's decay clause checks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryVerdict:
     """Outcome of one finite-window symmetry check.
 
@@ -66,7 +67,7 @@ class SymmetryVerdict:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntertwinerReport:
     """Bond-space generators X_a implementing the rotation covariance."""
 
@@ -110,28 +111,57 @@ def _require_window(m):
         raise ValueError("window length must be >= 0")
 
 
-def _worst(details):
-    """Largest sub-defect, 0 if none; NaN if any is NaN (the builtin max
-    drops a NaN that is not its first argument)."""
-    return float(np.max(list(details.values()), initial=0.0))
+def _require_rep(rep, state):
+    if rep.d != state.d:
+        raise ValueError(f"representation dimension {rep.d} != physical "
+                         f"dimension {state.d}")
 
 
-def _verdict(name, window, defect, tol, details):
-    """Pass exactly when the defect is finite and <= tol."""
-    status = "pass" if np.isfinite(defect) and defect <= tol else "fail"
-    return SymmetryVerdict(name=name, window=window, defect=float(defect),
-                           tol=tol, status=status, details=details)
+def _windowed(state, m, tol, checks):
+    """One verdict per (name, defects) in checks, each window of length <= m
+    built once; defects(W, length) maps sub-checks to their defects.  A
+    verdict's defect is their largest, 0 if none, NaN if any is NaN (the
+    builtin max can drop a NaN); it passes exactly when finite and <= tol."""
+    details = [{} for _ in checks]
+    for length in range(1, m + 1):
+        W = window_expectations(state, length)
+        for found, (_, defects) in zip(details, checks):
+            found.update(defects(W, length))
+    verdicts = []
+    for found, (name, _) in zip(details, checks):
+        defect = float(np.max(list(found.values()), initial=0.0))
+        status = "pass" if np.isfinite(defect) and defect <= tol else "fail"
+        verdicts.append(SymmetryVerdict(name, m, defect, tol, status, found))
+    return verdicts
+
+
+def _real_defects(W, length):
+    return {length: float(np.abs(W - W.T).max())}
+
+
+def _lattice_defects(r0, W, length):
+    T = W
+    for p in range(length):
+        T = _at_site(_at_site(T, r0, p), r0.conj(), length + p)
+    mirror = [*range(length - 1, -1, -1), *range(2 * length - 1, length - 1, -1)]
+    T = T.reshape((len(r0),) * 2 * length).transpose(mirror).reshape(W.shape)
+    return {length: float(np.abs(T - W).max())}
+
+
+def _su2_defects(rep, W, length):
+    found = {}
+    for label, S in zip("xyz", rep.generators()):
+        C = sum(_at_site(W, S, p) - _at_site(W, S.conj(), length + p)
+                for p in range(length))
+        found[(length, label)] = float(np.abs(C).max())
+    return found
 
 
 def check_real(state, m, tol=1e-9):
     """Transpose invariance in the fixed basis on windows of length <= m."""
     _require_tol(tol)
     _require_window(m)
-    details = {}
-    for length in range(1, m + 1):
-        W = window_expectations(state, length)
-        details[length] = float(np.abs(W - W.T).max())
-    return _verdict("real", m, _worst(details), tol, details)
+    return _windowed(state, m, tol, [("real", _real_defects)])[0]
 
 
 def check_lattice_twist(state, twist, m, tol=1e-9):
@@ -144,18 +174,9 @@ def check_lattice_twist(state, twist, m, tol=1e-9):
     """
     _require_tol(tol)
     _require_window(m)
-    d = state.d
-    r0 = TwistMatrix.of(twist, d).r0
-    details = {}
-    for length in range(1, m + 1):
-        W = window_expectations(state, length)
-        T = W
-        for p in range(length):
-            T = _at_site(_at_site(T, r0, p), r0.conj(), length + p)
-        mirror = [*range(length - 1, -1, -1), *range(2 * length - 1, length - 1, -1)]
-        T = T.reshape((d,) * 2 * length).transpose(mirror).reshape(W.shape)
-        details[length] = float(np.abs(T - W).max())
-    return _verdict("lattice-twist", m, _worst(details), tol, details)
+    r0 = TwistMatrix.of(twist, state.d).r0
+    return _windowed(state, m, tol,
+                     [("lattice-twist", partial(_lattice_defects, r0))])[0]
 
 
 def _rp_gram_verdict(blocks, m, tol, zero_mode):
@@ -240,18 +261,9 @@ def check_su2(state, rep, m, *, tol=1e-8):
     """
     _require_tol(tol)
     _require_window(m)
-    if rep.d != state.d:
-        raise ValueError(
-            f"representation dimension {rep.d} != physical dimension {state.d}"
-        )
-    details = {}
-    for length in range(1, m + 1):
-        W = window_expectations(state, length)
-        for label, S in zip("xyz", rep.generators()):
-            C = sum(_at_site(W, S, p) - _at_site(W, S.conj(), length + p)
-                    for p in range(length))
-            details[(length, label)] = float(np.abs(C).max())
-    return _verdict("su2-invariant", m, _worst(details), tol, details)
+    _require_rep(rep, state)
+    return _windowed(state, m, tol,
+                     [("su2-invariant", partial(_su2_defects, rep))])[0]
 
 
 def _polar_unitary(M):
@@ -523,10 +535,7 @@ def find_intertwiner(state, rep, tol=1e-8):
     g = exp(i theta.S).
     """
     _require_tol(tol)
-    if rep.d != state.d:
-        raise ValueError(
-            f"representation dimension {rep.d} != physical dimension {state.d}"
-        )
+    _require_rep(rep, state)
     k = state.k
     eye = np.eye(k)
     Vdag = np.stack([v.conj().T for v in state.kraus.v])
@@ -564,18 +573,14 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
     if windows < 1:
         raise ValueError("window length must be >= 1")
     twist = TwistMatrix.of(twist, state.d)
-    clauses = []
-
-    v = check_real(state, windows, tol)
-    clauses.append(AuditClause("real", "hypothesis", v.status, v.defect))
-    v = check_lattice_twist(state, twist, windows, tol)
-    clauses.append(AuditClause("lattice-twist", "hypothesis", v.status, v.defect))
-    v = check_reflection_positive(state, twist, min(windows, RP_WINDOW), tol)
-    clauses.append(AuditClause(
-        "reflection-positive", "hypothesis", v.status, v.defect,
-        note=f"min eigenvalue {v.details['min_eig']:.3e}"))
-    v = check_su2(state, rep, windows, tol=tol)
-    clauses.append(AuditClause("su2-invariant", "hypothesis", v.status, v.defect))
+    _require_rep(rep, state)
+    real, lattice, su2 = _windowed(state, windows, tol, [
+        ("real", _real_defects), ("lattice-twist", partial(_lattice_defects, twist.r0)),
+        ("su2-invariant", partial(_su2_defects, rep))])
+    rp = check_reflection_positive(state, twist, min(windows, RP_WINDOW), tol)
+    note = {rp.name: f"min eigenvalue {rp.details['min_eig']:.3e}"}
+    clauses = [AuditClause(v.name, "hypothesis", v.status, v.defect, note.get(v.name, ""))
+               for v in (real, lattice, rp, su2)]
 
     md = modular_data(state)
     clauses.append(AuditClause(

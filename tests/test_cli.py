@@ -53,6 +53,17 @@ def test_repr_usage_error():
     assert err.value.code == 2
 
 
+def test_main_builds_one_parser(capsys):
+    cli.build_parser.cache_clear()
+    assert main(["repr", "--d", "2"]) == 0
+    assert main(["repr", "--d", "3"]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    with pytest.raises(SystemExit) as err:
+        main(["repr", "--d", "0"])
+    assert err.value.code == 2
+
+
 def test_audit_aklt_passes(capsys):
     assert main(["audit", "@aklt"]) == 0
     out = capsys.readouterr().out

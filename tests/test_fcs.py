@@ -2,6 +2,8 @@
 
 import itertools
 import tracemalloc
+from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fcspin import (
 from fcspin.chains import build_chain, gibbs, rp_gram_check
 from fcspin.errors import ResourceLimitError
 from fcspin.fcs import (
+    _products,
     fixed_point,
     max_window_entries,
     modular_data,
@@ -204,6 +207,38 @@ def test_window_expectations_match_monomials(family, m_max):
             traced = np.einsum("ikjk->ij", W.reshape(d ** (m - 1), d, d ** (m - 1), d))
             assert np.abs(traced - previous).max() < 1e-13
         previous = W
+
+
+def _half_window_split(state, m):
+    """W from two half-window factors: split at m1 = m // 2,
+    W[(I1, I2), (J1, J2)] = tr((v_{J1}* rho v_{I1}) (v_{I2} v_{J2}*))."""
+    d = state.d
+    V = state.kraus.stacked()
+    m1 = m // 2
+    L, R = _products(V, m1), _products(V, m - m1)
+    X = np.matmul(L.conj().transpose(0, 2, 1)[None], (state.rho @ L)[:, None])
+    Y = np.matmul(R[:, None], R.conj().transpose(0, 2, 1)[None])
+    W = np.tensordot(X, Y, axes=([2, 3], [3, 2]))  # W[I1, J1, I2, J2]
+    return W.transpose(0, 2, 1, 3).reshape(d ** m, d ** m)
+
+
+_SPLIT_FAMILIES = {
+    "aklt": aklt_state,
+    "gauged-cov(2,7/2)": lambda: gauge_transform(
+        covariant_state(2, Fraction(7, 2)), unitary_group.rvs(8, random_state=7)),
+    "random(3,4)": lambda: random_fcs_state(3, 4, np.random.default_rng(17)),
+    "aklt+aklt": lambda: fixed_point(direct_sum(aklt_kraus(), aklt_kraus())),
+    "product_complex_d2": lambda: load_state(resources.files("fcspin.data").joinpath(
+        "product_complex_d2.kraus").read_text())[1],
+}
+
+
+@pytest.mark.parametrize("family", list(_SPLIT_FAMILIES))
+def test_window_expectations_match_half_window_split(family):
+    st = _SPLIT_FAMILIES[family]()
+    for m in range(1, 5):
+        W = window_expectations(st, m)
+        assert np.abs(W - _half_window_split(st, m)).max() <= 1e-15, m
 
 
 def test_window_expectations_memory():

@@ -152,6 +152,21 @@ def test_twist_matrix_equality_is_identity():
     assert len({tw, build_twist(rep)}) == 2
 
 
+def test_spin_rep_equality_is_identity():
+    rep = build_spin_rep(3)
+    assert rep == rep and rep != build_spin_rep(3)
+    assert hash(rep) == hash(rep)
+    assert len({rep, build_spin_rep(3)}) == 2
+
+
+def test_group_element_equality_is_identity():
+    rep = build_spin_rep(3)
+    g = group_element(rep, (0.1, 0.2, 0.3))
+    assert g == g and g != group_element(rep, (0.1, 0.2, 0.3))
+    assert hash(g) == hash(g)
+    assert len({g, group_element(rep, (0.1, 0.2, 0.3))}) == 2
+
+
 def test_twist_matrix_keeps_a_read_only_complex_copy():
     r0 = np.diag([1.0, -1.0])
     tw = TwistMatrix(r0)

@@ -222,6 +222,22 @@ def test_su2_product_d2_fails():
     assert not check_su2(st, rep, 1).passed
 
 
+def test_symmetry_verdict_equality_is_identity(aklt, twist3):
+    v = check_kraus_twist_relation(aklt, twist3)
+    other = check_kraus_twist_relation(aklt, twist3)
+    assert v == v and v != other
+    assert hash(v) == hash(v)
+    assert len({v, other}) == 2
+
+
+def test_intertwiner_report_equality_is_identity(aklt, rep3):
+    r = find_intertwiner(aklt, rep3)
+    other = find_intertwiner(aklt, rep3)
+    assert r == r and r != other
+    assert hash(r) == hash(r)
+    assert len({r, other}) == 2
+
+
 def test_su2_dimension_mismatch(aklt):
     with pytest.raises(ValueError):
         check_su2(aklt, build_spin_rep(2), 1)
@@ -455,6 +471,49 @@ def test_theorem_audit_builds_transfer_once(aklt, rep3, twist3, monkeypatch):
     assert calls == {"build_transfer": 1, "gap": 1}
 
 
+@pytest.mark.parametrize("windows", [1, 2, 3])
+def test_theorem_audit_builds_each_window_once(windows, aklt, rep3, twist3, monkeypatch):
+    lengths = []
+    real = fcs.window_expectations
+
+    def counted(state, m):
+        lengths.append(m)
+        return real(state, m)
+
+    monkeypatch.setattr(fcs, "window_expectations", counted)
+    monkeypatch.setattr(symmetry, "window_expectations", counted)
+    theorem_audit(aklt, rep3, twist3, windows=windows)
+    assert lengths == list(range(1, windows + 1))
+
+
+_WINDOWED_CLAUSES = ("real", "lattice-twist", "su2-invariant")
+
+
+@pytest.mark.parametrize("windows", [1, 2, 3])
+@pytest.mark.parametrize("family", ["cov(1,1/2)-gauge", "cov(2,7/2)-gauge",
+                                    "product_complex_d2", "neg(2,3)", "neg(3,8)"])
+def test_theorem_audit_windowed_clauses_equal_the_checks(family, windows):
+    st = _ORACLE_FAMILIES[family]()
+    rep = build_spin_rep(st.d)
+    tw = build_twist(rep)
+    clauses = {c.name: c for c in theorem_audit(st, rep, tw, windows, tol=1e-8).clauses}
+    checks = (check_real(st, windows, 1e-8), check_lattice_twist(st, tw, windows, 1e-8),
+              check_su2(st, rep, windows, tol=1e-8))
+    assert tuple(v.name for v in checks) == _WINDOWED_CLAUSES
+    for v in checks:
+        assert (clauses[v.name].status, clauses[v.name].value) == (v.status, v.defect)
+
+
+def test_theorem_audit_refuses_a_rep_of_the_wrong_dimension(aklt, twist3, monkeypatch):
+    def refuse(state, m):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(symmetry, "window_expectations", refuse)
+    with pytest.raises(ValueError,
+                       match="representation dimension 2 != physical dimension 3"):
+        theorem_audit(aklt, build_spin_rep(2), twist3)
+
+
 @pytest.mark.parametrize("p, tol, mult", [
     (1e-7, 1e-6, 4),     # every eigenvalue is within tol of 1
     (5e-10, 1e-12, 1),   # only the cyclic one is
@@ -545,16 +604,28 @@ def _nan_at_length_two(monkeypatch):
     monkeypatch.setattr(symmetry, "window_expectations", patched)
 
 
+def _outcome(v):
+    return [(v.status, v.defect)]
+
+
+def _audit_windowed_outcomes(st, rep, tw):
+    return [(c.status, c.value) for c in theorem_audit(st, rep, tw, 2).clauses
+            if c.name in _WINDOWED_CLAUSES]
+
+
 @pytest.mark.parametrize("check", [
-    lambda st, rep, tw: check_real(st, 2),
-    lambda st, rep, tw: check_lattice_twist(st, tw, 2),
-    lambda st, rep, tw: check_su2(st, rep, 2),
-], ids=["real", "lattice-twist", "su2"])
+    lambda st, rep, tw: _outcome(check_real(st, 2)),
+    lambda st, rep, tw: _outcome(check_lattice_twist(st, tw, 2)),
+    lambda st, rep, tw: _outcome(check_su2(st, rep, 2)),
+    _audit_windowed_outcomes,
+], ids=["real", "lattice-twist", "su2", "audit"])
 def test_nan_window_defect_never_passes(check, aklt, rep3, twist3, monkeypatch):
     _nan_at_length_two(monkeypatch)
-    v = check(aklt, rep3, twist3)
-    assert v.status == "fail"
-    assert np.isnan(v.defect)
+    outcomes = check(aklt, rep3, twist3)
+    assert len(outcomes) in (1, len(_WINDOWED_CLAUSES))
+    for status, defect in outcomes:
+        assert status == "fail"
+        assert np.isnan(defect)
 
 
 def test_kraus_twist_nan_residual_never_passes(aklt, twist3, monkeypatch):
