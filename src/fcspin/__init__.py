@@ -27,7 +27,6 @@ from .transfer import (
 )
 from .symmetry import (
     SymmetryVerdict,
-    IntertwinerReport,
     AuditReport,
     check_real,
     check_lattice_twist,

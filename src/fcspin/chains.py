@@ -61,10 +61,11 @@ MAX_BLOCK_BYTES = 2 ** 28
 GROUND_WINDOW = 1e-9   # relative width of the ground-energy window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CooMatrix:
     """A square matrix held as its nonzero entries M[row, col] = data, one
-    per position, ordered by column and then by row."""
+    per position, ordered by column and then by row.  Equality is identity,
+    so a matrix hashes, as do the chain values below."""
     shape: tuple
     row: np.ndarray
     col: np.ndarray
@@ -80,7 +81,7 @@ class CooMatrix:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinChainSystem:
     d: int
     n: int
@@ -107,7 +108,7 @@ class SpinChainSystem:
         return _orbit_blocks(self.H, shift, reflect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundReport:
     energy: float
     degeneracy: int
@@ -115,7 +116,7 @@ class GroundReport:
     gap: float           # first excitation energy above the ground window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalState:
     """A density matrix held as its diagonal blocks: (idx, rho_c) pairs,
     rho_c the dense block on the sorted basis states idx, with rho zero

@@ -108,6 +108,14 @@ def cmd_repr(args):
     return EXIT_PASS
 
 
+def _note(verdict):
+    """The note printed after an audit clause: the smallest Gram eigenvalue
+    of reflection positivity, the reason a decay certificate fails."""
+    if "min_eig" in verdict.details:
+        return f"min eigenvalue {verdict.details['min_eig']:.3e}"
+    return verdict.details.get("reason", "")
+
+
 def cmd_audit(args):
     name, state = _load(args.file, args.tol)
     rep = build_spin_rep(state.d)
@@ -115,11 +123,12 @@ def cmd_audit(args):
     report = theorem_audit(state, rep, tw, windows=args.window, tol=args.tol)
     if name:
         print(f"name {name}")
-    for c in report.clauses:
-        line = f"clause {c.name} kind={c.kind} status={c.status} defect={_fmt(c.value)}"
-        if c.note:
-            line += f" note={c.note}"
-        print(line)
+    for kind, verdicts in (("hypothesis", report.hypotheses),
+                           ("conclusion", report.conclusions)):
+        for v in verdicts:
+            note = _note(v)
+            print(f"clause {v.name} kind={kind} status={v.status} "
+                  f"defect={_fmt(v.defect)}" + (f" note={note}" if note else ""))
     print(f"delta {_fmt(report.delta)}")
     statuses = [c.status for c in report.clauses]
     if "fail" in statuses:
@@ -201,7 +210,8 @@ def cmd_ed(args):
 def cmd_demo_aklt(args):
     name, state = _load("@aklt", 1e-9)
     print(f"family {name}")
-    print(f"unitality_defect {_fmt(validate(state.kraus).defect)}")
+    unital = validate(state.kraus)
+    print(f"unitality_defect {_fmt(unital.defect)}")
     print("rho")
     _print_matrix(state.rho)
     t = build_transfer(state)
@@ -216,7 +226,7 @@ def cmd_demo_aklt(args):
     print("n,corr_re,bound")
     for row in cert.rows:
         print(f"{row.n},{_fmt(row.corr.real)},{_fmt(row.bound)}")
-    ok = (validate(state.kraus).passed and report.delta < 1.0
+    ok = (unital.passed and report.delta < 1.0
           and md.delta_trivial and cert.passed)
     print(f"verdict {'pass' if ok else 'fail'}")
     return EXIT_PASS if ok else EXIT_FAIL

@@ -10,7 +10,7 @@ tensor W[I, J] = trace(rho v_{i1}..v_{im} v*_{jm}..v*_{j1}).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ __all__ = [
     "KrausFamily",
     "FcsState",
     "ModularData",
-    "ValidationReport",
+    "SymmetryVerdict",
     "validate",
     "fixed_point",
     "transfer_matrix",
@@ -87,14 +87,37 @@ class KrausFamily:
         return np.stack(self.v)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+@dataclass(frozen=True, eq=False)
+class SymmetryVerdict:
+    """Outcome of one check: a defect decided against a tolerance.
+
+    status is "pass", "fail", or "indeterminate"; _verdict builds the
+    verdicts that pass exactly when the defect is finite and <= tol.  window
+    is the longest window length the check read, 0 for a check that reads
+    none.  details maps sub-checks (per window length, and per axis for
+    rotations) to their worst violations, or holds what the check found
+    besides (a gauge, generators, a reason).  Equality is identity, so a
+    verdict hashes.
+    """
+
+    name: str
+    window: int
     defect: float
     tol: float
+    status: str
+    details: dict = field(default_factory=dict)
 
     @property
     def passed(self):
-        return self.defect <= self.tol
+        return self.status == "pass"
+
+
+def _verdict(name, window, defect, tol, details=None):
+    """The verdict that passes exactly when defect is finite and <= tol."""
+    defect = float(defect)
+    status = "pass" if np.isfinite(defect) and defect <= tol else "fail"
+    return SymmetryVerdict(name, window, defect, tol, status,
+                           {} if details is None else details)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +182,9 @@ def _read_only(a, dtype=None):
 
 
 def validate(kraus, tol=1e-10):
-    """Check the unitality defect ||sum_i v_i v_i* - I||_max."""
+    """The "unital" verdict on the defect ||sum_i v_i v_i* - I||_max."""
     acc = sum(v @ v.conj().T for v in kraus.v)
-    defect = float(np.abs(acc - np.eye(kraus.k)).max())
-    return ValidationReport(defect=defect, tol=tol)
+    return _verdict("unital", 0, np.abs(acc - np.eye(kraus.k)).max(), tol)
 
 
 def transfer_matrix(kraus):

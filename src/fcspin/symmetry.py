@@ -17,20 +17,19 @@ A negative window length is refused; length 0 is the vacuous pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import ResourceLimitError, _require_tol
-from .fcs import _products, max_window_entries, modular_data, window_expectations
+from .fcs import (SymmetryVerdict, _products, _verdict, max_window_entries,
+                  modular_data, window_expectations)
 from .su2 import TwistMatrix
 from .transfer import decay_certificate
 
 __all__ = [
     "SymmetryVerdict",
-    "IntertwinerReport",
-    "AuditClause",
     "AuditReport",
     "check_real",
     "check_lattice_twist",
@@ -46,57 +45,21 @@ DECAY_N_MAX = 12   # correlation distances the audit's decay clause checks
 
 
 @dataclass(frozen=True, eq=False)
-class SymmetryVerdict:
-    """Outcome of one finite-window symmetry check.
-
-    status is "pass", "fail", or "indeterminate"; for the decidable checks
-    pass holds exactly when defect <= tol.  details maps sub-checks
-    (per window length, and per axis for rotations) to their worst
-    violations.
-    """
-
-    name: str
-    window: int
-    defect: float
-    tol: float
-    status: str
-    details: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-
-@dataclass(frozen=True, eq=False)
-class IntertwinerReport:
-    """Bond-space generators X_a implementing the rotation covariance."""
-
-    generators: tuple
-    residual: float
-    tol: float
-
-    @property
-    def found(self):
-        return self.residual <= self.tol
-
-
-@dataclass(frozen=True)
-class AuditClause:
-    name: str
-    kind: str  # "hypothesis" or "conclusion"
-    status: str
-    value: float
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class AuditReport:
-    clauses: tuple
+    """The verdicts of theorem_audit, hypotheses then conclusions, and the
+    gap delta.  Equality is identity, as for the verdicts it holds."""
+
+    hypotheses: tuple
+    conclusions: tuple
     delta: float
 
     @property
+    def clauses(self):
+        return self.hypotheses + self.conclusions
+
+    @property
     def all_pass(self):
-        return all(c.status == "pass" for c in self.clauses)
+        return all(v.passed for v in self.clauses)
 
 
 def _at_site(W, op, p):
@@ -121,18 +84,14 @@ def _windowed(state, m, tol, checks):
     """One verdict per (name, defects) in checks, each window of length <= m
     built once; defects(W, length) maps sub-checks to their defects.  A
     verdict's defect is their largest, 0 if none, NaN if any is NaN (the
-    builtin max can drop a NaN); it passes exactly when finite and <= tol."""
+    builtin max can drop a NaN); _verdict decides it."""
     details = [{} for _ in checks]
     for length in range(1, m + 1):
         W = window_expectations(state, length)
         for found, (_, defects) in zip(details, checks):
             found.update(defects(W, length))
-    verdicts = []
-    for found, (name, _) in zip(details, checks):
-        defect = float(np.max(list(found.values()), initial=0.0))
-        status = "pass" if np.isfinite(defect) and defect <= tol else "fail"
-        verdicts.append(SymmetryVerdict(name, m, defect, tol, status, found))
-    return verdicts
+    return [_verdict(name, m, np.max(list(found.values()), initial=0.0), tol, found)
+            for found, (name, _) in zip(details, checks)]
 
 
 def _real_defects(W, length):
@@ -442,7 +401,7 @@ def _twist_verdict(W, defect, lam, multiplicity, lower_bound, grid_angles, tol):
     else:
         status = "fail"
     return SymmetryVerdict(
-        name="twist-adjoint-relation", window=1, defect=defect, tol=tol,
+        name="twist-adjoint-relation", window=0, defect=defect, tol=tol,
         status=status, details={"gauge": W, "phase": lam,
                                 "multiplicity": multiplicity,
                                 "lower_bound": lower_bound,
@@ -533,41 +492,44 @@ def find_intertwiner(state, rep, tol=1e-8):
     each axis therefore gives the covariance
     sum_j u(g)_{ji} v_j = U_g v_i U_g* with U_g = exp(i theta.X) for every
     g = exp(i theta.S).
+
+    The "intertwiner" verdict's defect is the largest residual over the axes,
+    relative to max(1, ||S_a||), and details["generators"] holds (X_x, X_y,
+    X_z).  The three axes share one least-squares solve, their right-hand
+    sides as the columns of one matrix.
     """
     _require_tol(tol)
     _require_rep(rep, state)
     k = state.k
     eye = np.eye(k)
     Vdag = np.stack([v.conj().T for v in state.kraus.v])
-    scale = max(1.0, float(max(np.linalg.norm(S, 2) for S in rep.generators())))
+    gens = rep.generators()
+    scale = max(1.0, float(max(np.linalg.norm(S, 2) for S in gens)))
     # vec(X M - M X) = (I (x) M^T - M (x) I) vec(X), row-major
     A = np.vstack([np.kron(eye, Vdag[i].T) - np.kron(Vdag[i], eye)
                    for i in range(state.d)])
-    gens = []
-    residual = 0.0
-    for S in rep.generators():
-        b = np.concatenate([
-            -np.einsum("j,jab->ab", S[i], Vdag).reshape(-1)
-            for i in range(state.d)
-        ])
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        X = x.reshape(k, k)
-        X = X - (np.trace(X) / k) * eye
-        X = (X + X.conj().T) / 2
-        res = float(np.abs(A @ X.reshape(-1) - b).max()) / scale
-        residual = max(residual, res)
-        gens.append(X)
-    return IntertwinerReport(generators=tuple(gens), residual=residual, tol=tol)
+    # column a holds -sum_j (S_a)_{ij} v_j*, stacked over i
+    b = -np.einsum("aij,jpq->ipqa", np.stack(gens), Vdag).reshape(-1, len(gens))
+    x = np.linalg.lstsq(A, b, rcond=None)[0].T.reshape(-1, k, k)
+    X = x - (np.trace(x, axis1=1, axis2=2) / k)[:, None, None] * eye
+    X = (X + X.conj().transpose(0, 2, 1)) / 2
+    residual = np.abs(A @ X.reshape(len(gens), -1).T - b).max() / scale
+    return _verdict("intertwiner", 0, residual, tol, {"generators": tuple(X)})
 
 
 def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
     """Composite report: symmetry hypotheses, then structural conclusions.
 
-    Hypotheses: reality, lattice reflection with twist, reflection
-    positivity with twist, rotation invariance.  Conclusions: trivial
-    modular operator, unique transfer fixed point, self-adjoint transfer
-    operator, twisted-adjoint Kraus relation, and exponential decay of
-    two-point correlations.  Clause order is fixed for stable output.
+    Hypotheses, the verdicts of the checks themselves: reality, lattice
+    reflection with twist, reflection positivity with twist, rotation
+    invariance.  Conclusions: trivial modular operator, unique transfer
+    fixed point, self-adjoint transfer operator, twisted-adjoint Kraus
+    relation, and exponential decay of two-point correlations.  Each carries
+    the threshold it is decided against as its tol: 10 tol for the modular
+    and self-adjointness defects, 1 for the fixed multiplicity (at least 1).
+    Decay passes when its certificate does and delta < 1, with the
+    certificate's reason in details["reason"].  Clause order is fixed for
+    stable output.
     """
     _require_tol(tol)
     if windows < 1:
@@ -578,31 +540,14 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
         ("real", _real_defects), ("lattice-twist", partial(_lattice_defects, twist.r0)),
         ("su2-invariant", partial(_su2_defects, rep))])
     rp = check_reflection_positive(state, twist, min(windows, RP_WINDOW), tol)
-    note = {rp.name: f"min eigenvalue {rp.details['min_eig']:.3e}"}
-    clauses = [AuditClause(v.name, "hypothesis", v.status, v.defect, note.get(v.name, ""))
-               for v in (real, lattice, rp, su2)]
-
-    md = modular_data(state)
-    clauses.append(AuditClause(
-        "modular-trivial", "conclusion",
-        "pass" if md.delta_defect <= 10 * tol else "fail", md.delta_defect))
-
     cert = decay_certificate(state, rep.Sz, rep.Sz, DECAY_N_MAX, tol)
-    clauses.append(AuditClause(
-        "ergodic", "conclusion",
-        "pass" if cert.gap.fixed_multiplicity == 1 else "fail",
-        float(cert.gap.fixed_multiplicity)))
-    clauses.append(AuditClause(
-        "transfer-selfadjoint", "conclusion",
-        "pass" if cert.gap.selfadjoint_defect <= 10 * tol else "fail",
-        cert.gap.selfadjoint_defect))
-
-    v = check_kraus_twist_relation(state, twist, tol)
-    clauses.append(AuditClause("twist-adjoint-relation", "conclusion",
-                               v.status, v.defect))
-
-    clauses.append(AuditClause(
-        "exponential-decay", "conclusion",
-        "pass" if cert.passed and cert.delta < 1.0 else "fail", cert.delta,
-        note=cert.reason))
-    return AuditReport(clauses=tuple(clauses), delta=cert.delta)
+    conclusions = (
+        _verdict("modular-trivial", 0, modular_data(state).delta_defect, 10 * tol),
+        _verdict("ergodic", 0, cert.gap.fixed_multiplicity, 1.0),
+        _verdict("transfer-selfadjoint", 0, cert.gap.selfadjoint_defect, 10 * tol),
+        check_kraus_twist_relation(state, twist, tol),
+        SymmetryVerdict("exponential-decay", 0, cert.delta, tol,
+                        "pass" if cert.passed and cert.delta < 1.0 else "fail",
+                        {"reason": cert.reason}),
+    )
+    return AuditReport((real, lattice, rp, su2), conclusions, cert.delta)

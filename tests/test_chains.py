@@ -147,6 +147,22 @@ def two_site_expectation(system, state, A, B, p, q):
     return complex(np.einsum("abce,ca,eb->", R, A, B))
 
 
+@pytest.mark.parametrize("value", [
+    lambda system: system.H,
+    lambda system: system,
+    ground,
+    lambda system: gibbs(system, 1.0),
+], ids=["CooMatrix", "SpinChainSystem", "GroundReport", "ThermalState"])
+def test_chain_values_compare_by_identity(value):
+    # the fields hold arrays, so a field-wise == would be ambiguous and a
+    # field-wise hash would refuse them
+    one = value(build_chain(2, 4, 1.0, True))
+    other = value(build_chain(2, 4, 1.0, True))
+    assert one == one and one != other
+    assert hash(one) == hash(one)
+    assert len({one, other}) == 2
+
+
 def test_two_site_spectrum_d2():
     # J S.S on two sites: eigenvalues J/2 [j(j+1) - 2 s(s+1)] = {-3J/4, J/4}
     system = build_chain(2, 2, 1.0, periodic=False)

@@ -11,7 +11,7 @@ from fcspin.cli import main
 from fcspin.fcs import KrausFamily
 from fcspin.krausfile import dump_state, write_kraus
 from fcspin.states import covariant_state, gauge_transform, random_unital_kraus
-from fcspin.symmetry import AuditClause, AuditReport
+from fcspin.symmetry import AuditReport, SymmetryVerdict
 
 DATA = str(resources.files("fcspin.data").joinpath("aklt.kraus")).rsplit("/", 1)[0]
 
@@ -373,9 +373,9 @@ def test_ed_with_beta_diagonalizes_once(monkeypatch, capsys):
 def _stub_audit(statuses):
     """A theorem_audit stand-in whose report has the given clause statuses."""
     def audit(state, rep, twist, windows, tol):
-        return AuditReport(clauses=tuple(
-            AuditClause(f"clause-{i}", "hypothesis", status, 0.0)
-            for i, status in enumerate(statuses)), delta=0.5)
+        return AuditReport(hypotheses=tuple(
+            SymmetryVerdict(f"clause-{i}", 0, 0.0, 1e-8, status)
+            for i, status in enumerate(statuses)), conclusions=(), delta=0.5)
     return audit
 
 

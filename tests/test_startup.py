@@ -6,11 +6,15 @@ package's sources checks the same at every import statement.
 """
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fcspin
 from test_cli_golden import _split
@@ -80,3 +84,12 @@ def test_package_imports_nothing_third_party_but_numpy():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"fcspin"}
     assert third_party == {"numpy"}
+
+
+@pytest.mark.parametrize("name", ["fcspin"] + [
+    f"fcspin.{m.name}" for m in pkgutil.iter_modules(fcspin.__path__)])
+def test_every_exported_name_resolves(name):
+    # a stale __all__ entry makes `from module import *` raise
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

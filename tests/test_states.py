@@ -54,8 +54,8 @@ def test_cg_closed_form_values(args, value):
 def test_covariant_family_is_rotation_covariant(two_s, two_j):
     st = covariant_state(Fraction(two_s, 2), Fraction(two_j, 2))
     report = find_intertwiner(st, build_spin_rep(two_s + 1))
-    assert report.found
-    assert report.residual <= 1e-12
+    assert report.passed
+    assert report.defect <= 1e-12
 
 
 def test_cg_tables_match_sympy():

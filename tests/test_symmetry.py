@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -34,7 +35,7 @@ from fcspin import (
     random_fcs_state,
     theorem_audit,
 )
-from fcspin import fcs, symmetry, transfer
+from fcspin import cli, fcs, symmetry, transfer
 from fcspin.errors import ResourceLimitError
 from fcspin.symmetry import (
     _TWIST_ASCENT_ROUNDS,
@@ -401,16 +402,16 @@ def test_kraus_twist_generic_fails(twist3):
 
 def test_intertwiner_aklt(aklt, rep3):
     report = find_intertwiner(aklt, rep3)
-    assert report.found
-    assert report.residual < 1e-9
+    assert report.passed
+    assert report.defect < 1e-9
     # the exponentiated covariance sum_j u(g)_ji v_j = U_g v_i U_g*
     V = aklt.kraus.stacked()
     for g in random_group_elements(rep3, 6, np.random.default_rng(7)):
-        Ug = expm(1j * sum(t * X for t, X in zip(g.theta, report.generators)))
+        Ug = expm(1j * sum(t * X for t, X in zip(g.theta, report.details["generators"])))
         lhs = np.einsum("ji,jab->iab", g.u, V)
         rhs = np.stack([Ug @ v @ Ug.conj().T for v in V])
         assert np.abs(lhs - rhs).max() < 1e-9
-    Xx, Xy, Xz = report.generators
+    Xx, Xy, Xz = report.details["generators"]
     # the bond generators form a spin-1/2 triple (up to gauge and sign)
     comm = Xx @ Xy - Xy @ Xx
     assert np.abs(comm - 1j * Xz).max() < 1e-8 or np.abs(comm + 1j * Xz).max() < 1e-8
@@ -421,14 +422,49 @@ def test_intertwiner_aklt(aklt, rep3):
 def test_intertwiner_trivial():
     st = product_state(np.array([1.0]))
     report = find_intertwiner(st, build_spin_rep(1))
-    assert report.residual < 1e-12
-    assert np.abs(report.generators[0]).max() < 1e-12
+    assert report.defect < 1e-12
+    assert np.abs(report.details["generators"][0]).max() < 1e-12
 
 
 def test_intertwiner_breaking_state(rep3):
     st = random_fcs_state(3, 3, np.random.default_rng(4))
     report = find_intertwiner(st, rep3)
-    assert report.residual > 1e-3
+    assert report.defect > 1e-3
+
+
+def _intertwiner_per_axis(st, rep):
+    """The generators by one least-squares solve per axis."""
+    k, eye = st.k, np.eye(st.k)
+    Vdag = np.stack([v.conj().T for v in st.kraus.v])
+    A = np.vstack([np.kron(eye, Vd.T) - np.kron(Vd, eye) for Vd in Vdag])
+    gens = []
+    for S in rep.generators():
+        b = np.concatenate([-np.einsum("j,jab->ab", S[i], Vdag).reshape(-1)
+                            for i in range(st.d)])
+        X = np.linalg.lstsq(A, b, rcond=None)[0].reshape(k, k)
+        X = X - (np.trace(X) / k) * eye
+        gens.append((X + X.conj().T) / 2)
+    return gens
+
+
+@pytest.mark.parametrize("s, j", [(1, Fraction(1, 2)), (2, Fraction(3, 2)),
+                                  (3, Fraction(7, 2)), (None, None)])
+def test_intertwiner_solves_the_three_axes_at_once(s, j, monkeypatch):
+    st = (covariant_state(s, j) if s is not None
+          else random_fcs_state(3, 3, np.random.default_rng(4)))
+    rep = build_spin_rep(st.d)
+    want = _intertwiner_per_axis(st, rep)
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(a, b, **kwargs):
+        calls.append(b.shape)
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    got = find_intertwiner(st, rep).details["generators"]
+    assert calls == [(st.d * st.k ** 2, 3)]
+    assert max(np.abs(g - w).max() for g, w in zip(got, want)) <= 1e-12
 
 
 def test_intertwiner_mismatched_rep_refused(aklt):
@@ -501,7 +537,7 @@ def test_theorem_audit_windowed_clauses_equal_the_checks(family, windows):
               check_su2(st, rep, windows, tol=1e-8))
     assert tuple(v.name for v in checks) == _WINDOWED_CLAUSES
     for v in checks:
-        assert (clauses[v.name].status, clauses[v.name].value) == (v.status, v.defect)
+        assert (clauses[v.name].status, clauses[v.name].defect) == (v.status, v.defect)
 
 
 def test_theorem_audit_refuses_a_rep_of_the_wrong_dimension(aklt, twist3, monkeypatch):
@@ -528,13 +564,21 @@ def test_theorem_audit_counts_fixed_space_at_its_tol(p, tol, mult, rep3, twist3)
                        np.sqrt(p / 2) * Z))
     st = fcs.FcsState(kraus=fam, rho=np.eye(2) / 2)
     clauses = {c.name: c for c in theorem_audit(st, rep3, twist3, tol=tol).clauses}
-    assert clauses["ergodic"].value == mult
+    assert clauses["ergodic"].defect == mult
     assert clauses["ergodic"].status == ("pass" if mult == 1 else "fail")
     decay = clauses["exponential-decay"]
     if mult == 1:
-        assert decay.status == "pass" and abs(decay.value - (1 - p)) <= 1e-15
+        assert decay.status == "pass" and abs(decay.defect - (1 - p)) <= 1e-15
     else:
-        assert decay.status == "fail" and "degenerate" in decay.note
+        assert decay.status == "fail" and "degenerate" in decay.details["reason"]
+
+
+def _clause_fields(report):
+    """Kind, name, status, defect, tol and printed note of every clause."""
+    return [(kind, v.name, v.status, v.defect, v.tol, cli._note(v))
+            for kind, verdicts in (("hypothesis", report.hypotheses),
+                                   ("conclusion", report.conclusions))
+            for v in verdicts]
 
 
 def test_theorem_audit_of_a_round_trip_is_bit_identical(rep3, twist3):
@@ -543,8 +587,62 @@ def test_theorem_audit_of_a_round_trip_is_bit_identical(rep3, twist3):
     # apart
     st = random_fcs_state(3, 4, np.random.default_rng(8))
     loaded = load_state(dump_state(st))[1]
-    assert theorem_audit(st, rep3, twist3).clauses == \
-        theorem_audit(loaded, rep3, twist3).clauses
+    assert _clause_fields(theorem_audit(st, rep3, twist3)) == \
+        _clause_fields(theorem_audit(loaded, rep3, twist3))
+
+
+def _covariant(s, j, seed=None):
+    st = covariant_state(s, j)
+    return st if seed is None else _with_gauge(st, seed)
+
+
+def _negative(d, k):
+    return random_fcs_state(d, k, np.random.default_rng(d * k))
+
+
+_THRESHOLD_FAMILIES = {
+    **{f"bundled:{name}": partial(_bundled, f"{name}.kraus") for name in (
+        "aklt", "product_d2", "product_complex_d2", "random_unital_d3")},
+    **{f"cov({s},{j}){tag}": partial(_covariant, s, j, seed)
+       for s, j in ((1, Fraction(1, 2)), (2, Fraction(3, 2)), (3, Fraction(7, 2)))
+       for tag, seed in (("", None), ("-gauge", 91))},
+    **{f"neg({d},{k})": partial(_negative, d, k) for d, k in ((2, 3), (3, 4), (5, 2))},
+}
+# the clauses _verdict decides, and the threshold each carries as its tol
+# (in units of the audit tol, ergodic's absolute)
+_VERDICT_THRESHOLDS = {"real": 1, "lattice-twist": 1, "su2-invariant": 1,
+                       "modular-trivial": 10, "transfer-selfadjoint": 10}
+
+
+@pytest.mark.parametrize("family", list(_THRESHOLD_FAMILIES))
+def test_audit_clauses_carry_the_threshold_they_are_decided_against(family):
+    st = _THRESHOLD_FAMILIES[family]()
+    rep = build_spin_rep(st.d)
+    tol = 1e-8
+    report = theorem_audit(st, rep, build_twist(rep), tol=tol)
+    clauses = {v.name: v for v in report.clauses}
+    g = transfer.gap(transfer.build_transfer(st), tol)
+    assert clauses["modular-trivial"].defect == fcs.modular_data(st).delta_defect
+    assert clauses["transfer-selfadjoint"].defect == g.selfadjoint_defect
+    assert clauses["ergodic"].defect == g.fixed_multiplicity
+    assert clauses["ergodic"].tol == 1.0
+    for name, factor in _VERDICT_THRESHOLDS.items():
+        assert clauses[name].tol == factor * tol
+    for name in (*_VERDICT_THRESHOLDS, "ergodic"):
+        v = clauses[name]
+        assert v.passed == (np.isfinite(v.defect) and v.defect <= v.tol)
+        assert v.status == ("pass" if v.passed else "fail")
+    for name in ("reflection-positive", "twist-adjoint-relation", "exponential-decay"):
+        assert clauses[name].tol == tol
+
+
+@pytest.mark.parametrize("defect", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_defect_fails(defect, aklt, rep3, twist3, monkeypatch):
+    assert fcs._verdict("x", 0, defect, 1.0).status == "fail"
+    monkeypatch.setattr(symmetry, "modular_data", lambda st: fcs.ModularData(defect))
+    clause = theorem_audit(aklt, rep3, twist3).conclusions[0]
+    assert clause.name == "modular-trivial"
+    assert clause.status == "fail" and not np.isfinite(clause.defect)
 
 
 def test_theorem_audit_generic_fails(rep3, twist3):
@@ -609,7 +707,7 @@ def _outcome(v):
 
 
 def _audit_windowed_outcomes(st, rep, tw):
-    return [(c.status, c.value) for c in theorem_audit(st, rep, tw, 2).clauses
+    return [(c.status, c.defect) for c in theorem_audit(st, rep, tw, 2).clauses
             if c.name in _WINDOWED_CLAUSES]
 
 
