@@ -19,7 +19,7 @@ import numpy as np
 from .chains import build_chain, correlation_profile, gibbs, ground, rp_gram_check
 from .errors import KrausFileError, ResourceLimitError
 from .fcs import modular_data, validate
-from .krausfile import load_state
+from .krausfile import _fmt, _fmt_pair, _format_block, load_state
 from .su2 import build_spin_rep, build_twist
 from .symmetry import theorem_audit
 from .transfer import build_transfer, decay_certificate, gap
@@ -33,18 +33,8 @@ EXIT_INDETERMINATE = 3
 EXIT_RESOURCE = 4
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
-def _fmt_complex(z):
-    z = complex(z)
-    return f"({_fmt(z.real)},{_fmt(z.imag)})"
-
-
-def _print_matrix(mat, indent="  "):
-    for row in np.asarray(mat, dtype=complex):
-        print(indent + " ".join(_fmt_complex(z) for z in row))
+def _print_matrix(mat):
+    print("  " + _format_block(mat).replace("\n", "\n  "))
 
 
 def _positive_int(value):
@@ -103,7 +93,7 @@ def cmd_repr(args):
         _print_matrix(S)
     print("r0")
     _print_matrix(tw.r0)
-    print(f"zeta {_fmt_complex(tw.zeta)}")
+    print(f"zeta {_fmt_pair(tw.zeta)}")
     print(f"mu {tw.mu:+d}")
     return EXIT_PASS
 
@@ -208,7 +198,8 @@ def cmd_ed(args):
 
 
 def cmd_demo_aklt(args):
-    name, state = _load("@aklt", 1e-9)
+    tol = 1e-9
+    name, state = _load("@aklt", tol)
     print(f"family {name}")
     unital = validate(state.kraus)
     print(f"unitality_defect {_fmt(unital.defect)}")
@@ -217,7 +208,7 @@ def cmd_demo_aklt(args):
     t = build_transfer(state)
     report = gap(t)
     print("transfer_eigenvalues " + " ".join(
-        _fmt_complex(lam) for lam in report.eigenvalues))
+        _fmt_pair(lam) for lam in report.eigenvalues))
     print(f"delta {_fmt(report.delta)}")
     md = modular_data(state)
     print(f"modular_defect {_fmt(md.delta_defect)}")
@@ -226,8 +217,9 @@ def cmd_demo_aklt(args):
     print("n,corr_re,bound")
     for row in cert.rows:
         print(f"{row.n},{_fmt(row.corr.real)},{_fmt(row.bound)}")
+    # the modular operator is trivial by the audit's rule, to 10 tol
     ok = (unital.passed and report.delta < 1.0
-          and md.delta_trivial and cert.passed)
+          and md.delta_defect <= 10 * tol and cert.passed)
     print(f"verdict {'pass' if ok else 'fail'}")
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -292,16 +284,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KrausFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except (KrausFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

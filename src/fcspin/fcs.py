@@ -168,10 +168,6 @@ class ModularData:
 
     delta_defect: float
 
-    @property
-    def delta_trivial(self):
-        return self.delta_defect <= 1e-10
-
 
 def _read_only(a, dtype=None):
     """A C-ordered copy of a that refuses in-place writes.  C order makes
@@ -217,17 +213,15 @@ def fixed_point(kraus, tol=1e-9):
     P = _fixed_space_projector(transfer_matrix(kraus).conj().T, tol)
     rho_vec = P @ (np.eye(k) / k).reshape(-1)
     rho = rho_vec.reshape(k, k)
-    rho = (rho + rho.conj().T) / 2
-    w, U = np.linalg.eigh(rho)
-    w = np.where(w < 0, np.where(w > -tol, 0.0, w), w)
-    if (w < 0).any():
+    rho = (rho + rho.conj().T) / 2  # exactly Hermitian, and stays so below
+    w = np.linalg.eigvalsh(rho)
+    if w.min() <= -tol:
         raise ValueError("fixed point is not positive semidefinite")
-    rho = (U * w) @ U.conj().T
     tr = rho.trace().real
     if tr <= tol:
         raise ValueError("fixed point has vanishing trace")
     rho = rho / tr
-    if np.linalg.eigvalsh(rho).min() <= tol:
+    if w.min() / tr <= tol:
         raise ValueError(
             "fixed point is not faithful; the family leaves the assumed "
             "support-projection setting"

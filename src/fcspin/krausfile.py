@@ -14,11 +14,13 @@ Layout (one item per line, `#` starts a comment, blank lines ignored):
     <k lines>
 
 Numbers are printed with shortest round-trip representations, so a
-write/read cycle reproduces the matrices bit-identically.
+write/read cycle reproduces the matrices bit-identically; the command line
+prints its numbers through the same _fmt and _fmt_pair.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -31,121 +33,101 @@ __all__ = ["read_kraus", "write_kraus", "load_state", "dump_state"]
 _PAIR = re.compile(r"^\(([^,()]+),([^,()]+)\)$")
 
 
+def _fmt(x):
+    """The shortest representation of the real x that reads back exactly."""
+    return repr(float(x))
+
+
+def _fmt_pair(z):
+    z = complex(z)
+    return f"({_fmt(z.real)},{_fmt(z.imag)})"
+
+
 def _parse_pair(token, lineno):
     m = _PAIR.match(token)
     if not m:
         raise KrausFileError(lineno, f"expected a (re,im) pair, got {token!r}")
     try:
-        z = complex(float(m.group(1)), float(m.group(2)))
+        real, imag = float(m.group(1)), float(m.group(2))
     except ValueError:
         raise KrausFileError(lineno, f"non-numeric entry in pair {token!r}")
-    if not np.isfinite(z):
+    if not (math.isfinite(real) and math.isfinite(imag)):
         raise KrausFileError(lineno, f"non-finite entry in pair {token!r}")
-    return z
-
-
-def _logical_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _parse_int_field(value, lineno, label):
-    try:
-        n = int(value)
-    except ValueError:
-        raise KrausFileError(lineno, f"{label} must be an integer, got {value!r}")
-    if n < 1:
-        raise KrausFileError(lineno, f"{label} must be positive, got {n}")
-    return n
+    return complex(real, imag)
 
 
 def read_kraus(text):
-    """Parse a document into (name, KrausFamily, rho-or-None)."""
-    lines = list(_logical_lines(text))
-    pos = 0
+    """Parse a document into (name, KrausFamily, rho-or-None).
 
-    def peek():
-        return lines[pos] if pos < len(lines) else (None, None)
-
+    One pass over the logical lines (comments and blank lines dropped), with
+    (lineno, line) the current one; past the end it is (0, None), so a
+    document that ends early is reported at line 0.
+    """
+    lines = ((n, s) for n, raw in enumerate(text.splitlines(), start=1)
+             if (s := raw.split("#", 1)[0].strip()))
+    lineno, line = next(lines, (0, None))
     name = None
-    d = k = None
-    lineno, line = peek()
     if line is not None and line.split()[0] == "name":
-        name = line.split(None, 1)[1] if len(line.split(None, 1)) > 1 else ""
-        pos += 1
+        name = line[len("name"):].strip()
+        lineno, line = next(lines, (0, None))
 
+    d_k = []
     for label in ("d", "k"):
-        lineno, line = peek()
         if line is None or line.split()[0] != label:
-            raise KrausFileError(lineno or 0, f"expected `{label} <value>` header")
+            raise KrausFileError(lineno, f"expected `{label} <value>` header")
         parts = line.split()
         if len(parts) != 2:
             raise KrausFileError(lineno, f"malformed `{label}` header: {line!r}")
-        value = _parse_int_field(parts[1], lineno, label)
-        if label == "d":
-            d = value
-        else:
-            k = value
-        pos += 1
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise KrausFileError(
+                lineno, f"{label} must be an integer, got {parts[1]!r}")
+        if n < 1:
+            raise KrausFileError(lineno, f"{label} must be positive, got {n}")
+        d_k.append(n)
+        lineno, line = next(lines, (0, None))
+    d, k = d_k
 
-    def read_block(lineno_start):
-        nonlocal pos
-        rows = []
+    blocks = []  # matrix 1 .. matrix d, then the optional rho
+    for i in range(1, d + 2):
+        label = f"matrix {i}" if i <= d else "rho"
+        if line != label:
+            if i > d:
+                break
+            raise KrausFileError(lineno, f"expected `{label}`, got {line!r}")
+        anchor, rows = lineno, []
         for _ in range(k):
-            lineno, line = peek()
+            lineno, line = next(lines, (0, None))
             if line is None:
-                raise KrausFileError(lineno_start,
+                raise KrausFileError(anchor,
                                      f"matrix block truncated; expected {k} rows")
             tokens = line.split()
             if len(tokens) != k:
                 raise KrausFileError(
                     lineno, f"expected {k} entries per row, got {len(tokens)}")
             rows.append([_parse_pair(t, lineno) for t in tokens])
-            pos += 1
-        return np.array(rows, dtype=complex)
-
-    mats = []
-    for i in range(1, d + 1):
-        lineno, line = peek()
-        if line != f"matrix {i}":
-            raise KrausFileError(lineno or 0,
-                                 f"expected `matrix {i}`, got {line!r}")
-        pos += 1
-        mats.append(read_block(lineno))
-
-    rho = None
-    lineno, line = peek()
-    if line == "rho":
-        pos += 1
-        rho = read_block(lineno)
-        lineno, line = peek()
+        blocks.append(np.array(rows, dtype=complex))
+        lineno, line = next(lines, (0, None))
     if line is not None:
         raise KrausFileError(lineno, f"unexpected trailing content: {line!r}")
-    return name, KrausFamily(tuple(mats)), rho
+    rho = blocks.pop() if len(blocks) > d else None
+    return name, KrausFamily(tuple(blocks)), rho
 
 
 def _format_block(mat):
-    return "\n".join(
-        " ".join(f"({repr(float(z.real))},{repr(float(z.imag))})" for z in row)
-        for row in np.asarray(mat, dtype=complex)
-    )
+    return "\n".join(" ".join(map(_fmt_pair, row))
+                     for row in np.asarray(mat, dtype=complex))
 
 
 def write_kraus(kraus, name=None, rho=None):
     """Serialize a family (and optionally rho) to the textual format."""
-    parts = []
-    if name:
-        parts.append(f"name {name}")
-    parts.append(f"d {kraus.d}")
-    parts.append(f"k {kraus.k}")
+    parts = [f"name {name}"] if name else []
+    parts += [f"d {kraus.d}", f"k {kraus.k}"]
     for i, v in enumerate(kraus.v, start=1):
-        parts.append(f"matrix {i}")
-        parts.append(_format_block(v))
+        parts += [f"matrix {i}", _format_block(v)]
     if rho is not None:
-        parts.append("rho")
-        parts.append(_format_block(rho))
+        parts += ["rho", _format_block(rho)]
     return "\n".join(parts) + "\n"
 
 

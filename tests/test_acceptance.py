@@ -119,7 +119,7 @@ def test_criterion_2_aklt_end_to_end():
     eigs = sorted(lam.real for lam in rep_gap.eigenvalues)
     checks["spectrum"] = float(np.abs(
         np.array(eigs) - np.array([-1 / 3, -1 / 3, -1 / 3, 1.0])).max()) <= 1e-10
-    checks["modular"] = modular_data(state).delta_trivial
+    checks["modular"] = modular_data(state).delta_defect <= 1e-10
     rep3 = build_spin_rep(3)
     tw3 = build_twist(rep3)
     audit = theorem_audit(state, rep3, tw3)
@@ -159,7 +159,7 @@ def test_criterion_4_theorem_chain():
     for st in states:
         md = modular_data(st)
         tw = build_twist(build_spin_rep(st.d))
-        if not md.delta_trivial:
+        if not md.delta_defect <= 1e-10:
             continue
         if not check_kraus_twist_relation(st, tw, tol=1e-8).passed:
             continue

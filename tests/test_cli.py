@@ -85,6 +85,14 @@ def test_audit_missing_file(capsys):
     assert main(["audit", "/nonexistent/x.kraus"]) == 2
 
 
+@pytest.mark.parametrize("command", ["audit", "spectrum", "correlate"])
+def test_unreadable_path_is_a_usage_error(command, tmp_path, capsys):
+    assert main([command, str(tmp_path)]) == 2  # a directory
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:")
+
+
 def test_audit_invalid_max_dim(monkeypatch, capsys):
     monkeypatch.setenv("FCS_MAX_DIM", "abc")
     assert main(["audit", "@aklt"]) == 2
@@ -357,7 +365,7 @@ def test_ed_builds_one_gibbs_state(argv, builds, monkeypatch, capsys):
     assert len(calls) == builds
 
 
-def test_ed_with_beta_diagonalizes_once(monkeypatch, capsys):
+def test_ed_with_beta_splits_blocks_once(monkeypatch, capsys):
     calls = []
     original = chains._orbit_blocks
 

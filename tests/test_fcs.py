@@ -144,6 +144,29 @@ def test_fixed_point_nonfaithful_rejected():
         fixed_point(fam)
 
 
+def test_fixed_point_nonfaithful_message():
+    # the fixed point of (|0><0|, |1><0|) is |0><0|
+    fam = KrausFamily((
+        np.array([[1, 0], [0, 0]], dtype=complex),
+        np.array([[0, 0], [1, 0]], dtype=complex),
+    ))
+    with pytest.raises(ValueError, match="fixed point is not faithful"):
+        fixed_point(fam)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_fcs_state(3, 4, np.random.default_rng(0)),
+    lambda: random_fcs_state(3, 8, np.random.default_rng(0)),
+    lambda: random_fcs_state(5, 6, np.random.default_rng(0)),
+    lambda: random_fcs_state(7, 8, np.random.default_rng(0)),
+    lambda: covariant_state(2, Fraction(7, 2)),
+], ids=["random-3-4", "random-3-8", "random-5-6", "random-7-8",
+        "covariant-2-7/2"])
+def test_fixed_point_exactly_hermitian(make):
+    rho = make().rho
+    assert (rho == rho.conj().T).all()
+
+
 def test_fixed_point_nonunital_rejected():
     fam = KrausFamily((np.eye(2), np.eye(2)))
     with pytest.raises(ValueError):
@@ -272,7 +295,7 @@ def test_max_window_entries_override(monkeypatch):
 
 def test_modular_data_aklt_trivial():
     md = modular_data(aklt_state())
-    assert md.delta_trivial
+    assert md.delta_defect <= 1e-10
     assert md.delta_defect < 1e-12
 
 

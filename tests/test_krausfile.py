@@ -148,3 +148,53 @@ def test_malformed_d_header_rejected(header):
         read_kraus(f"# header\n{header}\nk 2\n")
     assert err.value.line == 2
     assert err.value.message == f"malformed `d` header: {header!r}"
+
+
+_HEAD = "d 1\nk 1\nmatrix 1\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # missing or misordered headers; past the end of the file is line 0
+    ("", 0, "expected `d <value>` header"),
+    ("name foo\n# nothing else\n", 0, "expected `d <value>` header"),
+    ("k 2\nd 3\n", 1, "expected `d <value>` header"),
+    ("name a\nname b\nd 1\nk 1\n", 2, "expected `d <value>` header"),
+    ("d 3\n", 0, "expected `k <value>` header"),
+    ("d 3\n\nd 3\n", 3, "expected `k <value>` header"),
+    # malformed headers
+    ("d 3 4\nk 2\n", 1, "malformed `d` header: 'd 3 4'"),
+    ("d 1\nk\n", 2, "malformed `k` header: 'k'"),
+    # header values
+    ("d x\nk 2\n", 1, "d must be an integer, got 'x'"),
+    ("d 1\nk 1.5\n", 2, "k must be an integer, got '1.5'"),
+    ("d 0\nk 2\n", 1, "d must be positive, got 0"),
+    ("d 1\nk -3\n", 2, "k must be positive, got -3"),
+    # block labels
+    ("d 2\nk 1\nmatrix 1\n(1,0)\nmatrix 3\n(0,0)\n", 5,
+     "expected `matrix 2`, got 'matrix 3'"),
+    ("d 1\nk 1\nmatrix  1\n(1,0)\n", 3, "expected `matrix 1`, got 'matrix  1'"),
+    ("d 2\nk 1\nmatrix 1\n(1,0)\n", 0, "expected `matrix 2`, got None"),
+    # rows, and truncated blocks anchored at their matrix or rho line
+    ("d 1\nk 2\nmatrix 1\n(1,0)\n", 4, "expected 2 entries per row, got 1"),
+    ("d 1\nk 2\n\nmatrix 1\n(1,0) (0,0)\n# end\n", 4,
+     "matrix block truncated; expected 2 rows"),
+    (_HEAD + "(1,0)\nrho\n", 5, "matrix block truncated; expected 1 rows"),
+    # pairs
+    (_HEAD + "bogus\n", 4, "expected a (re,im) pair, got 'bogus'"),
+    (_HEAD + "(1,0,0)\n", 4, "expected a (re,im) pair, got '(1,0,0)'"),
+    (_HEAD + "(abc,0)\n", 4, "non-numeric entry in pair '(abc,0)'"),
+    (_HEAD + "(1,0j)\n", 4, "non-numeric entry in pair '(1,0j)'"),
+    (_HEAD + "(nan,0.0)\n", 4, "non-finite entry in pair '(nan,0.0)'"),
+    (_HEAD + "(1e400,0)\n", 4, "non-finite entry in pair '(1e400,0)'"),
+    # trailing content, after the last matrix or after rho
+    (_HEAD + "(1,0)\nextra stuff\n", 5, "unexpected trailing content: 'extra stuff'"),
+    (_HEAD + "(1,0)\nmatrix 2\n(1,0)\n", 5,
+     "unexpected trailing content: 'matrix 2'"),
+    (_HEAD + "(1,0)\nrho\n(1,0)\nrho\n(1,0)\n", 7,
+     "unexpected trailing content: 'rho'"),
+])
+def test_reader_diagnostics(text, line, message):
+    with pytest.raises(KrausFileError) as err:
+        read_kraus(text)
+    assert (err.value.line, err.value.message) == (line, message)
+
