@@ -249,13 +249,13 @@ def _labels(u, v, dim):
 
 
 def _components(u, v, dim):
-    """Index arrays of the connected components of the undirected graph on
-    range(dim) with edges (u[i], v[i]), ordered by their smallest state;
-    each array is sorted."""
-    label = _labels(u, v, dim)
-    order = np.argsort(label, kind="stable")
-    sizes = np.unique(label, return_counts=True)[1]
-    return np.split(order, np.cumsum(sizes)[:-1])
+    """The connected components of the undirected graph on range(dim) with
+    edges (u[i], v[i]), numbered in the order of their smallest states:
+    each state's component, the states sorted by component (ascending
+    within one), and the sizes of the components."""
+    comp, sizes = np.unique(_labels(u, v, dim), return_inverse=True,
+                            return_counts=True)[1:]
+    return comp, np.argsort(comp, kind="stable"), sizes
 
 
 @dataclass(frozen=True)
@@ -349,10 +349,9 @@ def _orbit_blocks(H, shift, reflect):
     # H, so they hold every coupling between orbits
     ent = np.flatnonzero(rep[H.col] == H.col)
     x, a = H.row[ent], H.col[ent]
-    comps = _components(np.r_[rep[x], rep], np.r_[a, powers[0]], dim)
-    comp = np.empty(dim, dtype=np.intp)  # the component of each state
-    for c, idx in enumerate(comps):
-        comp[idx] = c
+    comp, by_comp, size = _components(np.r_[rep[x], rep],
+                                      np.r_[a, powers[0]], dim)
+    comps = np.split(by_comp, np.cumsum(size)[:-1])
 
     def invariant(g):
         # g maps T to T or T^(-1), so H[g y, g a] is the entry of a
@@ -721,46 +720,25 @@ def rp_gram_check(system, state, twist, tol=1e-9):
         return (i, j, mirror[left[j]] * D + mirror[left[i]],
                 right[j] * D + right[i])
 
-    # G's components, merged from those of runs of blocks whose entries
-    # together are no more than the largest block's, so that no edge list
-    # outgrows one block's: a run's partition enters as edges from every
-    # (a, b) to the smallest member of its part.  A run of several blocks
-    # keeps their placements for the gather below; a block alone in its
-    # run, a large one, is placed again there rather than held meanwhile
-    counts = [np.count_nonzero(rho) for _, rho in blocks]
-    runs, count = [[]], 0
-    for b, entries in enumerate(counts):
-        if count + entries > max(counts):
-            runs.append([])
-            count = 0
-        runs[-1].append(b)
-        count += entries
-    placed = [None] * len(blocks)
-
-    def run_labels(run):
-        parts = [place(*blocks[b]) for b in run]
-        if len(run) > 1:
-            for b, part in zip(run, parts):
-                placed[b] = part
-        return _labels(np.concatenate([part[2] for part in parts]),
-                       np.concatenate([part[3] for part in parts]), D * D)
-
-    labels = [run_labels(run) for run in runs]
-    comps = _components(np.tile(np.arange(D * D), len(labels)),
-                        np.concatenate(labels), D * D)
+    # G's components, found one block at a time: the partition so far
+    # enters as an edge from every (a, b) to its label, so that no edge list
+    # outgrows one block's placements and D * D more; the gather below
+    # places each block again rather than hold the placements meanwhile
+    nodes = np.arange(D * D)
+    label = nodes
+    for idx, rho in blocks:
+        row, col = place(idx, rho)[2:]
+        label = _labels(np.r_[row, nodes], np.r_[col, label], D * D)
+    comp, order, sizes = _components(nodes, label, D * D)
     dtype = np.result_type(sign, *{rho.dtype for _, rho in blocks})
-    sizes = np.array([nodes.size for nodes in comps])
     for size in sizes:
         _require_block(size, dtype, "Gram block")
-    comp = np.empty(D * D, dtype=np.intp)    # the component of each (a, b)
-    within = np.empty(D * D, dtype=np.intp)  # and its row there
-    for c, nodes in enumerate(comps):
-        comp[nodes] = c
-        within[nodes] = np.arange(nodes.size)
+    within = np.empty(D * D, dtype=np.intp)  # each (a, b)'s row in its block
+    within[order] = nodes - np.repeat(np.cumsum(sizes) - sizes, sizes)
     end = np.cumsum(sizes ** 2)
     flat = np.zeros(end[-1], dtype=dtype)  # the blocks of G, one after another
-    for (idx, rho), part in zip(blocks, placed):
-        i, j, row, col = part if part is not None else place(idx, rho)
+    for idx, rho in blocks:
+        i, j, row, col = place(idx, rho)
         s = sign[idx // D]
         c = comp[row]
         at = end[c] - sizes[c] ** 2 + within[row] * sizes[c] + within[col]

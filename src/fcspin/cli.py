@@ -75,13 +75,6 @@ def _load(path, tol):
     return load_state(text, tol)
 
 
-def _observable(name, rep):
-    table = {"Sx": rep.Sx, "Sy": rep.Sy, "Sz": rep.Sz}
-    if name not in table:
-        raise KeyError(name)
-    return table[name]
-
-
 def cmd_repr(args):
     rep = build_spin_rep(args.d)
     tw = build_twist(rep)
@@ -134,14 +127,8 @@ def cmd_audit(args):
 def cmd_correlate(args):
     name, state = _load(args.file, args.tol)
     rep = build_spin_rep(state.d)
-    try:
-        A = _observable(args.A, rep)
-        B = _observable(args.B, rep)
-    except KeyError as exc:
-        print(f"error: unknown observable {exc.args[0]!r}; "
-              "choose from Sx, Sy, Sz", file=sys.stderr)
-        return EXIT_USAGE
-    cert = decay_certificate(state, A, B, args.n_max, args.tol)
+    cert = decay_certificate(state, getattr(rep, args.A), getattr(rep, args.B),
+                             args.n_max, args.tol)
     lines = ["n,corr_re,corr_im,abs_corr,bound,margin,ratio"]
     prev = None
     for row in cert.rows:
@@ -246,8 +233,8 @@ def build_parser():
 
     p = sub.add_parser("correlate", help="two-point correlation table with decay bounds")
     p.add_argument("file")
-    p.add_argument("--A", default="Sz")
-    p.add_argument("--B", default="Sz")
+    p.add_argument("--A", choices=("Sx", "Sy", "Sz"), default="Sz")
+    p.add_argument("--B", choices=("Sx", "Sy", "Sz"), default="Sz")
     p.add_argument("--n-max", dest="n_max", type=_positive_int, default=10)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(func=cmd_correlate)

@@ -596,6 +596,43 @@ def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
     assert len(sizes) == 13 and max(sizes) == 141
 
 
+def test_rp_gram_block_cap_refuses_before_the_gather(monkeypatch):
+    # d = 2, n = 6: the largest Gram component has 20 complex rows, 6400
+    # bytes, fewer than one block's placements take, so the refusal shows
+    # as the gather's allocations missing from the peak
+    system = build_chain(2, 6)
+    state = gibbs(system, 1.0)
+    tw = build_twist(build_spin_rep(2))
+    tracemalloc.start()
+    try:
+        assert rp_gram_check(system, state, tw).passed
+        whole = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(chains, "MAX_BLOCK_BYTES", 20 * 20 * 16 - 1)
+        with pytest.raises(ResourceLimitError, match="Gram block of 20 rows"):
+            rp_gram_check(system, state, tw)
+        refused = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused + 20 * 20 * 16 < whole
+
+
+def test_rp_gram_check_holds_one_block_of_placements():
+    # H = 0 at d = 3, n = 6: rho comes in 130 small blocks, and finding G's
+    # components one block at a time holds little more than one block's
+    # placements and a few label arrays of D^2 = 729 entries
+    system = build_chain(3, 6, J=0.0)
+    state = gibbs(system, 1.0)
+    tw = build_twist(build_spin_rep(3))
+    tracemalloc.start()
+    try:
+        assert rp_gram_check(system, state, tw).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_thermal_path_answers_on_the_largest_chain(monkeypatch):
     # d = 3, n = 8 has 6561 states, more than a dense Gibbs state allowed
     system = build_chain(3, 8)

@@ -194,7 +194,13 @@ def test_correlate_product_zeros(capsys):
 
 
 def test_correlate_unknown_observable(capsys):
-    assert main(["correlate", "@aklt", "--A", "Qx"]) == 2
+    for option in ("--A", "--B"):
+        with pytest.raises(SystemExit) as err:
+            main(["correlate", "@aklt", option, "Qx"])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert option in err_text and "Qx" in err_text
 
 
 def test_spectrum_aklt(capsys):

@@ -299,6 +299,15 @@ def test_modular_data_aklt_trivial():
     assert md.delta_defect < 1e-12
 
 
+@pytest.mark.parametrize("use", [modular_data, build_transfer])
+def test_rho_roots_refuses_a_singular_rho(use):
+    # FcsState itself takes any density matrix; the square and inverse roots
+    # of rho are what need it faithful
+    state = FcsState(aklt_kraus(), np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="rho is not faithful"):
+        use(state)
+
+
 def test_modular_data_generic_nontrivial():
     st = random_fcs_state(2, 2, np.random.default_rng(0))
     md = modular_data(st)
