@@ -239,6 +239,20 @@ def _products(V, n):
     return P
 
 
+def _hermitian_coordinates(X):
+    """The coordinates <H_j, X> of the n x n matrices X[..., :, :], as
+    (..., n^2), in the orthonormal Hermitian basis H_j of the n x n
+    matrices: E_pp, then (E_pq + E_qp)/sqrt 2 and i (E_pq - E_qp)/sqrt 2
+    for p < q.  They are real exactly when X is Hermitian."""
+    n = X.shape[-1]
+    i = np.arange(n)
+    p, q = np.nonzero(i[:, None] < i)  # p < q, row by row
+    flat = X.reshape(*X.shape[:-2], n * n)
+    upper, lower = flat[..., p * n + q], flat[..., q * n + p]
+    return np.concatenate([flat[..., ::n + 1], (upper + lower) / np.sqrt(2),
+                           (lower - upper) * (1j / np.sqrt(2))], axis=-1)
+
+
 def window_expectations(state, m):
     """The d^m x d^m tensor W[I, J] = omega(|e_I><e_J|) on a length-m window.
 

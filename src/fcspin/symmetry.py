@@ -12,6 +12,8 @@ The windowed checks share one sweep that builds each d^l x d^l window
 tensor once and applies one-site matrices (a rotation generator, the twist
 r0) at each row and column site of its (d,)*2l view; the site reversal is
 one transpose of that view, so no operator on the whole window is formed.
+Reflection positivity reads no window: its Gram form is factored through
+bond space and decided in real arithmetic, in orthonormal Hermitian bases.
 A negative window length is refused; length 0 is the vacuous pass.
 """
 
@@ -23,8 +25,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ResourceLimitError, _require_tol
-from .fcs import (SymmetryVerdict, _products, _verdict, max_window_entries,
-                  modular_data, window_expectations)
+from .fcs import (SymmetryVerdict, _hermitian_coordinates, _products, _verdict,
+                  max_window_entries, modular_data, window_expectations)
 from .su2 import TwistMatrix
 from .transfer import decay_certificate
 
@@ -174,13 +176,20 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
     vt_{a_m} .. vt_{a_1} is the reversed product of the twisted family
     vt_b = sum_i conj(r0[i, b]) v_i; by (ab)^T = b^T a^T, M_a is the
     transpose of the forward product vt_{a_1}^T .. vt_{a_m}^T.  A is
-    D^2 x k^2 with D = d^m, so the hermitized G has rank <= 2 k^2.  With
-    [A, B*] = Q R, both G and G* map into the span of Q and vanish on its
-    complement, so for C = Q* G Q = R1 R2* the hermitized C has the nonzero
-    spectrum of the hermitized G and |C - C*|_F = |G - G*|_F; when
-    D^2 > 2 k^2, 0 is also an eigenvalue.
-    The length-2m window is never built, and the size cap bounds the
-    D^2 k^2 entries of A.
+    D^2 x k^2 with D = d^m, so the hermitized G has rank <= 2 k^2.
+
+    The form is real on Hermitian elements.  Row (b, a) of [A, B*] is row
+    (a, b) conjugated, with each half's column (p, q) moved to (q, p),
+    since M_a* rho M_b = (M_b* rho M_a)* and v_a v_b* = (v_b v_a*)*.  So in
+    the orthonormal Hermitian bases U_n of the n x n matrices
+    (fcs._hermitian_coordinates), X = U_D* [A, B*] diag(conj U_k, conj U_k)
+    is real, and the products of the pairs a <= b give all of it.  Then
+    G = U_D X1 X2^T U_D*, and with X = Q R (real), both G and G* map into
+    the span of U_D Q and vanish on its complement, so for the real
+    C = R1 R2^T the symmetrized C has the nonzero spectrum of the
+    hermitized G and |C - C^T|_F = |G - G*|_F; when D^2 > 2 k^2, 0 is also
+    an eigenvalue.  The length-2m window is never built, and the size cap
+    bounds the D^2 k^2 entries of A.
     """
     _require_tol(tol)
     _require_window(m)
@@ -195,13 +204,18 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
     V = state.kraus.stacked()
     M = _products(np.einsum("ib,iqp->bpq", r0.conj(), V), m).transpose(0, 2, 1)
     L = _products(V, m)
-    A = np.matmul(M.conj().transpose(0, 2, 1)[None], (state.rho @ M)[:, None])
-    A = A.reshape(D * D, k * k)
-    # B*[(x, y), (p, q)] = (v_y v_x*)[p, q]
-    Bh = np.matmul(L[None], L.conj().transpose(0, 2, 1)[:, None]).reshape(D * D, k * k)
-    # [A, B*] = Q R with Q* A = R1, Q* B* = R2, so Q* G Q = R1 R2*
-    R = np.linalg.qr(np.hstack([A, Bh]), mode="r")
-    C = R[:, :k * k] @ R[:, k * k:].conj().T
+    # rows (a, b) of [A, B*] for a <= b; B*[(x, y), (p, q)] = (v_y v_x*)[p, q]
+    a, b = np.triu_indices(D)
+    A = np.matmul(M.conj().transpose(0, 2, 1)[b], (state.rho @ M)[a])
+    Bh = np.matmul(L[b], L.conj().transpose(0, 2, 1)[a])
+    Z = np.concatenate([_hermitian_coordinates(A), _hermitian_coordinates(Bh)], axis=1)
+    # row (b, a) of Z is conj(Z[(a, b)]), so the rows of X at E_aa, at
+    # (E_ab + E_ba)/sqrt 2 and at i (E_ab - E_ba)/sqrt 2 for a < b are
+    # Z[(a, a)], sqrt 2 Re Z[(a, b)] and sqrt 2 Im Z[(a, b)]
+    off = Z[a != b] * np.sqrt(2)
+    X = np.vstack([Z[a == b].real, off.real, off.imag])
+    R = np.linalg.qr(X, mode="r")
+    C = R[:, :k * k] @ R[:, k * k:].T
     return _rp_gram_verdict([C], m, tol, zero_mode=D * D > 2 * k * k)
 
 

@@ -8,7 +8,9 @@ sum_i v_i (x) conj(rho^{1/2} v_i rho^{-1/2}) on row-major vec(y).
 
 Both T and T* fix psi, so psi reduces T, and T_c = T - psi psi* is T on the
 orthogonal complement of psi (and 0 on psi).  That one matrix gives the
-gap, the decay bound and the correlation sweep.
+gap, the decay bound and the correlation sweep.  Its spectrum is that of
+the similar map x -> sum_i v_i x v_i*, which keeps x Hermitian and so has
+a real matrix in an orthonormal Hermitian basis: one real eigvals.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import _require_tol
-from .fcs import _read_only, _rho_roots
+from .fcs import _hermitian_coordinates, _read_only, _rho_roots
 
 __all__ = [
     "TransferOperator",
@@ -53,8 +55,24 @@ class TransferOperator:
 
     @cached_property
     def spectrum(self):
-        """The eigenvalues of T in the order eigvals returns them."""
-        return _read_only(np.linalg.eigvals(self.matrix))
+        """The eigenvalues of T, unsorted (gap sorts them), from one real
+        eigvals.
+
+        T = R_{rho^{1/2}} tau R_{rho^{-1/2}} is similar to the transfer map
+        tau(x) = sum_i v_i x v_i*, which keeps x Hermitian, so the matrix
+        U* tau U of tau in the orthonormal Hermitian basis U of the k x k
+        matrices (fcs._hermitian_coordinates) is real.  Its real eigenvalues
+        are exactly real and the others come in exact conjugate pairs.
+        """
+        k = self.k
+        # tau^T = (I (x) rho^{1/2}) T^T (I (x) rho^{-1/2}): its row (c, e),
+        # as a k x k matrix, is tau(E_ce)
+        tau_t = (self.sqrt_rho @ self.matrix.T.reshape(k, k, k * k)
+                 ).reshape(k * k, k, k) @ self.inv_sqrt_rho
+        left = _hermitian_coordinates(tau_t).T  # U* tau
+        # row r of (U* tau) U is r U = conj(U* conj(r)), whose real part it is
+        tau = _hermitian_coordinates(left.conj().reshape(k * k, k, k)).real
+        return _read_only(np.linalg.eigvals(tau))
 
     @cached_property
     def selfadjoint_defect(self):

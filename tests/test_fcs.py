@@ -26,6 +26,7 @@ from fcspin import (
 from fcspin.chains import build_chain, gibbs, rp_gram_check
 from fcspin.errors import ResourceLimitError
 from fcspin.fcs import (
+    _hermitian_coordinates,
     _products,
     fixed_point,
     max_window_entries,
@@ -320,6 +321,31 @@ def test_product_state_one_site():
     W1 = window_expectations(st, 1)
     expected = np.outer(xi.conj(), xi)  # W[i, j] = <xi, E_ij xi>
     assert np.abs(W1 - expected).max() < 1e-12
+
+
+def _hermitian_basis(n):
+    """E_pp, then (E_pq + E_qp)/sqrt 2 and i (E_pq - E_qp)/sqrt 2 for p < q."""
+    E = np.eye(n * n).reshape(n, n, n, n)  # E[p, q] = E_pq
+    upper = list(itertools.combinations(range(n), 2))
+    return np.array([E[p, p] for p in range(n)]
+                    + [(E[p, q] + E[q, p]) / np.sqrt(2) for p, q in upper]
+                    + [1j * (E[p, q] - E[q, p]) / np.sqrt(2) for p, q in upper])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_hermitian_coordinates_in_the_stated_basis(n):
+    H = _hermitian_basis(n)
+    U = H.reshape(n * n, -1).T  # columns vec(H_j)
+    assert np.abs(U.conj().T @ U - np.eye(n * n)).max() <= 1e-15
+    assert np.abs(H - H.conj().transpose(0, 2, 1)).max() == 0
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+    c = _hermitian_coordinates(X)
+    assert c.shape == (2, 3, n * n)
+    assert np.abs(c - X.reshape(2, 3, -1) @ U.conj()).max() <= 1e-14
+    # real on Hermitian matrices, and they rebuild X
+    assert np.abs(_hermitian_coordinates(X + X.conj().swapaxes(-1, -2)).imag).max() <= 1e-14
+    assert np.abs(np.einsum("abj,jpq->abpq", c, H) - X).max() <= 1e-14
 
 
 def test_transfer_matrix_trace_preserving_dual():

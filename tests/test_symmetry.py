@@ -1310,6 +1310,87 @@ def test_rp_verdict_counts_the_zero_mode():
     assert symmetry._rp_gram_verdict([C], 1, 1e-9, zero_mode=True).details["min_eig"] == 0.0
 
 
+def _complex_rp_reference(state, r0, m, tol=1e-9):
+    """Min eigenvalue, Frobenius Hermiticity defect and status of the same
+    bond-space factorization in complex arithmetic: every row (a, b) of
+    [A, B*], one complex QR, and C = R1 R2*."""
+    d, k = state.d, state.k
+    D = d ** m
+    V = state.kraus.stacked()
+    M = fcs._products(np.einsum("ib,iqp->bpq", r0.conj(), V), m).transpose(0, 2, 1)
+    L = fcs._products(V, m)
+    A = np.matmul(M.conj().transpose(0, 2, 1)[None], (state.rho @ M)[:, None])
+    Bh = np.matmul(L[None], L.conj().transpose(0, 2, 1)[:, None])
+    R = np.linalg.qr(np.hstack([A.reshape(D * D, k * k), Bh.reshape(D * D, k * k)]),
+                     mode="r")
+    C = R[:, :k * k] @ R[:, k * k:].conj().T
+    herm_defect = float(np.linalg.norm(C - C.conj().T))
+    min_eig = float(np.linalg.eigvalsh((C + C.conj().T) / 2).min())
+    if D * D > 2 * k * k:
+        min_eig = min(min_eig, 0.0)
+    passed = max(0.0, -min_eig) <= tol and herm_defect <= 100 * tol
+    return min_eig, herm_defect, "pass" if passed else "fail"
+
+
+def _rp_reference_families():
+    fams = {f"cov-{s}-{j}-gauge": _with_gauge(covariant_state(s, j), 9)
+            for s, j in ((1, Fraction(1, 2)), (1, Fraction(7, 2)), (2, 1),
+                         (2, Fraction(7, 2)), (3, Fraction(3, 2)))}
+    fams.update(zip(["aklt+aklt", "aklt+aklt-gauge", "cov+cov", "cov+cov-gauge"],
+                    _direct_sums()))
+    fams.update({f"neg-d{d}-k{k}": random_fcs_state(d, k, np.random.default_rng(60 + d + k))
+                 for d, k in ((2, 5), (3, 2), (3, 3), (3, 8), (5, 6))})
+    return fams
+
+
+RP_REFERENCE_FAMILIES = _rp_reference_families()
+# m = 3 runs where the factor A keeps to 10^6 entries, a quarter of the
+# default cap, which keeps the two d = 7 factors (2 * 10^6) out of the suite
+RP_REFERENCE_CASES = [(name, m) for name, st in RP_REFERENCE_FAMILIES.items()
+                      for m in (1, 2, 3) if (st.d ** m * st.k) ** 2 <= 10 ** 6]
+
+
+@pytest.mark.parametrize("name, m", RP_REFERENCE_CASES)
+def test_reflection_positive_matches_complex_route(name, m):
+    st = RP_REFERENCE_FAMILIES[name]
+    r0 = _twist_for(st).r0
+    min_eig, herm_defect, status = _complex_rp_reference(st, r0, m)
+    v = check_reflection_positive(st, r0, m)
+    assert abs(v.details["min_eig"] - min_eig) <= 1e-12
+    assert abs(v.details["herm_defect"] - herm_defect) <= 1e-12
+    assert v.status == status
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("eps", [1e-7, 1e-5])
+@pytest.mark.parametrize("s, j", NEAR_THRESHOLD)
+@pytest.mark.parametrize("m", [1, 2])
+def test_reflection_positive_perturbed_matches_complex_route(s, j, eps, tol, m):
+    # herm_defect is 3-9 eps: below 100 tol only at eps = 1e-7, tol = 1e-8
+    st = _perturbed_covariant(s, j, eps, np.random.default_rng(17))
+    r0 = _twist_for(st).r0
+    min_eig, herm_defect, status = _complex_rp_reference(st, r0, m, tol)
+    v = check_reflection_positive(st, r0, m, tol)
+    assert abs(v.details["min_eig"] - min_eig) <= 1e-12
+    assert abs(v.details["herm_defect"] - herm_defect) <= 1e-12
+    assert v.status == status
+
+
+def test_reflection_positive_runs_one_real_qr(monkeypatch):
+    st = RP_REFERENCE_FAMILIES["cov-2-7/2-gauge"]
+    dtypes = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        dtypes.append((a.shape, a.dtype))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    assert check_reflection_positive(st, _twist_for(st), 2).passed
+    # D^2 = 625 rows, the k^2 = 64 coordinates of each half
+    assert dtypes == [((625, 128), np.dtype(float))]
+
+
 def test_reflection_positive_never_builds_a_window(aklt, twist3, monkeypatch):
     def refuse(state, length):
         raise AssertionError("window tensor built")

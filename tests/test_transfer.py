@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
+from scipy.optimize import linear_sum_assignment
 
 from fcspin import (
     FcsState,
@@ -599,3 +602,82 @@ def test_transfer_operator_equality_is_identity():
     assert t == t and t != other
     assert hash(t) == hash(t)
     assert len({t, other}) == 2
+
+
+# ---- the spectrum in real arithmetic ----------------------------------------------
+
+def _matched_gap(a, b):
+    """The largest |a_i - b_j| over the pairs of the matching of the
+    multisets a and b with the least total distance."""
+    dist = np.abs(np.subtract.outer(a, b))
+    rows, cols = linear_sum_assignment(dist)
+    return float(dist[rows, cols].max())
+
+
+def _reference_gap(w, tol):
+    """Fixed multiplicity and delta of eigenvalues w by the rule of gap."""
+    fixed = int(np.sum(np.abs(w - 1.0) <= tol))
+    rest = np.delete(w, np.argmin(np.abs(w - 1.0)))
+    return max(fixed, 1), 1.0 if fixed > 1 else min(float(np.abs(rest).max(initial=0.0)), 1.0)
+
+
+SPECTRUM_STATES = {
+    **MEMO_STATES,
+    "aklt": aklt_state,
+    "covariant-d7": lambda: covariant_state(3, Fraction(7, 2)),
+    **{f"random-d{d}-k{k}-{seed}": (lambda d=d, k=k, seed=seed:
+                                    random_fcs_state(d, k, np.random.default_rng(seed)))
+       for d, k in ((2, 2), (3, 3), (2, 5), (3, 8), (5, 6)) for seed in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", SPECTRUM_STATES)
+def test_spectrum_matches_complex_eigvals(name):
+    st = SPECTRUM_STATES[name]()
+    t = build_transfer(st)
+    w, ref = t.spectrum, np.linalg.eigvals(t.matrix)
+    assert w.shape == ref.shape
+    assert _matched_gap(w, ref) <= 1e-12
+    for tol in (1e-9, 1e-2):
+        rep = gap(t, tol)
+        fixed, delta = _reference_gap(ref, tol)
+        assert rep.fixed_multiplicity == fixed
+        assert abs(rep.delta - delta) <= 1e-12
+
+
+@pytest.mark.parametrize("name", SPECTRUM_STATES)
+def test_spectrum_is_closed_under_conjugation(name):
+    # the eigenvalues of a real matrix: real ones exactly real, the others
+    # in exact conjugate pairs
+    w = build_transfer(SPECTRUM_STATES[name]()).spectrum
+    assert sorted(w, key=lambda z: (z.real, z.imag)) == \
+        sorted(w.conj(), key=lambda z: (z.real, z.imag))
+
+
+def test_spectrum_runs_one_real_eigvals(monkeypatch):
+    t = build_transfer(random_fcs_state(3, 4, np.random.default_rng(9)))
+    dtypes = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        dtypes.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    t.spectrum
+    assert dtypes == [np.dtype(float)]
+
+
+GAUGE_STATES = ("covariant", "aklt", "covariant-d7", "random-d3-k3-0",
+                "random-d2-k5-1", "random-d3-k8-0")
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st_.sampled_from(GAUGE_STATES), seed=st_.integers(0, 2 ** 32 - 1))
+def test_spectrum_bond_gauge_invariant(name, seed):
+    st = SPECTRUM_STATES[name]()
+    moved = gauge_transform(st, _haar(st.k, np.random.default_rng(seed)))
+    base, gauged = gap(build_transfer(st)), gap(build_transfer(moved))
+    assert _matched_gap(np.array(base.eigenvalues), np.array(gauged.eigenvalues)) <= 1e-12
+    assert gauged.fixed_multiplicity == base.fixed_multiplicity
+    assert abs(gauged.delta - base.delta) <= 1e-12
