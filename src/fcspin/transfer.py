@@ -10,7 +10,9 @@ Both T and T* fix psi, so psi reduces T, and T_c = T - psi psi* is T on the
 orthogonal complement of psi (and 0 on psi).  That one matrix gives the
 gap, the decay bound and the correlation sweep.  Its spectrum is that of
 the similar map x -> sum_i v_i x v_i*, which keeps x Hermitian and so has
-a real matrix in an orthonormal Hermitian basis: one real eigvals.
+a real matrix in an orthonormal Hermitian basis: one real eigvals.  The
+decay bound C r^(n-1) holds at every distance n: r = delta when T is
+self-adjoint, and otherwise (C, r) comes from one Stein-equation solve.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ __all__ = [
     "two_point",
     "decay_certificate",
 ]
+
+# Smith's doubling stops once ||A||_F^2, which bounds the truncation
+# residual A* A, is below one rounding unit, and gives up after this many
+# doublings, that is after T_c^(2^40)
+_STEIN_DOUBLINGS = 40
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +119,8 @@ class DecayCertificate:
     delta: float
     beta_max: float
     selfadjoint: bool
+    rate: float      # r in ||T_c^(n-1)|| <= C r^(n-1), every n >= 1
+    constant: float  # C
     verdict: str
     reason: str = ""
 
@@ -206,14 +216,49 @@ def two_point(state, A, B, n):
     return _correlations(t.centered(), *_insertions(state, t, A, B), n)[-1]
 
 
+def _stein_bound(Tc):
+    """(C, q) with ||T_c^n|| <= C q^n at every n >= 0, from one Stein solve.
+
+    Smith's doubling, X <- X + A* X A and A <- A^2 from X = I and A = T_c,
+    sums X = sum_j (T_c^j)* T_c^j, the solution of X - T_c* X T_c = I, once
+    A is negligible.  With the residual E = X - T_c* X T_c - I,
+    T_c* X T_c <= X - (1 - ||E||_F) I <= q^2 X for
+    q^2 = 1 - (1 - ||E||_F)/lambda_max(X), so each T_c shrinks the X-norm by
+    q and ||T_c^n|| <= sqrt(lambda_max(X)/lambda_min(X)) q^n
+    (Fannes-Nachtergaele-Werner; R. A. Smith 1968 for the doubling).  When
+    the doubling does not converge within _STEIN_DOUBLINGS steps (spectral
+    radius 1 or too near it), X is not positive definite or ||E||_F >= 1,
+    it returns (1, 1), the bound of any contraction.
+    """
+    X, A = np.eye(Tc.shape[0], dtype=Tc.dtype), Tc
+    for _ in range(_STEIN_DOUBLINGS):
+        X = X + A.conj().T @ (X @ A)
+        A = A @ A
+        if np.vdot(A, A).real <= _EPS:
+            break
+    else:
+        return 1.0, 1.0
+    # eigvalsh reads one triangle: make X the Hermitian matrix E is charged to
+    X = (X + X.conj().T) / 2
+    residual = float(np.linalg.norm(X - Tc.conj().T @ (X @ Tc) - np.eye(X.shape[0])))
+    w = np.linalg.eigvalsh(X)
+    if not (w[0] > 0 and residual < 1):
+        return 1.0, 1.0
+    return math.sqrt(w[-1] / w[0]), math.sqrt(1 - (1 - residual) / w[-1])
+
+
 def decay_certificate(state, A, B, n_max, tol=1e-9):
-    """Verify |corr(n)| <= delta^(n-1) ||a|| ||b|| for n = 1..n_max.
+    """Verify |corr(n)| <= min(1, C r^(n-1)) ||a|| ||b|| for n = 1..n_max.
 
     a, b are the GNS vectors of the centered insertions that the sweep
-    pairs.  For a non-self-adjoint T the bound uses the norms ||T_c^(n-1)||
-    instead of delta^(n-1).  tol bounds both the distance of a fixed
-    eigenvalue from 1 and the self-adjoint defect ||T - T*|| that counts as
-    self-adjoint.  A degenerate fixed space or a non-finite row refuses a pass.
+    pairs, and C r^(n-1) bounds ||T_c^(n-1)|| at every n, not only up to
+    n_max.  (C, r) = (1, delta) when T is self-adjoint, and the Stein pair
+    of _stein_bound otherwise, since then delta^(n-1) need not bound the
+    norm of the power.  The cap at 1 holds because T is a contraction in
+    the GNS inner product (Kadison-Schwarz), also where no Stein solution
+    exists.  tol bounds both the distance of a fixed eigenvalue from 1 and
+    the self-adjoint defect ||T - T*|| that counts as self-adjoint.  A
+    degenerate fixed space or a non-finite row refuses a pass.
     """
     _require_tol(tol)
     if n_max < 1:
@@ -224,16 +269,10 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
     a, b = _insertions(state, t, A, B)
     scale = float(np.linalg.norm(a) * np.linalg.norm(b))
     selfadjoint = rep.selfadjoint_defect <= tol
-
-    if selfadjoint:
-        bounds = [rep.delta ** (n - 1) * scale for n in range(1, n_max + 1)]
-    else:
-        # ||T_c^0|| = ||I|| = 1
-        bounds, power = [scale], Tc
-        for n in range(2, n_max + 1):
-            if n > 2:
-                power = power @ Tc
-            bounds.append(float(np.linalg.norm(power, 2)) * scale)
+    constant, rate = (1.0, rep.delta) if selfadjoint else _stein_bound(Tc)
+    # a NaN rate fails the comparison and stays NaN, which fails its row
+    bounds = [scale * (1.0 if (p := constant * rate ** (n - 1)) > 1.0 else p)
+              for n in range(1, n_max + 1)]
     corr = _correlations(Tc, a, b, n_max)
     rows = [DecayRow(n=n, corr=c, bound=bd)
             for n, c, bd in zip(range(1, n_max + 1), corr, bounds)]
@@ -255,6 +294,8 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
         delta=rep.delta,
         beta_max=beta_max,
         selfadjoint=selfadjoint,
+        rate=rate,
+        constant=constant,
         verdict=verdict,
         reason=reason,
     )

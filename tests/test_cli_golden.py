@@ -26,6 +26,7 @@ COMMANDS = tuple(
 ) + (
     "spectrum @aklt",
     "correlate @aklt",
+    "correlate data/random_unital_d3.kraus --n-max 12",
     "demo-aklt",
     "ed --d 2 --n 6 --beta 0.7 --rp",
     "ed --model aklt-parent --d 3 --n 6",

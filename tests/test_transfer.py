@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -378,9 +379,11 @@ def _norm_power_bounds(Tc, scale, n_max):
     return bounds
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 12])
-@pytest.mark.parametrize("d, k", [(3, 8), (5, 6)])
+@pytest.mark.parametrize("n_max", [1, 2, 12, 200])
+@pytest.mark.parametrize("d, k", [(3, 8), (5, 6), (2, 3), (7, 8)])
 def test_decay_bounds_equal_norm_power_formula(d, k, n_max):
+    # the bound equals the norm-power formula at row 1, where T_c^0 = I, and
+    # dominates it beyond: min(1, C r^(n-1)) bounds ||T_c^(n-1)|| at every n
     st = random_fcs_state(d, k, np.random.default_rng(200 + d + k))
     Sz = build_spin_rep(d).Sz
     cert = decay_certificate(st, Sz, Sz, n_max)
@@ -388,7 +391,87 @@ def test_decay_bounds_equal_norm_power_formula(d, k, n_max):
     t = build_transfer(st)
     a, b = transfer._insertions(st, t, Sz, Sz)
     scale = float(np.linalg.norm(a) * np.linalg.norm(b))
-    assert [row.bound for row in cert.rows] == _norm_power_bounds(t.centered(), scale, n_max)
+    assert cert.rows[0].bound == scale
+    reference = _norm_power_bounds(t.centered(), scale, n_max)
+    for row, ref in zip(cert.rows, reference):
+        assert ref * (1 - 1e-12) <= row.bound <= scale
+
+
+# ---- the Stein bound ---------------------------------------------------------------
+
+def _strict_contraction(n, rng):
+    """A random complex n x n matrix of spectral norm 0.9, not normal."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.9 * z / np.linalg.norm(z, 2)
+
+
+STEIN_OPERANDS = {
+    **{f"family-d{d}-k{k}": (lambda d=d, k=k: build_transfer(
+        random_fcs_state(d, k, np.random.default_rng(41 + d + k))).centered())
+       for d, k in ((2, 3), (3, 8), (5, 6), (7, 8))},
+    **{f"contraction-{n}": (lambda n=n: _strict_contraction(n, np.random.default_rng(n)))
+       for n in (2, 9, 30)},
+}
+
+
+@pytest.mark.parametrize("name", STEIN_OPERANDS)
+def test_stein_bound_solves_the_stein_equation(monkeypatch, name):
+    Tc = STEIN_OPERANDS[name]()
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(X):
+        seen.append(X)
+        return eigvalsh(X)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    constant, rate = transfer._stein_bound(Tc)
+    assert rate < 1 and constant >= 1
+    (X,) = seen
+    residual = X - Tc.conj().T @ X @ Tc - np.eye(len(Tc))
+    assert np.linalg.norm(residual) < 1e-13
+    power = np.eye(len(Tc))
+    for n in range(60):
+        assert np.linalg.norm(power, 2) <= constant * rate ** n * (1 + 1e-12)
+        power = power @ Tc
+
+
+def test_stein_bound_refuses_spectral_radius_one():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert transfer._stein_bound(np.diag([-1.0, 0.5]).astype(complex)) == (1.0, 1.0)
+
+
+def test_stein_bound_converges_on_nilpotent():
+    N = np.diag(np.full(4, 0.8 + 0.3j), 1)
+    constant, rate = transfer._stein_bound(N)
+    assert rate < 1 and constant >= 1
+    assert np.linalg.norm(N, 2) <= constant * rate * (1 + 1e-12)
+
+
+def test_decay_certificate_runs_no_svd_and_one_eigvalsh(monkeypatch):
+    st = random_fcs_state(3, 8, np.random.default_rng(9))
+    build_transfer(st).selfadjoint_defect
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    # norm(x, 2) calls the svd of its own module, not np.linalg.svd
+    norm = getattr(np.linalg.norm, "_implementation", np.linalg.norm)
+    monkeypatch.setitem(norm.__globals__, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    Sz = build_spin_rep(3).Sz
+    cert = decay_certificate(st, Sz, Sz, 12)
+    assert not cert.selfadjoint and cert.passed
+    assert calls == [(64, 64)]
 
 
 # ---- certificate input checks ------------------------------------------------
@@ -681,3 +764,15 @@ def test_spectrum_bond_gauge_invariant(name, seed):
     assert _matched_gap(np.array(base.eigenvalues), np.array(gauged.eigenvalues)) <= 1e-12
     assert gauged.fixed_multiplicity == base.fixed_multiplicity
     assert abs(gauged.delta - base.delta) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st_.sampled_from(GAUGE_STATES), seed=st_.integers(0, 2 ** 32 - 1))
+def test_decay_rate_and_constant_bond_gauge_invariant(name, seed):
+    st = SPECTRUM_STATES[name]()
+    moved = gauge_transform(st, _haar(st.k, np.random.default_rng(seed)))
+    Sz = build_spin_rep(st.d).Sz
+    base, gauged = (decay_certificate(x, Sz, Sz, 2) for x in (st, moved))
+    assert gauged.selfadjoint == base.selfadjoint
+    assert gauged.rate == pytest.approx(base.rate, rel=1e-9)
+    assert gauged.constant == pytest.approx(base.constant, rel=1e-9)
