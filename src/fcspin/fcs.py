@@ -23,7 +23,6 @@ __all__ = [
     "SymmetryVerdict",
     "validate",
     "fixed_point",
-    "transfer_matrix",
     "window_expectations",
     "modular_data",
     "max_window_entries",
@@ -124,7 +123,7 @@ def _verdict(name, window, defect, tol, details=None):
 class FcsState:
     """A Kraus family together with its invariant faithful state rho, an
     immutable value: rho is a read-only copy, so what depends on the state
-    alone (its rho roots, its transfer operator) is computed once, by _once.
+    alone (its rho roots, its transfer matrices) is computed once, by _once.
     rho must be a finite k x k matrix.  Equality is identity, so a state
     hashes."""
 
@@ -183,37 +182,32 @@ def validate(kraus, tol=1e-10):
     return _verdict("unital", 0, np.abs(acc - np.eye(kraus.k)).max(), tol)
 
 
-def transfer_matrix(kraus):
-    """Matrix of x -> sum_i v_i x v_i* on row-major vec(x)."""
-    return sum(np.kron(v, v.conj()) for v in kraus.v)
-
-
-def _fixed_space_projector(M, tol):
-    """Spectral projector of M onto the eigenvalue-1 eigenspace."""
-    w, V = np.linalg.eig(M)
-    sel = np.abs(w - 1.0) <= tol
-    if not sel.any():
-        raise ValueError("transfer map has no fixed point within tolerance")
-    return V[:, sel] @ np.linalg.inv(V)[sel, :]
-
-
 def fixed_point(kraus, tol=1e-9):
-    """Invariant state of the dual transfer map.
+    """Invariant state of the dual transfer map: the spectral projection of
+    I/k onto its fixed space, at unit trace, in a state that keeps tau_H.
 
-    rho is the spectral projection of I/k onto the fixed space: the unique
-    fixed point of an ergodic family, the maximum-entropy one otherwise.
-    Ergodicity is read from transfer.gap(...).fixed_multiplicity.  Raises
-    ValueError if the resulting rho is not faithful.
+    That is the unique fixed point of an ergodic family (read from
+    transfer.gap(...).fixed_multiplicity), and need not maximize the entropy
+    otherwise.  The right singular vectors L of tau_H - I at singular values
+    <= tol span the fixed points of tau, I among them, and the left ones R
+    those of its dual, so the projection is R (L R)^-1 L.  Raises ValueError
+    if the resulting rho is not faithful.
     """
     _require_tol(tol)
     rep = validate(kraus, tol)
     if not rep.passed:
         raise ValueError(f"Kraus family is not unital, defect {rep.defect:g}")
     k = kraus.k
-    P = _fixed_space_projector(transfer_matrix(kraus).conj().T, tol)
-    rho_vec = P @ (np.eye(k) / k).reshape(-1)
-    rho = rho_vec.reshape(k, k)
-    rho = (rho + rho.conj().T) / 2  # exactly Hermitian, and stays so below
+    tau = _hermitian_transfer(kraus)
+    R, s, L = np.linalg.svd(tau - np.eye(k * k))
+    sel = s <= tol
+    if not sel.any():
+        raise ValueError("transfer map has no fixed point within tolerance")
+    R, L, e = R[:, sel], L[sel], _hermitian_coordinates(np.eye(k) / k).real
+    x = R @ np.linalg.solve(L @ R, L @ e)
+    # sum_j x_j H_j: real coordinates give an exactly Hermitian rho
+    U = _hermitian_coordinates(np.eye(k * k).reshape(-1, k, k)).conj()
+    rho = (U @ x).reshape(k, k)
     w = np.linalg.eigvalsh(rho)
     if w.min() <= -tol:
         raise ValueError("fixed point is not positive semidefinite")
@@ -222,11 +216,11 @@ def fixed_point(kraus, tol=1e-9):
         raise ValueError("fixed point has vanishing trace")
     rho = rho / tr
     if w.min() / tr <= tol:
-        raise ValueError(
-            "fixed point is not faithful; the family leaves the assumed "
-            "support-projection setting"
-        )
-    return FcsState(kraus=kraus, rho=rho)
+        raise ValueError("fixed point is not faithful; the family leaves the "
+                         "assumed support-projection setting")
+    state = FcsState(kraus=kraus, rho=rho)
+    state._once("hermitian_transfer", lambda: tau)
+    return state
 
 
 def _products(V, n):
@@ -251,6 +245,19 @@ def _hermitian_coordinates(X):
     upper, lower = flat[..., p * n + q], flat[..., q * n + p]
     return np.concatenate([flat[..., ::n + 1], (upper + lower) / np.sqrt(2),
                            (lower - upper) * (1j / np.sqrt(2))], axis=-1)
+
+
+def _hermitian_transfer(kraus):
+    """The real k^2 x k^2 matrix U* tau U of tau(x) = sum_i v_i x v_i* in the
+    orthonormal Hermitian basis U of _hermitian_coordinates: entry (i, j)
+    is <H_i, tau(H_j)>, real because tau keeps x Hermitian."""
+    k = kraus.k
+    V = kraus.stacked().reshape(kraus.d, k * k)
+    # G[b, e, a, c] = sum_i v_i[a, b] conj(v_i[c, e]) = tau(E_be)[a, c]
+    G = (V.T @ V.conj()).reshape(k, k, k, k).transpose(1, 3, 0, 2)
+    # left[i, b, e] = (U* tau)[i, be], and row r of (U* tau) U is conj(U* conj(r))
+    left = _hermitian_coordinates(G).transpose(2, 0, 1)
+    return _hermitian_coordinates(left.conj()).real
 
 
 def window_expectations(state, m):

@@ -8,11 +8,12 @@ sum_i v_i (x) conj(rho^{1/2} v_i rho^{-1/2}) on row-major vec(y).
 
 Both T and T* fix psi, so psi reduces T, and T_c = T - psi psi* is T on the
 orthogonal complement of psi (and 0 on psi).  That one matrix gives the
-gap, the decay bound and the correlation sweep.  Its spectrum is that of
-the similar map x -> sum_i v_i x v_i*, which keeps x Hermitian and so has
-a real matrix in an orthonormal Hermitian basis: one real eigvals.  The
-decay bound C r^(n-1) holds at every distance n: r = delta when T is
-self-adjoint, and otherwise (C, r) comes from one Stein-equation solve.
+decay bound and the correlation sweep.  The spectrum, one real eigvals, is
+that of the similar map tau(x) = sum_i v_i x v_i*, whose matrix in an
+orthonormal Hermitian basis (fcs._hermitian_transfer) is real; fixed_point
+solves for rho with that matrix, and the state keeps it.  The decay bound
+C r^(n-1) holds at every distance n: r = delta when T is self-adjoint, and
+otherwise (C, r) comes from one Stein-equation solve.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import _require_tol
-from .fcs import _hermitian_coordinates, _read_only, _rho_roots
+from .fcs import _hermitian_transfer, _read_only, _rho_roots
 
 __all__ = [
     "TransferOperator",
@@ -46,15 +47,17 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class TransferOperator:
-    """T in GNS coordinates, read-only; spectrum and defect computed once.
-    Equality is identity, so an operator hashes."""
+    """T in GNS coordinates and the real matrix of its similar map tau,
+    read-only; spectrum and defect computed once.  Equality is identity, so
+    an operator hashes."""
 
     matrix: np.ndarray        # k^2 x k^2, GNS coordinates
     sqrt_rho: np.ndarray      # rho^{1/2}, the cyclic vector psi as a matrix
     inv_sqrt_rho: np.ndarray  # rho^{-1/2}
+    tau: np.ndarray           # real k^2 x k^2, tau in the Hermitian basis
 
     def __post_init__(self):
-        for name in ("matrix", "sqrt_rho", "inv_sqrt_rho"):
+        for name in ("matrix", "sqrt_rho", "inv_sqrt_rho", "tau"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
@@ -63,24 +66,11 @@ class TransferOperator:
 
     @cached_property
     def spectrum(self):
-        """The eigenvalues of T, unsorted (gap sorts them), from one real
-        eigvals.
-
-        T = R_{rho^{1/2}} tau R_{rho^{-1/2}} is similar to the transfer map
-        tau(x) = sum_i v_i x v_i*, which keeps x Hermitian, so the matrix
-        U* tau U of tau in the orthonormal Hermitian basis U of the k x k
-        matrices (fcs._hermitian_coordinates) is real.  Its real eigenvalues
-        are exactly real and the others come in exact conjugate pairs.
-        """
-        k = self.k
-        # tau^T = (I (x) rho^{1/2}) T^T (I (x) rho^{-1/2}): its row (c, e),
-        # as a k x k matrix, is tau(E_ce)
-        tau_t = (self.sqrt_rho @ self.matrix.T.reshape(k, k, k * k)
-                 ).reshape(k * k, k, k) @ self.inv_sqrt_rho
-        left = _hermitian_coordinates(tau_t).T  # U* tau
-        # row r of (U* tau) U is r U = conj(U* conj(r)), whose real part it is
-        tau = _hermitian_coordinates(left.conj().reshape(k * k, k, k)).real
-        return _read_only(np.linalg.eigvals(tau))
+        """The eigenvalues of T, unsorted (gap sorts them): those of the
+        similar map tau = R_{rho^{-1/2}} T R_{rho^{1/2}}, from one real
+        eigvals of its matrix tau_H, so the real ones come out exactly real
+        and the others in exact conjugate pairs."""
+        return _read_only(np.linalg.eigvals(self.tau))
 
     @cached_property
     def selfadjoint_defect(self):
@@ -137,7 +127,9 @@ def build_transfer(state):
 def _transfer_operator(state):
     sq, inv_sq, _ = state._once("rho_roots", lambda: _rho_roots(state.rho))
     mat = sum(np.kron(v, (sq @ v @ inv_sq).conj()) for v in state.kraus.v)
-    return TransferOperator(matrix=mat, sqrt_rho=sq, inv_sqrt_rho=inv_sq)
+    tau = state._once("hermitian_transfer", lambda: _hermitian_transfer(state.kraus))
+    return TransferOperator(matrix=mat, sqrt_rho=sq, inv_sqrt_rho=inv_sq,
+                            tau=tau)
 
 
 def _sort_eigs(w):

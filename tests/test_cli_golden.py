@@ -5,6 +5,9 @@ ATOL absolute, so the check holds at any BLAS thread count.  Rewrite the
 expected file, only when an answer is meant to change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which keeps every entry that still matches and writes only new commands
+and answers that moved, so at an unchanged tree it reproduces the file.
 """
 
 import contextlib
@@ -59,21 +62,33 @@ def _split(text):
     return _NUMBER.sub("#", text), [float(x) for x in _NUMBER.findall(text)]
 
 
+def _differences(expected, code, out):
+    """How (code, out) differs from the expected answer: the exit code, the
+    text between numbers, or a number off by more than ATOL."""
+    skeleton, numbers = _split(out)
+    want_skeleton, want_numbers = _split(expected["stdout"])
+    worst = max((abs(a - b) for a, b in zip(numbers, want_numbers)), default=0.0)
+    return [what for what, differs in (
+        (f"exit {code} != {expected['exit']}", code != expected["exit"]),
+        ("text between numbers", skeleton != want_skeleton),
+        (f"a number off by {worst:g} > ATOL", worst > ATOL)) if differs]
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_matches_golden(command):
     expected = json.loads(GOLDEN.read_text())[command]
-    code, out = run(command)
-    assert code == expected["exit"]
-    skeleton, numbers = _split(out)
-    want_skeleton, want_numbers = _split(expected["stdout"])
-    assert skeleton == want_skeleton
-    worst = max((abs(a - b) for a, b in zip(numbers, want_numbers)), default=0.0)
-    assert worst <= ATOL
+    assert _differences(expected, *run(command)) == []
 
 
 if __name__ == "__main__":
+    # keep every entry that still matches, so the file changes only where an
+    # answer moved past ATOL or a command is new
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     golden = {}
     for command in COMMANDS:
         code, out = run(command)
-        golden[command] = {"exit": code, "stdout": out}
+        kept = old.get(command)
+        if kept is None or _differences(kept, code, out):
+            kept = {"exit": code, "stdout": out}
+        golden[command] = kept
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")

@@ -16,6 +16,7 @@ from fcspin import (
     aklt_state,
     build_spin_rep,
     build_twist,
+    covariant_kraus,
     covariant_state,
     direct_sum,
     gauge_transform,
@@ -27,11 +28,11 @@ from fcspin.chains import build_chain, gibbs, rp_gram_check
 from fcspin.errors import ResourceLimitError
 from fcspin.fcs import (
     _hermitian_coordinates,
+    _hermitian_transfer,
     _products,
     fixed_point,
     max_window_entries,
     modular_data,
-    transfer_matrix,
     validate,
     window_expectations,
 )
@@ -172,6 +173,81 @@ def test_fixed_point_nonunital_rejected():
     fam = KrausFamily((np.eye(2), np.eye(2)))
     with pytest.raises(ValueError):
         fixed_point(fam)
+
+
+def _kron_transfer(kraus):
+    """Matrix of x -> sum_i v_i x v_i* on row-major vec(x)."""
+    return sum(np.kron(v, v.conj()) for v in kraus.v)
+
+
+def _reference_fixed_point(kraus, tol=1e-9):
+    """The spectral projection of I/k onto the fixed space of the dual map,
+    by a complex eig of its matrix on row-major vec(x) and inv of the
+    eigenvectors, normalized to unit trace."""
+    w, V = np.linalg.eig(_kron_transfer(kraus).conj().T)
+    sel = np.abs(w - 1.0) <= tol
+    k = kraus.k
+    P = V[:, sel] @ np.linalg.inv(V)[sel, :]
+    rho = (P @ np.eye(k).reshape(-1) / k).reshape(k, k)
+    rho = (rho + rho.conj().T) / 2
+    return rho / rho.trace().real
+
+
+def _blended(a, b, eps):
+    """The unital family S^{-1/2} u_i with u_i = (1 - eps) a_i + eps b_i and
+    S = sum_i u_i u_i*."""
+    u = [(1 - eps) * x + eps * y for x, y in zip(a.v, b.v)]
+    w, V = np.linalg.eigh(sum(x @ x.conj().T for x in u))
+    return KrausFamily(tuple((V / np.sqrt(w)) @ V.conj().T @ x for x in u))
+
+
+def _gauged(fam, seed):
+    W = unitary_group.rvs(fam.k, random_state=seed)
+    return KrausFamily(tuple(W @ v @ W.conj().T for v in fam.v))
+
+
+FIXED_POINT_FAMILIES = {
+    **{f"covariant-{s}-{two_j}/2": (lambda s=s, two_j=two_j:
+                                    covariant_kraus(s, Fraction(two_j, 2)))
+       for s in range(1, 5) for two_j in range(1, 9) if s <= two_j},
+    **{f"random-{d}-{k}-{seed}": (lambda d=d, k=k, seed=seed:
+                                  random_unital_kraus(d, k, np.random.default_rng(seed)))
+       for d, k in ((2, 2), (2, 3), (3, 4), (3, 8), (5, 6), (7, 8))
+       for seed in (0, 1)},
+    "aklt+covariant-1-1": lambda: direct_sum(aklt_kraus(), covariant_kraus(1, 1)),
+    "aklt+aklt": lambda: direct_sum(aklt_kraus(), aklt_kraus()),
+    "covariant-1-1/2+covariant-1-1": lambda: direct_sum(
+        covariant_kraus(1, Fraction(1, 2)), covariant_kraus(1, 1)),
+    # one eigenvalue 1 - 1.1e-4, which is not fixed at tol 1e-9
+    "near-degenerate": lambda: _blended(
+        direct_sum(aklt_kraus(), covariant_kraus(1, 1)),
+        random_unital_kraus(3, 5, np.random.default_rng(6)), 1e-2),
+}
+
+
+def _invariance_defect(fam, rho):
+    return np.abs(sum(v.conj().T @ rho @ v for v in fam.v) - rho).max()
+
+
+@pytest.mark.parametrize("gauge", [None, 11], ids=["plain", "haar-gauge"])
+@pytest.mark.parametrize("name", FIXED_POINT_FAMILIES)
+def test_fixed_point_is_the_spectral_projection_of_i_over_k(name, gauge):
+    fam = FIXED_POINT_FAMILIES[name]()
+    if gauge is not None:
+        fam = _gauged(fam, gauge)
+    st = fixed_point(fam)
+    want = _reference_fixed_point(fam)
+    if name == "near-degenerate":
+        # the eigenvalue 1.1e-4 from 1 scales the rounding of either route
+        # by 1e4; the real route is the more invariant one
+        assert np.abs(st.rho - want).max() <= 1e-11
+        defect = _invariance_defect(fam, st.rho)
+        assert defect <= min(_invariance_defect(fam, want), 1e-15)
+    else:
+        assert np.abs(st.rho - want).max() <= 1e-13
+    # the singular values of tau_H - I within tol count the fixed eigenvalues
+    s = np.linalg.svd(_hermitian_transfer(fam) - np.eye(fam.k ** 2), compute_uv=False)
+    assert int(np.sum(s <= 1e-9)) == gap(build_transfer(st)).fixed_multiplicity
 
 
 def test_evaluate_monomial_aklt():
@@ -348,12 +424,16 @@ def test_hermitian_coordinates_in_the_stated_basis(n):
     assert np.abs(np.einsum("abj,jpq->abpq", c, H) - X).max() <= 1e-14
 
 
-def test_transfer_matrix_trace_preserving_dual():
-    fam = random_unital_kraus(2, 3, np.random.default_rng(9))
-    M = transfer_matrix(fam)
-    # unitality: identity is a fixed point of the forward map
-    eye = np.eye(3).reshape(-1)
-    assert np.abs(M @ eye - eye).max() < 1e-12
+@pytest.mark.parametrize("d, k, seed", [(2, 3, 9), (3, 1, 0), (3, 4, 1), (5, 6, 2)])
+def test_hermitian_transfer_is_the_kron_matrix_in_the_hermitian_basis(d, k, seed):
+    fam = random_unital_kraus(d, k, np.random.default_rng(seed))
+    U = _hermitian_basis(k).reshape(k * k, -1).T  # columns vec(H_j)
+    tau = _hermitian_transfer(fam)
+    assert tau.dtype == np.dtype(float)
+    assert np.abs(tau - U.conj().T @ _kron_transfer(fam) @ U).max() <= 1e-14
+    # unitality: the coordinates of I are a fixed vector
+    eye = _hermitian_coordinates(np.eye(k)).real
+    assert np.abs(tau @ eye - eye).max() <= 1e-14
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])

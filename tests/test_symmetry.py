@@ -795,6 +795,44 @@ def test_kraus_twist_direct_sums_pass(st):
     assert np.abs(W @ W.conj().T - np.eye(st.k)).max() < 1e-12
 
 
+def _swapped_twist_pair(rng):
+    """A (+) B for a Haar mixture A_i = sqrt(p_i) U_i at d = k = 3 and
+    B_i = c_i(A)*, with c_i = sum_j r[j, i] A_j for the spin twist's real
+    form r.  A is unital and trace preserving and r is a real orthogonal
+    involution, so B is unital and c_i(B) = A_i*: the swap of the two
+    blocks is a gauge W with v_i* = W c_i W*, and it is not a scalar."""
+    d = k = 3
+    p = rng.dirichlet(np.ones(d))
+    A = KrausFamily(tuple(np.sqrt(x) * _haar_unitary(k, rng) for x in p))
+    r = _twist_for(A).real_form
+    B = KrausFamily(tuple(c.conj().T for c in _twist_combination(A, r)))
+    return fixed_point(direct_sum(A, B))
+
+
+@pytest.mark.parametrize("gauge", [None, 2])
+def test_kraus_twist_passes_with_a_gauge_that_is_not_a_scalar(gauge):
+    st = _swapped_twist_pair(np.random.default_rng(0))
+    if gauge is not None:
+        st = _with_gauge(st, gauge)
+    twist = _twist_for(st)
+    v = check_kraus_twist_relation(st, twist)
+    assert v.passed and v.defect <= 1e-13
+    W, k = v.details["gauge"], st.k
+    # W is no multiple of I in any gauge, since W moves to G W G*
+    assert np.linalg.norm(W - np.trace(W) / k * np.eye(k), 2) >= 0.5
+    if gauge is None:
+        h = k // 2
+        assert max(np.abs(W[:h, :h]).max(), np.abs(W[h:, h:]).max()) <= 1e-12
+    # so the W = I closed form misses this pass
+    C = _twist_combination(st.kraus, twist.real_form)
+    targets = st.kraus.stacked().conj().transpose(0, 2, 1)
+    assert _twist_residual(np.eye(k), C, targets)[0] >= 1.0
+    # the family is outside the theorem: every hypothesis and ergodicity fail
+    audit = theorem_audit(st, build_spin_rep(st.d), twist)
+    assert all(h.status == "fail" for h in audit.hypotheses)
+    assert next(c for c in audit.conclusions if c.name == "ergodic").status == "fail"
+
+
 @pytest.mark.parametrize("phi, status", [(1e-4, "indeterminate"), (0.1, "fail")])
 def test_kraus_twist_direct_sum_mismatched_phases(phi, status):
     # e^{i phi} on the second summand moves its phase to -e^{-2i phi}: no

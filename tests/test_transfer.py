@@ -295,14 +295,14 @@ def test_decay_certificate_builds_only_the_gns_matrix(monkeypatch):
     real_roots = transfer._rho_roots
 
     def refuse(*args):
-        raise AssertionError("the plain transfer matrix was built")
+        raise AssertionError("the Hermitian-basis transfer matrix was built again")
 
     def counted(rho):
         roots.append(rho.shape)
         return real_roots(rho)
 
-    monkeypatch.setattr(fcs, "transfer_matrix", refuse)
-    monkeypatch.setattr(transfer, "transfer_matrix", refuse, raising=False)
+    monkeypatch.setattr(fcs, "_hermitian_transfer", refuse)
+    monkeypatch.setattr(transfer, "_hermitian_transfer", refuse)
     monkeypatch.setattr(transfer, "_rho_roots", counted)
     Sz = build_spin_rep(3).Sz
     assert decay_certificate(st, Sz, Sz, 10).passed
@@ -609,10 +609,31 @@ def test_state_runs_one_eigensolve_and_one_root(monkeypatch, make):
     assert roots == [(st.k, st.k)]
 
 
+def test_hermitian_transfer_built_once_per_state(monkeypatch):
+    fam = random_unital_kraus(3, 4, np.random.default_rng(9))
+    solved = fixed_point(fam)
+    made = FcsState(fam, solved.rho)
+    calls = []
+    real = transfer._hermitian_transfer
+
+    def counted(kraus):
+        calls.append(kraus.k)
+        return real(kraus)
+
+    monkeypatch.setattr(transfer, "_hermitian_transfer", counted)
+    # fixed_point kept the matrix it solved with
+    gap(build_transfer(solved))
+    assert calls == []
+    gap(build_transfer(made))
+    gap(build_transfer(made), 1e-2)
+    assert calls == [4]
+    assert np.array_equal(build_transfer(made).tau, build_transfer(solved).tau)
+
+
 def test_state_arrays_are_read_only():
     st = random_fcs_state(3, 3, np.random.default_rng(12))
     t = build_transfer(st)
-    for arr in (st.rho, st.kraus.v[1], t.matrix, t.sqrt_rho, t.spectrum):
+    for arr in (st.rho, st.kraus.v[1], t.matrix, t.sqrt_rho, t.tau, t.spectrum):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, ...] = 0
 
