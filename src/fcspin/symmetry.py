@@ -423,6 +423,20 @@ def _twist_verdict(W, defect, lam, multiplicity, lower_bound, grid_angles, tol):
     )
 
 
+def _twist_search(V, C, Q, s_top, tol):
+    """The grid route of check_kraus_twist_relation: the grid maximum of the
+    numerical range of Q (s_top = sigma_max(Q)^2 bounds it), the ascent from
+    it and the gauge it ends at, with the grid's lower_bound."""
+    d, k = V.shape[:2]
+    margin = max(_TWIST_PRUNE_MARGIN, _TWIST_GATE_SLACK * k * k)
+    radius, theta, grid_angles = _grid_maximum(Q, np.sqrt(max(s_top, 0.0)), margin)
+    lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
+    e, X = _twist_ascent(Q, theta, _TWIST_ASCENT_ROUNDS)
+    W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)
+    return _twist_verdict(W, defect, lam, multiplicity, lower_bound,
+                          grid_angles, tol)
+
+
 def check_kraus_twist_relation(state, twist, tol=1e-8):
     """Direct solve of the twisted-adjoint relation of the Kraus family.
 
@@ -439,33 +453,45 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     an ascent of at most _TWIST_ASCENT_ROUNDS eigendecompositions, each
     followed by a Newton step on theta read off it, cut to one grid
     spacing, or by the fixed-point step to the optimal phase of the top
-    vector where the top eigenvalue is not concave (_ascent_step).  The top eigenvector of the last
-    eigendecomposition, reshaped to k x k and polar-projected, is W; when
-    the top eigenspace is degenerate (non-injective families) a fixed
-    combination of it is projected instead, followed by one polar step if
-    that still misses tol.  The defect is the residual of that unitary W at
-    its optimal phase, so a pass never rests on an eigenvalue estimate.
+    vector where the top eigenvalue is not concave (_ascent_step).  The top
+    eigenvector of the last eigendecomposition, reshaped to k x k and
+    polar-projected, is W; when the top eigenspace is degenerate
+    (non-injective families) a fixed combination of it is projected instead,
+    followed by one polar step if that still misses tol.  The defect is the
+    residual of that unitary W at its optimal phase, so a pass never rests
+    on an eigenvalue estimate.
 
-    Each term of the sum is at most k defect^2, so a pass forces
-    w >= 1 - d tol^2 / 2 and hence sigma_max(Q)^2 >= 1 - d tol^2.  When one
-    eigensolve of Q* Q allows that, a pass is tried first: a unimodular
-    eigenvalue mu of the contraction Q has an eigenvector x with Q* x =
-    conj(mu) x, a top singular vector, so W is read off one
-    eigendecomposition, with no step, at the phase -arg(x* Q x) of the top
-    eigenvector x of Q* Q.  Otherwise, or when that attempt misses tol, a
-    64-point phase grid locates w and the ascent runs from the grid
-    maximum.  The grid maximum is found exactly by a pruned search
-    (_grid_maximum): the support-function bound of the numerical range
-    skips the grid angles that cannot reach it.
+    Each term of the sum is at most k defect^2, so every W and lam have
+    defect >= sqrt(2 (1 - w) / d) >= sqrt(2 (1 - sigma_max(Q)) / d), and a
+    pass forces sigma_max(Q)^2 >= 1 - d tol^2.  One eigensolve of Q* Q
+    therefore picks the route:
+
+    - pass attempt: when sigma_max allows a pass, it is tried first.  A
+      unimodular eigenvalue mu of the contraction Q has an eigenvector x
+      with Q* x = conj(mu) x, a top singular vector, so W is read off one
+      eigendecomposition, with no step, at the phase -arg(x* Q x) of the
+      top eigenvector x of Q* Q.  A pass reports lower_bound 0.0 and
+      grid_angles 0.
+    - sigma route: when the bound sqrt(2 (1 - sigma') / d), with sigma' =
+      sqrt(sigma_max^2 + _TWIST_GATE_SLACK k^2) charged the gate's
+      rounding, is at least 1e-3 and above tol, no W and phase can pass or
+      be indeterminate.  The same one-eigendecomposition attempt is the
+      witness of the fail, lower_bound is that sigma bound, grid_angles is
+      0, and neither the grid nor the ascent runs.
+    - grid route (_twist_search): otherwise, or when the pass attempt
+      misses tol, a 64-point phase grid locates w and the ascent runs from
+      the grid maximum.  The grid maximum is found exactly by a pruned
+      search (_grid_maximum): the support-function bound of the numerical
+      range skips the grid angles that cannot reach it.  grid_angles is the
+      number of grid angles diagonalized, and lower_bound is
+      sqrt(2 (1 - w') / d), with w' = grid maximum + pi / 64 an upper bound
+      on w; it is 0.0 whenever w cos(pi / 64) >= 1 - pi / 64, as at every
+      pass with d tol^2 <= 0.09.
 
     status is "pass" for defect <= tol, "fail" for defect >= 1e-3, and
     "indeterminate" in between.  details holds the gauge W, the phase lam,
     the multiplicity of the top eigenspace, lower_bound, a value no unitary
-    W and phase can beat: sqrt(2 (1 - w') / d), with w' = grid maximum +
-    pi / 64 an upper bound on w, and grid_angles, the number of grid angles
-    diagonalized (0 when the first attempt passes).  A pass reports the
-    trivial lower_bound 0.0, which is also what the grid gives whenever
-    w cos(pi / 64) >= 1 - pi / 64, as at every pass with d tol^2 <= 0.09.
+    W and phase can beat, and grid_angles.
     """
     _require_tol(tol)
     d, k = state.d, state.k
@@ -477,22 +503,20 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
 
     # The eigenvalues of Q* Q (norm <= 1) carry a backward error of a small
     # multiple of k^2 eps, so the gate gives way by _TWIST_GATE_SLACK k^2:
-    # a family that can pass is never routed around the pass attempt.
+    # a family that can pass is never routed around the pass attempt.  The
+    # sigma bound is charged the same slack.
     s, X = np.linalg.eigh(Q.conj().T @ Q)
-    if s[-1] >= 1 - d * tol ** 2 - _TWIST_GATE_SLACK * k * k:
+    sigma = np.sqrt(s[-1] + _TWIST_GATE_SLACK * k * k)
+    lower_bound = float(np.sqrt(max(0.0, 2 * (1 - sigma) / d)))
+    certified = lower_bound >= 1e-3 and lower_bound > tol
+    if certified or s[-1] >= 1 - d * tol ** 2 - _TWIST_GATE_SLACK * k * k:
         x = X[:, -1]
         e, X = _twist_ascent(Q, -np.angle(np.vdot(x, Q @ x)), 1)
         W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)
-        if defect <= tol:
-            return _twist_verdict(W, defect, lam, multiplicity, 0.0, 0, tol)
-
-    margin = max(_TWIST_PRUNE_MARGIN, _TWIST_GATE_SLACK * k * k)
-    radius, theta, grid_angles = _grid_maximum(Q, np.sqrt(max(s[-1], 0.0)), margin)
-    lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
-    e, X = _twist_ascent(Q, theta, _TWIST_ASCENT_ROUNDS)
-    W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)
-    return _twist_verdict(W, defect, lam, multiplicity, lower_bound,
-                          grid_angles, tol)
+        if certified or defect <= tol:
+            return _twist_verdict(W, defect, lam, multiplicity,
+                                  lower_bound if certified else 0.0, 0, tol)
+    return _twist_search(V, C, Q, s[-1], tol)
 
 
 def find_intertwiner(state, rep, tol=1e-8):

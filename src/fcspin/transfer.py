@@ -126,7 +126,12 @@ def build_transfer(state):
 
 def _transfer_operator(state):
     sq, inv_sq, _ = state._once("rho_roots", lambda: _rho_roots(state.rho))
-    mat = sum(np.kron(v, (sq @ v @ inv_sq).conj()) for v in state.kraus.v)
+    d, k = state.d, state.k
+    V = state.kraus.stacked()
+    # M[ab, ce] = sum_i v_i[a, b] conj(u_i[c, e]), u_i = rho^{1/2} v_i rho^{-1/2},
+    # and T[(a, c), (b, e)] = M[ab, ce]: the sum of the kron(v_i, conj(u_i))
+    M = V.reshape(d, k * k).T @ (sq @ V @ inv_sq).reshape(d, k * k).conj()
+    mat = M.reshape(k, k, k, k).transpose(0, 2, 1, 3).reshape(k * k, k * k)
     tau = state._once("hermitian_transfer", lambda: _hermitian_transfer(state.kraus))
     return TransferOperator(matrix=mat, sqrt_rho=sq, inv_sqrt_rho=inv_sq,
                             tau=tau)

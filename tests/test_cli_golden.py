@@ -6,8 +6,10 @@ expected file, only when an answer is meant to change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-which keeps every entry that still matches and writes only new commands
-and answers that moved, so at an unchanged tree it reproduces the file.
+which keeps every entry that still matches, writes new commands whole
+and, in an answer whose exit code and text between numbers still match,
+replaces only the numbers that moved past ATOL; so at an unchanged tree it
+reproduces the file.
 """
 
 import contextlib
@@ -74,6 +76,34 @@ def _differences(expected, code, out):
         (f"a number off by {worst:g} > ATOL", worst > ATOL)) if differs]
 
 
+def _merged(expected, code, out):
+    """The entry to keep for the answer (code, out).  When the exit code and
+    the text between numbers match, it is the expected entry with only the
+    numbers off by more than ATOL replaced by the answer's; otherwise it is
+    the answer itself."""
+    if code != expected["exit"] or _split(out)[0] != _split(expected["stdout"])[0]:
+        return {"exit": code, "stdout": out}
+    answer = iter(_NUMBER.findall(out))
+
+    def pick(match):
+        new = next(answer)
+        return new if abs(float(new) - float(match.group())) > ATOL else match.group()
+
+    return {"exit": code, "stdout": _NUMBER.sub(pick, expected["stdout"])}
+
+
+def test_rewrite_replaces_only_the_numbers_that_moved():
+    expected = {"exit": 0, "stdout": "a 0.30000000000000004 b -1e-20 c 2\n"}
+    out = "a 0.3 b 0.0 c 2.5\n"
+    merged = _merged(expected, 0, out)
+    assert merged == {"exit": 0, "stdout": "a 0.30000000000000004 b -1e-20 c 2.5\n"}
+    assert _differences(merged, 0, out) == []
+    assert _merged(expected, 0, expected["stdout"]) == expected
+    # a new exit code or new text between numbers takes the whole answer
+    for code, text in ((1, expected["stdout"]), (0, "a 0.3 B 0.0 c 2\n")):
+        assert _merged(expected, code, text) == {"exit": code, "stdout": text}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_matches_golden(command):
     expected = json.loads(GOLDEN.read_text())[command]
@@ -81,14 +111,13 @@ def test_cli_matches_golden(command):
 
 
 if __name__ == "__main__":
-    # keep every entry that still matches, so the file changes only where an
+    # keep every number that still matches, so the file changes only where an
     # answer moved past ATOL or a command is new
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     golden = {}
     for command in COMMANDS:
         code, out = run(command)
         kept = old.get(command)
-        if kept is None or _differences(kept, code, out):
-            kept = {"exit": code, "stdout": out}
-        golden[command] = kept
+        golden[command] = ({"exit": code, "stdout": out} if kept is None
+                           else _merged(kept, code, out))
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")

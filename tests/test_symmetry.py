@@ -1039,6 +1039,23 @@ def _same_verdict(a, b):
             and a.details["lower_bound"] == b.details["lower_bound"])
 
 
+def _searched(st, tw, tol=1e-8):
+    """The grid route of check_kraus_twist_relation on any family, whatever
+    its sigma bound: the gate's eigensolve of Q* Q, then the search."""
+    V, C, Q = _twist_setup(st, tw)
+    s = np.linalg.eigh(Q.conj().T @ Q)[0]
+    return symmetry._twist_search(V, C, Q, s[-1], tol)
+
+
+def _sigma_bound(st, tw):
+    """sqrt(2 (1 - sigma') / d) from an SVD of Q, sigma' = sqrt(sigma_max^2
+    + _TWIST_GATE_SLACK k^2): no unitary and phase come closer."""
+    Q = _twist_setup(st, tw)[2]
+    top = np.linalg.svd(Q, compute_uv=False)[0]
+    sigma = np.sqrt(top ** 2 + symmetry._TWIST_GATE_SLACK * st.k ** 2)
+    return float(np.sqrt(max(0.0, 2 * (1 - sigma) / st.d)))
+
+
 def _real_random_state(d, k, seed):
     """Random unital family with real matrices: with a spin twist Q is real,
     so the grid values at phi and -phi agree up to rounding."""
@@ -1069,12 +1086,91 @@ def test_kraus_twist_non_pass_equals_grid_first(st):
     tw = _twist_for(st)
     ref = _grid_first_reference(st, tw)
     assert ref.status != "pass"
-    assert _same_verdict(check_kraus_twist_relation(st, tw), ref)
+    assert _same_verdict(_searched(st, tw), ref)
 
 
-def _checked_with_last_top(st, tw):
-    """check_kraus_twist_relation's verdict and the top eigenvalue of its
-    last eigendecomposition, the one its gauge comes from."""
+SIGMA_FAMILIES = _non_pass_families() + [
+    random_fcs_state(d, k, np.random.default_rng(seed))
+    for d, k in RANDOM_NEGATIVES for seed in (5, 6, 7)]
+
+
+def _count_calls(monkeypatch, name):
+    """Shapes of the np.linalg.<name> calls made from here on."""
+    calls, real = [], getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("st", SIGMA_FAMILIES)
+def test_kraus_twist_sigma_bound_settles_the_fail(st, monkeypatch):
+    # where sigma_max(Q) alone keeps every unitary 1e-3 away, the check
+    # stops after the pass attempt: the gate's eigh and the attempt's
+    tw = _twist_for(st)
+    ref = _grid_first_reference(st, tw)
+    bound = _sigma_bound(st, tw)
+    eigh = _count_calls(monkeypatch, "eigh")
+    eigvalsh = _count_calls(monkeypatch, "eigvalsh")
+    v = check_kraus_twist_relation(st, tw)
+    assert v.status == ref.status != "pass"
+    if bound < 1e-3:
+        assert _same_verdict(v, ref)
+        return
+    assert v.status == "fail"
+    assert 1e-3 <= v.details["lower_bound"] <= ref.defect
+    assert abs(v.details["lower_bound"] - bound) <= 1e-12
+    assert v.details["grid_angles"] == 0
+    assert len(eigh) == 2 and eigvalsh == []
+
+
+def test_kraus_twist_sigma_route_takes_every_random_family():
+    # positions 18-25 of _non_pass_families() hold the six near-threshold
+    # families and the two mismatched-phase direct sums, where w(Q) is within
+    # 1e-5 of 1; every other family of SIGMA_FAMILIES is random
+    routed = [_sigma_bound(st, _twist_for(st)) >= 1e-3 for st in SIGMA_FAMILIES]
+    assert routed == [not 18 <= n < 26 for n in range(len(SIGMA_FAMILIES))]
+
+
+def _best_polished_defect(st, tw, rng, draws=200):
+    """The smallest defect over `draws` Haar unitaries, each also after one
+    polar step toward the optimum, as _twist_gauge takes it."""
+    V, C, _ = _twist_setup(st, tw)
+    targets = V.conj().transpose(0, 2, 1)
+    best = np.inf
+    for _ in range(draws):
+        W = _haar_unitary(st.k, rng)
+        defect, lam = _twist_residual(W, C, targets)
+        W_step = _polar_unitary(lam * np.einsum("iab,bc,icd->ad", V, W, C))
+        best = min(best, defect, _twist_residual(W_step, C, targets)[0])
+    return best
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st_.sampled_from([2, 3, 5]), k=st_.integers(2, 5),
+       seed=st_.integers(0, 2 ** 32 - 1))
+def test_kraus_twist_lower_bound_is_sound(d, k, seed):
+    rng = np.random.default_rng(seed)
+    st = _with_gauge(random_fcs_state(d, k, rng), seed)
+    tw = _twist_for(st)
+    v = check_kraus_twist_relation(st, tw)
+    ref = _grid_first_reference(st, tw)
+    assert v.status == ref.status
+    assert v.details["lower_bound"] <= min(v.defect, ref.defect)
+    assert v.details["lower_bound"] <= _best_polished_defect(st, tw, rng)
+    # a tol the reference passes at is above every lower bound, so the
+    # sigma bound settles nothing there
+    tol = 1.001 * ref.defect
+    assert (check_kraus_twist_relation(st, tw, tol).status
+            == _grid_first_reference(st, tw, tol).status)
+
+
+def _searched_with_last_top(st, tw):
+    """_searched's verdict and the top eigenvalue of its last
+    eigendecomposition, the one its gauge comes from."""
     last = []
     real = np.linalg.eigh
 
@@ -1085,17 +1181,15 @@ def _checked_with_last_top(st, tw):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigh", eigh)
-        v = check_kraus_twist_relation(st, tw)
+        v = _searched(st, tw)
     return v, last[0]
 
 
-@pytest.mark.parametrize("st", _non_pass_families() + [
-    random_fcs_state(d, k, np.random.default_rng(seed))
-    for d, k in RANDOM_NEGATIVES for seed in (5, 6, 7)])
+@pytest.mark.parametrize("st", SIGMA_FAMILIES)
 def test_kraus_twist_newton_ascent_agrees_with_aitken(st):
     tw = _twist_for(st)
     ref, radius, ref_top = _aitken_reference(st, tw)
-    v, top = _checked_with_last_top(st, tw)
+    v, top = _searched_with_last_top(st, tw)
     assert v.status == ref.status != "pass"
     for key in ("multiplicity", "lower_bound", "grid_angles"):
         assert v.details[key] == ref.details[key]
@@ -1110,19 +1204,13 @@ def test_kraus_twist_newton_step_cut_to_grid_spacing(monkeypatch):
     # a flat maximum 0.056 from the grid maximum: the first Newton step, 0.22,
     # overshoots past it and is cut to one grid spacing.  The full step takes
     # 9 ascent steps and the fixed-point step, at 4e-4 per step, runs into the
-    # cap of 20 short of the maximum.
+    # cap of 20 short of the maximum.  The sigma bound settles this family,
+    # so the grid route is run directly.
     st = random_fcs_state(5, 2, np.random.default_rng(1041))
     tw = _twist_for(st)
     ref, radius, _ = _aitken_reference(st, tw)
-    calls = []
-    real = np.linalg.eigh
-
-    def eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    v, top = _checked_with_last_top(st, tw)
+    calls = _count_calls(monkeypatch, "eigh")
+    v, top = _searched_with_last_top(st, tw)
     assert v.status == ref.status == "fail"
     assert abs(v.defect - ref.defect) <= 1e-12
     assert top >= radius
@@ -1131,18 +1219,11 @@ def test_kraus_twist_newton_step_cut_to_grid_spacing(monkeypatch):
 
 @pytest.mark.parametrize("d, grid_angles", [(3, 9), (5, 12), (7, 10)])
 def test_kraus_twist_eigensolves_per_random_negative(d, grid_angles, monkeypatch):
-    # the gate's Q* Q, then one eigendecomposition per Newton step (the
-    # Aitken ascent took 8 in all)
+    # the grid route: the gate's Q* Q, then one eigendecomposition per
+    # Newton step (the Aitken ascent took 8 in all)
     st = random_fcs_state(d, 8, np.random.default_rng(0))
-    calls = []
-    real = np.linalg.eigh
-
-    def eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    v = check_kraus_twist_relation(st, _twist_for(st))
+    calls = _count_calls(monkeypatch, "eigh")
+    v = _searched(st, _twist_for(st))
     assert v.status == "fail"
     assert v.details["grid_angles"] == grid_angles
     assert len(calls) <= 5
@@ -1177,21 +1258,9 @@ def test_kraus_twist_pass_agrees_with_grid_first(st):
     assert v.details["lower_bound"] == ref.details["lower_bound"] == 0.0
 
 
-def _count_grid_calls(monkeypatch):
-    calls = []
-    real = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
-
-
 def test_kraus_twist_covariant_pass_skips_the_grid(monkeypatch):
     st = _with_gauge(covariant_state(2, Fraction(7, 2)), 12)
-    calls = _count_grid_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "eigvalsh")
     v = check_kraus_twist_relation(st, _twist_for(st))
     assert v.passed
     assert len(calls) <= 1
@@ -1199,9 +1268,10 @@ def test_kraus_twist_covariant_pass_skips_the_grid(monkeypatch):
 
 
 def test_kraus_twist_random_negative_runs_the_grid(monkeypatch):
+    # the grid route, which the check itself skips here for the sigma bound
     st = random_fcs_state(3, 8, np.random.default_rng(0))
-    calls = _count_grid_calls(monkeypatch)
-    v = check_kraus_twist_relation(st, _twist_for(st))
+    calls = _count_calls(monkeypatch, "eigvalsh")
+    v = _searched(st, _twist_for(st))
     assert v.status == "fail"
     assert calls.count((64, 64)) == len(calls) == v.details["grid_angles"]
     assert v.details["grid_angles"] < _TWIST_GRID // 2
@@ -1209,7 +1279,7 @@ def test_kraus_twist_random_negative_runs_the_grid(monkeypatch):
 
 def test_kraus_twist_grid_is_pruned_on_random_negatives():
     # the support-function bound leaves about 9 of the 32 grid angles
-    counts = [check_kraus_twist_relation(st, _twist_for(st)).details["grid_angles"]
+    counts = [_searched(st, _twist_for(st)).details["grid_angles"]
               for st in (random_fcs_state(d, k, np.random.default_rng(seed))
                          for d, k in RANDOM_NEGATIVES for seed in range(3))]
     assert all(0 < n <= _TWIST_GRID // 2 for n in counts)

@@ -750,6 +750,15 @@ def test_spectrum_matches_complex_eigvals(name):
 
 
 @pytest.mark.parametrize("name", SPECTRUM_STATES)
+def test_gns_matrix_is_the_kron_sum(name):
+    st = SPECTRUM_STATES[name]()
+    t = build_transfer(st)
+    sq, inv_sq = t.sqrt_rho, t.inv_sqrt_rho
+    ref = sum(np.kron(v, (sq @ v @ inv_sq).conj()) for v in st.kraus.v)
+    assert np.abs(t.matrix - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", SPECTRUM_STATES)
 def test_spectrum_is_closed_under_conjugation(name):
     # the eigenvalues of a real matrix: real ones exactly real, the others
     # in exact conjugate pairs
