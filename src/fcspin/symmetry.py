@@ -253,16 +253,8 @@ def _twist_combination(kraus, r_real):
 # Points of the full-circle phase grid.  The numerical radius of Q lies
 # within pi / _TWIST_GRID of the grid maximum because ||Q|| <= 1; that slack
 # enters details["lower_bound"], and at 64 points it still certifies generic
-# families (numerical radius near 0.5-0.9) as failing.  The grid maximum is
-# found by a pruned search (_grid_maximum) that diagonalizes every
-# _TWIST_COARSE-th angle first, so the first bounds span pi / 4.
+# families (numerical radius near 0.5-0.9) as failing.
 _TWIST_GRID = 64
-_TWIST_COARSE = 8
-# A grid direction is skipped only when its bound plus this margin stays
-# below the best value found.  The margin covers the rounding of the
-# eigenvalues behind both, a small multiple of k^2 eps: it is 4 times the
-# gate slack below at k = 8, and the gate slack takes over past k = 16.
-_TWIST_PRUNE_MARGIN = 1e-12
 _TWIST_ASCENT_ROUNDS = 20
 # Eigenvalues of Re(e^{i theta} Q) this close to the top one span the top
 # eigenspace.  Two direct summands whose phases differ by phi give top
@@ -356,55 +348,20 @@ def _twist_gauge(V, C, e, X, tol):
     return W, defect, lam, multiplicity
 
 
-def _grid_maximum(Q, sigma, margin):
+def _grid_maximum(Q):
     """Largest top eigenvalue of Re(e^{i phi} Q) over the grid phi =
-    2 pi j / _TWIST_GRID, the first phi reaching it in the order of a full
-    loop over the grid, and the number of angles diagonalized.
-
-    One eigvalsh at phi = pi n / half gives the support function h of the
-    numerical range of Q at two grid directions, h(phi) = e[-1] and
-    h(phi + pi) = -e[0].  h is sublinear, so between evaluated directions
-    a < phi < b less than pi apart
-
-        h(phi) <= [sin(b - phi) h(a) + sin(phi - a) h(b)] / sin(b - a),
-
-    and h <= w(Q) <= sigma = ||Q||.  Every _TWIST_COARSE-th angle is
-    diagonalized first, then the angle of highest bound, until no bound plus
-    margin reaches the best value found.  Every skipped direction then lies
-    strictly below the maximum, so the maximum, its first direction and the
-    angle, computed with the loop's own expression, are those of the full
-    grid.
-    """
+    2 pi j / _TWIST_GRID, and the first phi reaching it.  One eigvalsh at
+    phi = pi n / half gives the top eigenvalue at phi, e[-1], and at
+    phi + pi, -e[0]; ties go to the first in loop order, each phi before
+    its phi + pi."""
     half = _TWIST_GRID // 2
-    step = 2 * np.pi / _TWIST_GRID
-    h = np.zeros(_TWIST_GRID)
-    done = np.zeros(_TWIST_GRID, dtype=bool)
-    j = np.arange(_TWIST_GRID)
-    todo = range(0, half, _TWIST_COARSE)
-    while todo:
-        for n in todo:
-            e = np.linalg.eigvalsh(_hermitian_part(Q, np.pi * n / half))
-            h[n], h[n + half] = e[-1], -e[0]
-            done[n] = done[n + half] = True
-        # nearest evaluated directions a < j < b, cyclically
-        known = np.flatnonzero(done)
-        after = np.searchsorted(known, j) % known.size
-        a, b = known[after - 1], known[after]
-        da, db = (j - a) % _TWIST_GRID, (b - j) % _TWIST_GRID
-        bound = ((np.sin(db * step) * h[a] + np.sin(da * step) * h[b])
-                 / np.sin((da + db) * step))
-        bound = np.where(done, -np.inf, np.minimum(bound, sigma))
-        per_angle = np.maximum(bound[:half], bound[half:])
-        n = int(np.argmax(per_angle))
-        stop = done.all() or per_angle[n] + margin < h[done].max()
-        todo = () if stop else (n,)
-
     radius, theta = -np.inf, 0.0
-    for n in np.flatnonzero(done[:half]).tolist():
-        for val, angle in ((h[n], np.pi * n / half), (h[n + half], np.pi * (n / half + 1))):
+    for n in range(half):
+        e = np.linalg.eigvalsh(_hermitian_part(Q, np.pi * n / half))
+        for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
             if val > radius:
                 radius, theta = val, angle
-    return radius, theta, int(done[:half].sum())
+    return radius, theta
 
 
 def _twist_verdict(W, defect, lam, multiplicity, lower_bound, grid_angles, tol):
@@ -423,18 +380,17 @@ def _twist_verdict(W, defect, lam, multiplicity, lower_bound, grid_angles, tol):
     )
 
 
-def _twist_search(V, C, Q, s_top, tol):
-    """The grid route of check_kraus_twist_relation: the grid maximum of the
-    numerical range of Q (s_top = sigma_max(Q)^2 bounds it), the ascent from
-    it and the gauge it ends at, with the grid's lower_bound."""
-    d, k = V.shape[:2]
-    margin = max(_TWIST_PRUNE_MARGIN, _TWIST_GATE_SLACK * k * k)
-    radius, theta, grid_angles = _grid_maximum(Q, np.sqrt(max(s_top, 0.0)), margin)
+def _twist_search(V, C, Q, tol):
+    """The grid route of check_kraus_twist_relation: the maximum of the
+    numerical range of Q over all _TWIST_GRID directions, the ascent from it
+    and the gauge it ends at, with the grid's lower_bound."""
+    d = V.shape[0]
+    radius, theta = _grid_maximum(Q)
     lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
     e, X = _twist_ascent(Q, theta, _TWIST_ASCENT_ROUNDS)
     W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)
     return _twist_verdict(W, defect, lam, multiplicity, lower_bound,
-                          grid_angles, tol)
+                          _TWIST_GRID // 2, tol)
 
 
 def check_kraus_twist_relation(state, twist, tol=1e-8):
@@ -479,14 +435,11 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
       witness of the fail, lower_bound is that sigma bound, grid_angles is
       0, and neither the grid nor the ascent runs.
     - grid route (_twist_search): otherwise, or when the pass attempt
-      misses tol, a 64-point phase grid locates w and the ascent runs from
-      the grid maximum.  The grid maximum is found exactly by a pruned
-      search (_grid_maximum): the support-function bound of the numerical
-      range skips the grid angles that cannot reach it.  grid_angles is the
-      number of grid angles diagonalized, and lower_bound is
-      sqrt(2 (1 - w') / d), with w' = grid maximum + pi / 64 an upper bound
-      on w; it is 0.0 whenever w cos(pi / 64) >= 1 - pi / 64, as at every
-      pass with d tol^2 <= 0.09.
+      misses tol, all 32 angles of a 64-point phase grid are diagonalized
+      to locate w and the ascent runs from the grid maximum.  grid_angles
+      is 32, and lower_bound is sqrt(2 (1 - w') / d), with w' = grid
+      maximum + pi / 64 an upper bound on w; it is 0.0 whenever
+      w cos(pi / 64) >= 1 - pi / 64, as at every pass with d tol^2 <= 0.09.
 
     status is "pass" for defect <= tol, "fail" for defect >= 1e-3, and
     "indeterminate" in between.  details holds the gauge W, the phase lam,
@@ -516,7 +469,7 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
         if certified or defect <= tol:
             return _twist_verdict(W, defect, lam, multiplicity,
                                   lower_bound if certified else 0.0, 0, tol)
-    return _twist_search(V, C, Q, s[-1], tol)
+    return _twist_search(V, C, Q, tol)
 
 
 def find_intertwiner(state, rep, tol=1e-8):
