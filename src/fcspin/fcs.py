@@ -50,14 +50,15 @@ def max_window_entries():
 
 @dataclass(frozen=True, eq=False)
 class KrausFamily:
-    """d >= 1 finite complex k x k matrices v_1..v_d with k >= 1 and
-    sum_i v_i v_i* = I, read-only.  Equality is identity, so a family
-    hashes."""
+    """d >= 1 finite complex k x k matrices v_1..v_d with k >= 1, held as one
+    read-only (d, k, k) array v, from any iterable of matrices or a 3-D
+    array.  The family need not be unital: validate decides whether
+    sum_i v_i v_i* = I.  Equality is identity, so a family hashes."""
 
-    v: tuple
+    v: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(_read_only(m, complex) for m in self.v)
+        mats = [np.asarray(m, dtype=complex) for m in self.v]
         if not mats:
             raise ValueError("a Kraus family needs at least one matrix")
         if mats[0].ndim != 2 or mats[0].size == 0:
@@ -71,19 +72,15 @@ class KrausFamily:
                 )
             if not np.isfinite(m).all():
                 raise ValueError(f"Kraus matrix {i + 1} has a non-finite entry")
-        object.__setattr__(self, "v", mats)
+        object.__setattr__(self, "v", _read_only(mats))
 
     @property
     def d(self):
-        return len(self.v)
+        return self.v.shape[0]
 
     @property
     def k(self):
-        return self.v[0].shape[0]
-
-    def stacked(self):
-        """The matrices as a (d, k, k) array."""
-        return np.stack(self.v)
+        return self.v.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +249,7 @@ def _hermitian_transfer(kraus):
     orthonormal Hermitian basis U of _hermitian_coordinates: entry (i, j)
     is <H_i, tau(H_j)>, real because tau keeps x Hermitian."""
     k = kraus.k
-    V = kraus.stacked().reshape(kraus.d, k * k)
+    V = kraus.v.reshape(kraus.d, k * k)
     # G[b, e, a, c] = sum_i v_i[a, b] conj(v_i[c, e]) = tau(E_be)[a, c]
     G = (V.T @ V.conj()).reshape(k, k, k, k).transpose(1, 3, 0, 2)
     # left[i, b, e] = (U* tau)[i, be], and row r of (U* tau) U is conj(U* conj(r))
@@ -274,7 +271,7 @@ def window_expectations(state, m):
         raise ResourceLimitError(
             f"window of length {m} at d={d} exceeds the configured cap"
         )
-    P = _products(state.kraus.stacked(), m)
+    P = _products(state.kraus.v, m)
     rho_P = (state.rho @ P).reshape(d ** m, k * k)
     return rho_P @ P.reshape(d ** m, k * k).conj().T
 

@@ -112,7 +112,7 @@ def read_kraus(text):
     if line is not None:
         raise KrausFileError(lineno, f"unexpected trailing content: {line!r}")
     rho = blocks.pop() if len(blocks) > d else None
-    return name, KrausFamily(tuple(blocks)), rho
+    return name, KrausFamily(blocks), rho
 
 
 def _format_block(mat):

@@ -49,7 +49,7 @@ def product_kraus(xi):
     """Rank-one family of a unit vector xi: one-site expectations <xi, A xi>."""
     xi = np.asarray(xi, dtype=complex)
     xi = xi / np.linalg.norm(xi)
-    return KrausFamily(tuple(np.array([[c.conjugate()]]) for c in xi))
+    return KrausFamily(xi.conj().reshape(-1, 1, 1))
 
 
 def product_state(xi):
@@ -136,7 +136,7 @@ def covariant_kraus(s, j):
                          "unless s <= 2j")
     cg = _cg_table(two_s, two_j)
     # rows of the isometry are (v_i*)_{mu nu}; v_i = adjoint of that block
-    return KrausFamily(tuple(cg[i].T.astype(complex) for i in range(two_s + 1)))
+    return KrausFamily(cg.transpose(0, 2, 1))
 
 
 def covariant_state(s, j):
@@ -148,12 +148,11 @@ def random_unital_kraus(d, k, rng):
     z = rng.normal(size=(d * k, k)) + 1j * rng.normal(size=(d * k, k))
     q, r = np.linalg.qr(z)
     q = q * np.sign(np.diag(r).real)  # deterministic gauge of the QR factor
-    blocks = q.reshape(d, k, k)
-    return KrausFamily(tuple(b.conj().T for b in blocks))
+    return KrausFamily(q.reshape(d, k, k).conj().transpose(0, 2, 1))
 
 
-def random_fcs_state(d, k, rng, tol=1e-9):
-    return fixed_point(random_unital_kraus(d, k, rng), tol)
+def random_fcs_state(d, k, rng):
+    return fixed_point(random_unital_kraus(d, k, rng))
 
 
 def direct_sum(fam_a, fam_b):
@@ -161,17 +160,14 @@ def direct_sum(fam_a, fam_b):
     if fam_a.d != fam_b.d:
         raise ValueError("families must share the physical dimension")
     ka, kb = fam_a.k, fam_b.k
-    mats = []
-    for a, b in zip(fam_a.v, fam_b.v):
-        m = np.zeros((ka + kb, ka + kb), dtype=complex)
-        m[:ka, :ka] = a
-        m[ka:, ka:] = b
-        mats.append(m)
-    return KrausFamily(tuple(mats))
+    v = np.zeros((fam_a.d, ka + kb, ka + kb), dtype=complex)
+    v[:, :ka, :ka] = fam_a.v
+    v[:, ka:, ka:] = fam_b.v
+    return KrausFamily(v)
 
 
 def gauge_transform(state, W):
     """Conjugate the family and rho by a bond unitary; the state is unchanged."""
     W = np.asarray(W, dtype=complex)
-    fam = KrausFamily(tuple(W @ v @ W.conj().T for v in state.kraus.v))
+    fam = KrausFamily(W @ state.kraus.v @ W.conj().T)
     return FcsState(kraus=fam, rho=W @ state.rho @ W.conj().T)

@@ -201,7 +201,7 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
             f"reflection-positivity Gram at window {m}, d={d}, k={k} exceeds "
             "the configured cap"
         )
-    V = state.kraus.stacked()
+    V = state.kraus.v
     M = _products(np.einsum("ib,iqp->bpq", r0.conj(), V), m).transpose(0, 2, 1)
     L = _products(V, m)
     # rows (a, b) of [A, B*] for a <= b; B*[(x, y), (p, q)] = (v_y v_x*)[p, q]
@@ -246,8 +246,7 @@ def _polar_unitary(M):
 
 def _twist_combination(kraus, r_real):
     """c_i = sum_j r[j, i] v_j for a real twist matrix r."""
-    V = kraus.stacked()
-    return np.einsum("ji,jab->iab", r_real.astype(complex), V)
+    return np.einsum("ji,jab->iab", r_real.astype(complex), kraus.v)
 
 
 # Points of the full-circle phase grid.  The numerical radius of Q lies
@@ -448,7 +447,7 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
     """
     _require_tol(tol)
     d, k = state.d, state.k
-    V = state.kraus.stacked()
+    V = state.kraus.v
     C = _twist_combination(state.kraus, TwistMatrix.of(twist, d).real_form)
     # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
     # sum_i tr(W* v_i W c_i) for row-major vec
@@ -493,12 +492,12 @@ def find_intertwiner(state, rep, tol=1e-8):
     _require_rep(rep, state)
     k = state.k
     eye = np.eye(k)
-    Vdag = np.stack([v.conj().T for v in state.kraus.v])
+    Vdag = state.kraus.v.conj().transpose(0, 2, 1)
     gens = rep.generators()
     scale = max(1.0, float(max(np.linalg.norm(S, 2) for S in gens)))
-    # vec(X M - M X) = (I (x) M^T - M (x) I) vec(X), row-major
-    A = np.vstack([np.kron(eye, Vdag[i].T) - np.kron(Vdag[i], eye)
-                   for i in range(state.d)])
+    # vec(X M - M X) = (I (x) M^T - M (x) I) vec(X), row-major, per M = v_i*
+    A = (np.einsum("pr,iqs->ipqrs", eye, state.kraus.v.conj())
+         - np.einsum("ipr,qs->ipqrs", Vdag, eye)).reshape(-1, k * k)
     # column a holds -sum_j (S_a)_{ij} v_j*, stacked over i
     b = -np.einsum("aij,jpq->ipqa", np.stack(gens), Vdag).reshape(-1, len(gens))
     x = np.linalg.lstsq(A, b, rcond=None)[0].T.reshape(-1, k, k)

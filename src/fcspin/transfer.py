@@ -127,7 +127,7 @@ def build_transfer(state):
 def _transfer_operator(state):
     sq, inv_sq, _ = state._once("rho_roots", lambda: _rho_roots(state.rho))
     d, k = state.d, state.k
-    V = state.kraus.stacked()
+    V = state.kraus.v
     # M[ab, ce] = sum_i v_i[a, b] conj(u_i[c, e]), u_i = rho^{1/2} v_i rho^{-1/2},
     # and T[(a, c), (b, e)] = M[ab, ce]: the sum of the kron(v_i, conj(u_i))
     M = V.reshape(d, k * k).T @ (sq @ V @ inv_sq).reshape(d, k * k).conj()
@@ -176,7 +176,7 @@ def _insertions(state, t, A, B):
     of the centered one-site insertions, so corr(n) = <a, T_c^(n-1) b>."""
     A = _observable("A", A, state.d)
     B = _observable("B", B, state.d)
-    V = state.kraus.stacked()
+    V = state.kraus.v
     d, k = state.d, state.k
     Vh = V.conj().transpose(0, 2, 1)
     rho = state.rho

@@ -232,7 +232,7 @@ def _aklt_products(n):
     array, site 0 (x1) the most significant digit, as in the chain labels."""
     P = np.eye(2, dtype=complex)[None]
     for _ in range(n):
-        P = np.einsum("xab,ybc->xyac", P, aklt_kraus().stacked()).reshape(-1, 2, 2)
+        P = np.einsum("xab,ybc->xyac", P, aklt_kraus().v).reshape(-1, 2, 2)
     return P
 
 

@@ -87,6 +87,20 @@ def test_kraus_family_equality_is_identity():
     assert len({fam, aklt_kraus()}) == 2
 
 
+@pytest.mark.parametrize("form", [tuple, list, lambda m: (x for x in m), np.array],
+                         ids=["tuple", "list", "generator", "array"])
+def test_kraus_family_holds_one_read_only_array(form):
+    mats = np.arange(12.0).reshape(3, 2, 2)
+    fam = KrausFamily(form(list(mats)))
+    assert type(fam.v) is np.ndarray and fam.v.dtype == complex
+    assert fam.v.shape == (3, 2, 2) and (fam.d, fam.k) == (3, 2)
+    assert np.array_equal(fam.v, mats)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.v[0, 0, 0] = 1
+    mats[0, 0, 0] = 1
+    assert fam.v[0, 0, 0] == 0
+
+
 def test_fcs_state_equality_is_identity():
     st = aklt_state()
     assert st == st and st != aklt_state()
@@ -313,7 +327,7 @@ def _half_window_split(state, m):
     """W from two half-window factors: split at m1 = m // 2,
     W[(I1, I2), (J1, J2)] = tr((v_{J1}* rho v_{I1}) (v_{I2} v_{J2}*))."""
     d = state.d
-    V = state.kraus.stacked()
+    V = state.kraus.v
     m1 = m // 2
     L, R = _products(V, m1), _products(V, m - m1)
     X = np.matmul(L.conj().transpose(0, 2, 1)[None], (state.rho @ L)[:, None])

@@ -313,7 +313,7 @@ def _reference_correlations(st, A, B, n_max):
     """omega(A at 0, B at n) - omega(A) omega(B) for n = 1..n_max in plain
     coordinates: X = sum B_ce v_c v_e*, Z = sum A_ab v_b* rho v_a, and
     omega(A theta^n(B)) = tr(Z E^(n-1)(X)) with E(X) = sum_i v_i X v_i*."""
-    V = st.kraus.stacked()
+    V = st.kraus.v
     Vd = V.conj().transpose(0, 2, 1)
     X = np.einsum("ce,cab,ebd->ad", B, V, Vd)
     Z = np.einsum("ab,bij,jk,akl->il", A, Vd, st.rho, V)
@@ -670,7 +670,7 @@ def test_derived_states_get_their_own_memo():
 def _einsum_insertions(state, t, A, B):
     """The insertion vectors by the four- and three-operand einsum formulas
     that _insertions replaced with block products."""
-    V = state.kraus.stacked()
+    V = state.kraus.v
     rho = state.rho
     sigma_A = np.einsum("ij,jba,bc,icd->ad", A, V.conj(), rho, V, optimize=True)
     xB = np.einsum("ij,iab,jcb->ac", B, V, V.conj(), optimize=True)
