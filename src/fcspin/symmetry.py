@@ -265,12 +265,19 @@ _TWIST_CLUSTER = 1e-6
 _TWIST_GATE_SLACK = 16 * np.finfo(float).eps
 
 
+def _optimal_phase(M, targets):
+    """The phase lam = <M, V*> / |<M, V*>| minimizing
+    sum_i ||v_i* - lam m_i||_F^2 over |lam| = 1, or 1 where that inner
+    product vanishes."""
+    h = complex(np.vdot(M, targets))
+    return h / abs(h) if abs(h) > 1e-14 else 1.0 + 0j
+
+
 def _twist_residual(W, C, targets):
     """max_i ||v_i* - lam W c_i W*|| for a bond unitary W at its optimal
     phase lam, and lam."""
     M = W @ C @ W.conj().T
-    h = complex(np.vdot(M, targets))
-    lam = h / abs(h) if abs(h) > 1e-14 else 1.0 + 0j
+    lam = _optimal_phase(M, targets)
     return float(np.linalg.norm(targets - lam * M, 2, axis=(1, 2)).max()), lam
 
 
@@ -418,8 +425,18 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
 
     Each term of the sum is at most k defect^2, so every W and lam have
     defect >= sqrt(2 (1 - w) / d) >= sqrt(2 (1 - sigma_max(Q)) / d), and a
-    pass forces sigma_max(Q)^2 >= 1 - d tol^2.  One eigensolve of Q* Q
-    therefore picks the route:
+    pass forces sigma_max(Q)^2 >= 1 - d tol^2.
+
+    The closed form W = I is tried first, before Q is built, with lam =
+    <C, V*> / |<C, V*>|.  A residual <= tol forces ||V* - lam C||_F <=
+    sqrt(d k) tol, so the attempt is skipped above twice that; otherwise,
+    if the residual of I is at most tol, that is the pass, with gauge I,
+    lower_bound 0.0, grid_angles 0 and multiplicity None, since no
+    eigendecomposition was taken.  The relation is gauge-covariant (W moves
+    to G W G* under v -> G v G*), so covariant families pass here in every
+    bond gauge.  Every other family, including those whose W is no scalar
+    (the swap of two blocks), goes on to one eigensolve of Q* Q, which
+    picks the route:
 
     - pass attempt: when sigma_max allows a pass, it is tried first.  A
       unimodular eigenvalue mu of the contraction Q has an eigenvector x
@@ -442,13 +459,22 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
 
     status is "pass" for defect <= tol, "fail" for defect >= 1e-3, and
     "indeterminate" in between.  details holds the gauge W, the phase lam,
-    the multiplicity of the top eigenspace, lower_bound, a value no unitary
-    W and phase can beat, and grid_angles.
+    the multiplicity of the top eigenspace (None on the closed form),
+    lower_bound, a value no unitary W and phase can beat, and grid_angles.
     """
     _require_tol(tol)
     d, k = state.d, state.k
     V = state.kraus.v
     C = _twist_combination(state.kraus, TwistMatrix.of(twist, d).real_form)
+    targets = V.conj().transpose(0, 2, 1)
+    # W = I: max_i ||X_i||_2 <= tol forces ||X||_F <= sqrt(dk) tol, and the
+    # factor 2 absorbs rounding, so the screen never skips a pass
+    lam = _optimal_phase(C, targets)
+    if np.linalg.norm(targets - lam * C) <= 2 * np.sqrt(d * k) * tol:
+        eye = np.eye(k)
+        defect, lam = _twist_residual(eye, C, targets)
+        if defect <= tol:
+            return _twist_verdict(eye, defect, lam, None, 0.0, 0, tol)
     # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
     # sum_i tr(W* v_i W c_i) for row-major vec
     Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)

@@ -146,13 +146,15 @@ def gap(t, tol=1e-9):
 
     delta is the spectral radius of T_c: the largest eigenvalue modulus of
     T once the one eigenvalue nearest 1, that of the cyclic vector, is
-    removed.  For a degenerate fixed space delta is reported as 1 (no gap).
+    removed.  delta is reported as 1 (no gap) for a degenerate fixed space
+    and when another eigenvalue has modulus >= 1 - tol, as -1 of a periodic
+    state does: a gap within tol of 0 is not told apart from none.
     """
     _require_tol(tol)
     w = t.spectrum
     fixed_mult = int(np.sum(np.abs(w - 1.0) <= tol))
-    wc = np.delete(w, np.argmin(np.abs(w - 1.0)))
-    delta = 1.0 if fixed_mult > 1 else min(float(np.abs(wc).max(initial=0.0)), 1.0)
+    radius = float(np.abs(np.delete(w, np.argmin(np.abs(w - 1.0)))).max(initial=0.0))
+    delta = 1.0 if fixed_mult > 1 or radius >= 1 - tol else radius
     return GapReport(
         eigenvalues=_sort_eigs(w),
         delta=delta,

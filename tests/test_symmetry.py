@@ -788,10 +788,16 @@ def _direct_sums():
                          ids=["aklt+aklt", "aklt+aklt-gauge",
                               "cov+cov", "cov+cov-gauge"])
 def test_kraus_twist_direct_sums_pass(st):
-    v = check_kraus_twist_relation(st, _twist_for(st))
+    tw = _twist_for(st)
+    v = check_kraus_twist_relation(st, tw)
     assert v.passed
-    assert v.details["multiplicity"] > 1
-    W = v.details["gauge"]
+    assert np.array_equal(v.details["gauge"], np.eye(st.k))
+    # the eigen route, which the check skips here for the closed form, meets
+    # the degenerate top eigenspace of a direct sum and still passes
+    searched = _searched(st, tw)
+    assert searched.passed
+    assert searched.details["multiplicity"] > 1
+    W = searched.details["gauge"]
     assert np.abs(W @ W.conj().T - np.eye(st.k)).max() < 1e-12
 
 
@@ -877,6 +883,11 @@ def test_kraus_twist_bond_gauge_invariant(index, seed):
     assert moved.status == base.status
     assert abs(moved.defect - base.defect) <= 1e-9
     assert moved.details["lower_bound"] <= moved.defect
+    # W moves to G W G*, so the four covariant families keep their
+    # closed-form pass in every bond gauge
+    if index < 4:
+        assert base.details["multiplicity"] is moved.details["multiplicity"] is None
+        assert np.array_equal(moved.details["gauge"], np.eye(fam.k))
 
 
 def test_kraus_twist_bare_matrix_is_its_own_twist():
@@ -1276,11 +1287,33 @@ def test_kraus_twist_pass_agrees_with_grid_first(st):
 
 @pytest.mark.parametrize("st", PASS_FAMILIES, ids=PASS_IDS)
 def test_kraus_twist_covariant_pass_skips_the_grid(st, monkeypatch):
-    calls = _count_calls(monkeypatch, "eigvalsh")
+    # the closed form W = I passes before any eigensolve of Q
+    eigh = _count_calls(monkeypatch, "eigh")
+    eigvalsh = _count_calls(monkeypatch, "eigvalsh")
     v = check_kraus_twist_relation(st, _twist_for(st))
     assert v.passed
-    assert len(calls) <= 1
+    assert eigh == eigvalsh == []
+    assert np.array_equal(v.details["gauge"], np.eye(st.k))
+    assert v.details["multiplicity"] is None
+    assert v.details["lower_bound"] == 0.0
     assert v.details["grid_angles"] == 0
+
+
+@pytest.mark.parametrize("s, j", [(1, Fraction(1, 2)), (2, Fraction(3, 2)),
+                                  (2, Fraction(7, 2)), (3, 3)])
+def test_kraus_twist_closed_form_passes_at_its_own_residual(s, j):
+    # a tol just above the W = I residual passes by W = I: the screen on
+    # ||V* - lam C||_F allows for the sqrt(d k) between the Frobenius norm of
+    # the whole family and the largest spectral norm of one matrix
+    st = _perturbed_covariant(s, j, 1e-5, np.random.default_rng(23))
+    tw = _twist_for(st)
+    C = _twist_combination(st.kraus, tw.real_form)
+    residual = _twist_residual(np.eye(st.k), C, st.kraus.v.conj().transpose(0, 2, 1))[0]
+    assert 1e-7 < residual < 1e-3
+    v = check_kraus_twist_relation(st, tw, tol=residual * (1 + 1e-9))
+    assert v.passed and v.defect == residual
+    assert np.array_equal(v.details["gauge"], np.eye(st.k))
+    assert v.details["multiplicity"] is None
 
 
 def test_kraus_twist_random_negative_runs_the_grid(monkeypatch):

@@ -70,6 +70,23 @@ def test_direct_sum_identical_copies_degenerate():
     assert rep.delta == 1.0
 
 
+def test_periodic_family_has_no_gap_in_any_gauge():
+    # (sigma_x, i sigma_y) / sqrt 2 has the transfer eigenvalue -1: the state
+    # is periodic, and a Haar gauge rounds that eigenvalue's modulus to
+    # 1 - O(eps) or to 1.  Either way there is no gap to certify decay with.
+    fam = KrausFamily((np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2),
+                       np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2)))
+    st = fixed_point(fam)
+    rep = build_spin_rep(2)
+    tw = build_twist(rep)
+    rng = np.random.default_rng(7)
+    for gauged in [st] + [gauge_transform(st, _haar(2, rng)) for _ in range(39)]:
+        assert gap(build_transfer(gauged)).delta == 1.0
+        audit = theorem_audit(gauged, rep, tw)
+        decay = next(c for c in audit.conclusions if c.name == "exponential-decay")
+        assert decay.status == "fail" and decay.defect == audit.delta == 1.0
+
+
 def test_spectral_radius_and_fixed_eigenvalue():
     rng = np.random.default_rng(17)
     for _ in range(10):
