@@ -205,8 +205,7 @@ def cmd_demo_aklt(args):
     for row in cert.rows:
         print(f"{row.n},{_fmt(row.corr.real)},{_fmt(row.bound)}")
     # the modular operator is trivial by the audit's rule, to 10 tol
-    ok = (unital.passed and report.delta < 1.0
-          and md.delta_defect <= 10 * tol and cert.passed)
+    ok = unital.passed and md.delta_defect <= 10 * tol and cert.passed
     print(f"verdict {'pass' if ok else 'fail'}")
     return EXIT_PASS if ok else EXIT_FAIL
 

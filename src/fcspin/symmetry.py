@@ -249,19 +249,12 @@ def _twist_combination(kraus, r_real):
     return np.einsum("ji,jab->iab", r_real.astype(complex), kraus.v)
 
 
-# Points of the full-circle phase grid.  The numerical radius of Q lies
-# within pi / _TWIST_GRID of the grid maximum because ||Q|| <= 1; that slack
-# enters details["lower_bound"], and at 64 points it still certifies generic
-# families (numerical radius near 0.5-0.9) as failing.
-_TWIST_GRID = 64
-_TWIST_ASCENT_ROUNDS = 20
 # Eigenvalues of Re(e^{i theta} Q) this close to the top one span the top
 # eigenspace.  Two direct summands whose phases differ by phi give top
 # eigenvalues 1 and cos(2 phi) ~ 1 - 2 phi^2, and their joint gauge has defect
-# ~ phi, so 1e-6 groups summands up to a joint defect ~ 7e-4, below the 1e-3
-# fail threshold.
+# ~ phi, so 1e-6 groups summands up to a joint defect ~ 7e-4.
 _TWIST_CLUSTER = 1e-6
-# Rounding margin of the pass gate, per k^2 (see check_kraus_twist_relation).
+# Rounding charge on sigma_max(Q)^2, per k^2 (see check_kraus_twist_relation).
 _TWIST_GATE_SLACK = 16 * np.finfo(float).eps
 
 
@@ -287,55 +280,9 @@ def _hermitian_part(Q, theta):
     return (A + A.conj().T) / 2
 
 
-def _ascent_step(Q, theta, e, X):
-    """Step in theta toward a maximum of the top eigenvalue lam(theta) of
-    Re(e^{i theta} Q), read off its eigendecomposition (e, X) at theta.
-
-    With top vector x and z = e^{i theta} x* Q x, lam' = -Im z, and, as
-    H'' = -H for H'(theta) = Re(i e^{i theta} Q),
-
-        lam'' = -lam + 2 sum_{j != top} |x_j* H' x|^2 / (lam - lam_j).
-
-    Where lam'' < 0 the step is Newton's, -lam' / lam'', cut to at most one
-    grid spacing 2 pi / _TWIST_GRID: where lam'' nears 0 from below, as
-    next to an avoided crossing or at a flat maximum, the full step could
-    leave the basin of the grid maximum.  Elsewhere, as where two branches
-    cross (direct sums), it is the fixed-point step -arg z, which fits the
-    phase of x and never lowers lam.
-    """
-    x = X[:, -1]
-    Qx = Q @ x
-    u = np.exp(1j * theta)
-    z = u * np.vdot(x, Qx)
-    Hx = 0.5j * (u * Qx - u.conjugate() * (Q.conj().T @ x))  # H' x
-    g = X[:, :-1].conj().T @ Hx
-    # an exact crossing (lam_j = lam) gives inf or nan, hence the fallback
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        curvature = -e[-1] + 2 * np.sum(np.abs(g) ** 2 / (e[-1] - e[:-1]))
-    if curvature < 0:
-        spacing = 2 * np.pi / _TWIST_GRID
-        return min(max(z.imag / curvature, -spacing), spacing)
-    return -np.angle(z)
-
-
-def _twist_ascent(Q, theta, rounds):
-    """Eigendecomposition of Re(e^{i theta} Q) after at most `rounds` of
-    them, each followed by one _ascent_step from theta; the ascent stops
-    once a step is at most 1e-13."""
-    for n in range(rounds):
-        e, X = np.linalg.eigh(_hermitian_part(Q, theta))
-        if n + 1 == rounds:
-            break
-        step = _ascent_step(Q, theta, e, X)
-        if abs(step) <= 1e-13:
-            break
-        theta += step
-    return e, X
-
-
 def _twist_gauge(V, C, e, X, tol):
     """Gauge, defect, phase and top multiplicity from the eigendecomposition
-    (e, X) of Re(e^{i theta} Q) that the ascent ends at."""
+    (e, X) of Re(e^{i theta} Q)."""
     k = V.shape[1]
     targets = V.conj().transpose(0, 2, 1)
     top = X[:, e >= e[-1] - _TWIST_CLUSTER]
@@ -354,26 +301,13 @@ def _twist_gauge(V, C, e, X, tol):
     return W, defect, lam, multiplicity
 
 
-def _grid_maximum(Q):
-    """Largest top eigenvalue of Re(e^{i phi} Q) over the grid phi =
-    2 pi j / _TWIST_GRID, and the first phi reaching it.  One eigvalsh at
-    phi = pi n / half gives the top eigenvalue at phi, e[-1], and at
-    phi + pi, -e[0]; ties go to the first in loop order, each phi before
-    its phi + pi."""
-    half = _TWIST_GRID // 2
-    radius, theta = -np.inf, 0.0
-    for n in range(half):
-        e = np.linalg.eigvalsh(_hermitian_part(Q, np.pi * n / half))
-        for val, angle in ((e[-1], np.pi * n / half), (-e[0], np.pi * (n / half + 1))):
-            if val > radius:
-                radius, theta = val, angle
-    return radius, theta
-
-
-def _twist_verdict(W, defect, lam, multiplicity, lower_bound, grid_angles, tol):
+def _twist_verdict(W, defect, lam, multiplicity, lower_bound, tol):
+    """The verdict of the interval [lower_bound, defect]: pass when the
+    witness defect is finite and <= tol, indeterminate when it is finite and
+    above tol but the bound is <= tol, fail otherwise (a NaN defect too)."""
     if np.isfinite(defect) and defect <= tol:
         status = "pass"
-    elif np.isfinite(defect) and defect < 1e-3:
+    elif np.isfinite(defect) and lower_bound <= tol:
         status = "indeterminate"
     else:
         status = "fail"
@@ -381,22 +315,8 @@ def _twist_verdict(W, defect, lam, multiplicity, lower_bound, grid_angles, tol):
         name="twist-adjoint-relation", window=0, defect=defect, tol=tol,
         status=status, details={"gauge": W, "phase": lam,
                                 "multiplicity": multiplicity,
-                                "lower_bound": lower_bound,
-                                "grid_angles": grid_angles},
+                                "lower_bound": lower_bound},
     )
-
-
-def _twist_search(V, C, Q, tol):
-    """The grid route of check_kraus_twist_relation: the maximum of the
-    numerical range of Q over all _TWIST_GRID directions, the ascent from it
-    and the gauge it ends at, with the grid's lower_bound."""
-    d = V.shape[0]
-    radius, theta = _grid_maximum(Q)
-    lower_bound = float(np.sqrt(max(0.0, 2 * (1 - radius - np.pi / _TWIST_GRID) / d)))
-    e, X = _twist_ascent(Q, theta, _TWIST_ASCENT_ROUNDS)
-    W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)
-    return _twist_verdict(W, defect, lam, multiplicity, lower_bound,
-                          _TWIST_GRID // 2, tol)
 
 
 def check_kraus_twist_relation(state, twist, tol=1e-8):
@@ -409,58 +329,41 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
 
         sum_i ||v_i* W - lam W c_i||_F^2 = 2k - 2 Re(lam <vec W, Q vec W>),
 
-    with Q = sum_i v_i (x) c_i^T, a k^2 x k^2 matrix of norm <= 1.  The best
-    pair is therefore the top eigenvector of Re(e^{i theta} Q) at the theta
-    maximizing its top eigenvalue (the numerical radius w of Q), found by
-    an ascent of at most _TWIST_ASCENT_ROUNDS eigendecompositions, each
-    followed by a Newton step on theta read off it, cut to one grid
-    spacing, or by the fixed-point step to the optimal phase of the top
-    vector where the top eigenvalue is not concave (_ascent_step).  The top
-    eigenvector of the last eigendecomposition, reshaped to k x k and
-    polar-projected, is W; when the top eigenspace is degenerate
-    (non-injective families) a fixed combination of it is projected instead,
-    followed by one polar step if that still misses tol.  The defect is the
-    residual of that unitary W at its optimal phase, so a pass never rests
-    on an eigenvalue estimate.
+    with Q = sum_i v_i (x) c_i^T, a k^2 x k^2 matrix of norm <= 1.  Each
+    term of the sum is at most k defect^2, so every W and lam have defect
+    >= sqrt(2 (1 - sigma_max(Q)) / d).
 
-    Each term of the sum is at most k defect^2, so every W and lam have
-    defect >= sqrt(2 (1 - w) / d) >= sqrt(2 (1 - sigma_max(Q)) / d), and a
-    pass forces sigma_max(Q)^2 >= 1 - d tol^2.
+    Two routes decide it:
 
-    The closed form W = I is tried first, before Q is built, with lam =
-    <C, V*> / |<C, V*>|.  A residual <= tol forces ||V* - lam C||_F <=
-    sqrt(d k) tol, so the attempt is skipped above twice that; otherwise,
-    if the residual of I is at most tol, that is the pass, with gauge I,
-    lower_bound 0.0, grid_angles 0 and multiplicity None, since no
-    eigendecomposition was taken.  The relation is gauge-covariant (W moves
-    to G W G* under v -> G v G*), so covariant families pass here in every
-    bond gauge.  Every other family, including those whose W is no scalar
-    (the swap of two blocks), goes on to one eigensolve of Q* Q, which
-    picks the route:
+    - closed form: W = I is tried first, before Q is built, with lam =
+      <C, V*> / |<C, V*>|.  A residual <= tol forces ||V* - lam C||_F <=
+      sqrt(d k) tol, so the attempt is skipped above twice that; otherwise,
+      if the residual of I is at most tol, that is the pass, with gauge I,
+      lower_bound 0.0 and multiplicity None, since no eigendecomposition
+      was taken.  The relation is gauge-covariant (W moves to G W G* under
+      v -> G v G*), so covariant families pass here in every bond gauge.
+    - witness and bound: every other family, including those whose W is no
+      scalar (the swap of two blocks), takes one eigendecomposition of
+      Q* Q.  Its top eigenvalue gives lower_bound = sqrt(2 (1 - sigma') / d),
+      with sigma' = sqrt(sigma_max^2 + _TWIST_GATE_SLACK k^2) charged the
+      eigensolve's rounding.  Its top eigenvector x gives the phase theta =
+      -arg(x* Q x): a unimodular eigenvalue mu of the contraction Q has an
+      eigenvector with Q* x = conj(mu) x, a top singular vector, so at a
+      pass the top eigenvector of Re(e^{i theta} Q) is the optimal vec W.
+      That one eigendecomposition, reshaped to k x k and polar-projected,
+      is the witness W; when the top eigenspace is degenerate (direct sums)
+      a fixed combination of it is projected instead, followed by one polar
+      step if that still misses tol.  The defect is the residual of that
+      unitary W at its optimal phase, so a pass never rests on an
+      eigenvalue estimate.
 
-    - pass attempt: when sigma_max allows a pass, it is tried first.  A
-      unimodular eigenvalue mu of the contraction Q has an eigenvector x
-      with Q* x = conj(mu) x, a top singular vector, so W is read off one
-      eigendecomposition, with no step, at the phase -arg(x* Q x) of the
-      top eigenvector x of Q* Q.  A pass reports lower_bound 0.0 and
-      grid_angles 0.
-    - sigma route: when the bound sqrt(2 (1 - sigma') / d), with sigma' =
-      sqrt(sigma_max^2 + _TWIST_GATE_SLACK k^2) charged the gate's
-      rounding, is at least 1e-3 and above tol, no W and phase can pass or
-      be indeterminate.  The same one-eigendecomposition attempt is the
-      witness of the fail, lower_bound is that sigma bound, grid_angles is
-      0, and neither the grid nor the ascent runs.
-    - grid route (_twist_search): otherwise, or when the pass attempt
-      misses tol, all 32 angles of a 64-point phase grid are diagonalized
-      to locate w and the ascent runs from the grid maximum.  grid_angles
-      is 32, and lower_bound is sqrt(2 (1 - w') / d), with w' = grid
-      maximum + pi / 64 an upper bound on w; it is 0.0 whenever
-      w cos(pi / 64) >= 1 - pi / 64, as at every pass with d tol^2 <= 0.09.
-
-    status is "pass" for defect <= tol, "fail" for defect >= 1e-3, and
-    "indeterminate" in between.  details holds the gauge W, the phase lam,
-    the multiplicity of the top eigenspace (None on the closed form),
-    lower_bound, a value no unitary W and phase can beat, and grid_angles.
+    The status comes from the interval [lower_bound, defect]: "pass" when
+    the defect is finite and <= tol, "indeterminate" when it is finite and
+    above tol while lower_bound <= tol, and "fail" otherwise, so every fail
+    of a finite defect is certified by lower_bound > tol and a NaN defect
+    fails.  details holds the gauge W, the phase lam, the multiplicity of
+    the top eigenspace (None on the closed form) and lower_bound, a value no
+    unitary W and phase can beat.
     """
     _require_tol(tol)
     d, k = state.d, state.k
@@ -474,27 +377,19 @@ def check_kraus_twist_relation(state, twist, tol=1e-8):
         eye = np.eye(k)
         defect, lam = _twist_residual(eye, C, targets)
         if defect <= tol:
-            return _twist_verdict(eye, defect, lam, None, 0.0, 0, tol)
+            return _twist_verdict(eye, defect, lam, None, 0.0, tol)
     # Q[(b, a), (c, e)] = sum_i v_i[b, c] c_i[e, a], so <vec W, Q vec W> =
     # sum_i tr(W* v_i W c_i) for row-major vec
     Q = np.einsum("ibc,iea->bace", V, C).reshape(k * k, k * k)
-
     # The eigenvalues of Q* Q (norm <= 1) carry a backward error of a small
-    # multiple of k^2 eps, so the gate gives way by _TWIST_GATE_SLACK k^2:
-    # a family that can pass is never routed around the pass attempt.  The
-    # sigma bound is charged the same slack.
+    # multiple of k^2 eps, which the bound is charged as _TWIST_GATE_SLACK k^2
     s, X = np.linalg.eigh(Q.conj().T @ Q)
     sigma = np.sqrt(s[-1] + _TWIST_GATE_SLACK * k * k)
     lower_bound = float(np.sqrt(max(0.0, 2 * (1 - sigma) / d)))
-    certified = lower_bound >= 1e-3 and lower_bound > tol
-    if certified or s[-1] >= 1 - d * tol ** 2 - _TWIST_GATE_SLACK * k * k:
-        x = X[:, -1]
-        e, X = _twist_ascent(Q, -np.angle(np.vdot(x, Q @ x)), 1)
-        W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)
-        if certified or defect <= tol:
-            return _twist_verdict(W, defect, lam, multiplicity,
-                                  lower_bound if certified else 0.0, 0, tol)
-    return _twist_search(V, C, Q, tol)
+    x = X[:, -1]
+    e, X = np.linalg.eigh(_hermitian_part(Q, -np.angle(np.vdot(x, Q @ x))))
+    W, defect, lam, multiplicity = _twist_gauge(V, C, e, X, tol)
+    return _twist_verdict(W, defect, lam, multiplicity, lower_bound, tol)
 
 
 def find_intertwiner(state, rep, tol=1e-8):
@@ -543,9 +438,11 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
     relation, and exponential decay of two-point correlations.  Each carries
     the threshold it is decided against as its tol: 10 tol for the modular
     and self-adjointness defects, 1 for the fixed multiplicity (at least 1).
-    Decay passes when its certificate does and delta < 1, with the
-    certificate's reason in details["reason"].  Clause order is fixed for
-    stable output.
+    Decay passes when its certificate does, which needs delta < 1, with the
+    certificate's reason in details["reason"].  The twisted-adjoint clause
+    is check_kraus_twist_relation's verdict, "indeterminate" where its
+    witness misses tol but its lower bound does not exceed it.  Clause order
+    is fixed for stable output.
     """
     _require_tol(tol)
     if windows < 1:
@@ -563,7 +460,7 @@ def theorem_audit(state, rep, twist, windows=2, tol=1e-8):
         _verdict("transfer-selfadjoint", 0, cert.gap.selfadjoint_defect, 10 * tol),
         check_kraus_twist_relation(state, twist, tol),
         SymmetryVerdict("exponential-decay", 0, cert.delta, tol,
-                        "pass" if cert.passed and cert.delta < 1.0 else "fail",
+                        cert.verdict,
                         {"reason": cert.reason}),
     )
     return AuditReport((real, lattice, rp, su2), conclusions, cert.delta)

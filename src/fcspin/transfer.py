@@ -257,7 +257,8 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
     the GNS inner product (Kadison-Schwarz), also where no Stein solution
     exists.  tol bounds both the distance of a fixed eigenvalue from 1 and
     the self-adjoint defect ||T - T*|| that counts as self-adjoint.  A
-    degenerate fixed space or a non-finite row refuses a pass.
+    degenerate fixed space, a gap reported as delta = 1 or a non-finite row
+    refuses a pass.
     """
     _require_tol(tol)
     if n_max < 1:
@@ -279,10 +280,13 @@ def decay_certificate(state, A, B, n_max, tol=1e-9):
     slack = 1e-12 * max(1.0, scale)
     violations = [r.n for r in rows
                   if not (math.isfinite(r.bound) and abs(r.corr) <= r.bound + slack)]
-    beta_max = -math.log(rep.delta) if rep.delta > 0 else math.inf
+    # 0.0 - log, not -log: no gap prints beta_max 0.0, not -0.0
+    beta_max = 0.0 - math.log(rep.delta) if rep.delta > 0 else math.inf
 
     if rep.fixed_multiplicity > 1:
         verdict, reason = "fail", "degenerate fixed space: correlations need not decay"
+    elif rep.delta >= 1.0:
+        verdict, reason = "fail", "no spectral gap: correlations need not decay"
     elif violations:
         verdict, reason = "fail", f"bound violated at n = {violations}"
     else:

@@ -253,6 +253,18 @@ def test_correlate_tol_reaches_certificate(dephasing_file, capsys):
     assert foot["verdict"] == "pass"
 
 
+def test_correlate_without_a_gap_fails(tmp_path, capsys):
+    # (sigma_x, i sigma_y) / sqrt 2 is periodic: delta = 1 and no decay rate
+    fam = KrausFamily((np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2),
+                       np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2)))
+    path = tmp_path / "periodic.kraus"
+    path.write_text(write_kraus(fam, rho=np.eye(2) / 2))
+    assert main(["correlate", str(path), "--n-max", "4"]) == 1
+    foot = _footer(capsys.readouterr().out)
+    assert foot["delta"] == "1.0" and foot["beta_max"] == "0.0"
+    assert foot["verdict"] == "fail"
+
+
 def test_ed_xxx(capsys):
     assert main(["ed", "--model", "xxx", "--d", "3", "--n", "6"]) == 0
     out = capsys.readouterr().out

@@ -87,6 +87,22 @@ def test_periodic_family_has_no_gap_in_any_gauge():
         assert decay.status == "fail" and decay.defect == audit.delta == 1.0
 
 
+def test_decay_certificate_refuses_without_a_gap():
+    # the periodic family above: delta = 1 in every gauge, so no rate bounds
+    # the correlations and the certificate itself refuses, whatever its rows
+    fam = KrausFamily((np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2),
+                       np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2)))
+    st = fixed_point(fam)
+    Sz = build_spin_rep(2).Sz
+    rng = np.random.default_rng(7)
+    for gauged in [st] + [gauge_transform(st, _haar(2, rng)) for _ in range(39)]:
+        cert = decay_certificate(gauged, Sz, Sz, 6)
+        assert cert.gap.fixed_multiplicity == 1 and cert.delta == 1.0
+        assert cert.verdict == "fail"
+        assert cert.reason == "no spectral gap: correlations need not decay"
+        assert math.copysign(1.0, cert.beta_max) == 1.0 and cert.beta_max == 0.0
+
+
 def test_spectral_radius_and_fixed_eigenvalue():
     rng = np.random.default_rng(17)
     for _ in range(10):
