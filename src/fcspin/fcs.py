@@ -9,7 +9,6 @@ tensor W[I, J] = trace(rho v_{i1}..v_{im} v*_{jm}..v*_{j1}).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,27 +24,14 @@ __all__ = [
     "fixed_point",
     "window_expectations",
     "modular_data",
-    "max_window_entries",
+    "MAX_WINDOW_ENTRIES",
     "MAX_WINDOW_LEN",
 ]
 
+# Size cap, in entries, of a window tensor and of the bond-space factor of
+# the reflection-positivity Gram form; both are read at call time.
+MAX_WINDOW_ENTRIES = 4_000_000
 MAX_WINDOW_LEN = 12
-
-
-def max_window_entries():
-    """Size cap, in entries, for window tensors and for the bond-space factor
-    of the reflection-positivity Gram form; overridable via FCS_MAX_DIM.
-
-    Raises ValueError naming the variable unless it is a positive integer.
-    """
-    value = os.environ.get("FCS_MAX_DIM", "4000000")
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"FCS_MAX_DIM must be a positive integer, got {value!r}")
-    return cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,15 +248,17 @@ def window_expectations(state, m):
 
     W[I, J] = tr(v_J* rho v_I) = <vec v_J, vec(rho v_I)> over bond space
     (Fannes-Nachtergaele-Werner), so with the d^m products v_I as the rows
-    of a d^m x k^2 matrix P, W = (rho P) P*.  Memory is O(d^m k^2 + d^(2m)).
+    of a d^m x k^2 matrix P, W = (rho P) P*, Hermitian when rho is.  Memory
+    is O(d^m k^2 + d^(2m)); a window over MAX_WINDOW_LEN sites or
+    MAX_WINDOW_ENTRIES entries is refused.
     """
     d, k = state.d, state.k
     if m < 1:
         raise ValueError("window length must be >= 1")
-    if m > MAX_WINDOW_LEN or (d ** m) ** 2 > max_window_entries():
+    if m > MAX_WINDOW_LEN or (d ** m) ** 2 > MAX_WINDOW_ENTRIES:
         raise ResourceLimitError(
-            f"window of length {m} at d={d} exceeds the configured cap"
-        )
+            f"window of length {m} at d={d} exceeds the cap of "
+            f"{MAX_WINDOW_LEN} sites or {MAX_WINDOW_ENTRIES} entries")
     P = _products(state.kraus.v, m)
     rho_P = (state.rho @ P).reshape(d ** m, k * k)
     return rho_P @ P.reshape(d ** m, k * k).conj().T

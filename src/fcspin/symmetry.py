@@ -10,8 +10,9 @@ relation of the Kraus family, and existence of a covariance intertwiner.
 
 The windowed checks share one sweep that builds each d^l x d^l window
 tensor once and applies one-site matrices (a rotation generator, the twist
-r0) at each row and column site of its (d,)*2l view; the site reversal is
-one transpose of that view, so no operator on the whole window is formed.
+r0) at the row sites of its (d,)*2l view only; the site reversal is one
+transpose of that view, so no operator on the whole window is formed.  A
+column side is read as the row side of the conjugate transpose.
 Reflection positivity reads no window: its Gram form is factored through
 bond space and decided in real arithmetic, in orthonormal Hermitian bases.
 A negative window length is refused; length 0 is the vacuous pass.
@@ -24,9 +25,10 @@ from functools import partial
 
 import numpy as np
 
+from . import fcs
 from .errors import ResourceLimitError, _require_tol
 from .fcs import (SymmetryVerdict, _hermitian_coordinates, _products, _verdict,
-                  max_window_entries, modular_data, window_expectations)
+                  modular_data, window_expectations)
 from .su2 import TwistMatrix
 from .transfer import decay_certificate
 
@@ -65,7 +67,7 @@ class AuditReport:
 
 
 def _at_site(W, op, p):
-    """W with the d x d matrix op applied at axis p of its (d,)*n view:
+    """W with the d x d matrix op applied at row site p of its (d,)*2l view:
     W'[.., i, ..] = sum_x op[x, i] W[.., x, ..], one batched matmul."""
     d = op.shape[0]
     return np.matmul(op.T, W.reshape(d ** p, d, -1)).reshape(W.shape)
@@ -101,20 +103,22 @@ def _real_defects(W, length):
 
 
 def _lattice_defects(r0, W, length):
+    # T -> (R^T T)* twice gives R^T W conj(R)
     T = W
-    for p in range(length):
-        T = _at_site(_at_site(T, r0, p), r0.conj(), length + p)
-    mirror = [*range(length - 1, -1, -1), *range(2 * length - 1, length - 1, -1)]
-    T = T.reshape((len(r0),) * 2 * length).transpose(mirror).reshape(W.shape)
+    for _ in range(2):
+        for p in range(length):
+            T = _at_site(T, r0, p)
+        T = T.reshape((len(r0),) * length + (-1,)).transpose(
+            *range(length - 1, -1, -1), length).reshape(W.shape).conj().T
     return {length: float(np.abs(T - W).max())}
 
 
 def _su2_defects(rep, W, length):
+    # W is Hermitian, so W conj(A) = (A^T W)*
     found = {}
     for label, S in zip("xyz", rep.generators()):
-        C = sum(_at_site(W, S, p) - _at_site(W, S.conj(), length + p)
-                for p in range(length))
-        found[(length, label)] = float(np.abs(C).max())
+        X = sum(_at_site(W, S, p) for p in range(length))
+        found[(length, label)] = float(np.abs(X - X.conj().T).max())
     return found
 
 
@@ -128,10 +132,10 @@ def check_real(state, m, tol=1e-9):
 def check_lattice_twist(state, twist, m, tol=1e-9):
     """Invariance under site reversal about a bond with a per-site twist.
 
-    For each length l <= m the defect is |W' - W|_max, where W' applies
-    r0^T to every row site and r0^* to every column site of the window
-    tensor W, one site at a time, and then reverses the order of the row
-    sites and of the column sites, one transpose of the (d,)*2l view.
+    For each length l <= m the defect is |R^T W conj(R) - W|_max, with R
+    the site reversal followed by r0 on every site.  R^T X applies r0^T at
+    every row site of X, one site at a time, and reverses the row sites by
+    one transpose; R^T W conj(R) = (R^T (R^T W)*)* takes that pass twice.
     """
     _require_tol(tol)
     _require_window(m)
@@ -196,11 +200,10 @@ def check_reflection_positive(state, twist, m, tol=1e-9):
     r0 = TwistMatrix.of(twist, state.d).r0
     d, k = state.d, state.k
     D = d ** m
-    if D * D * k * k > max_window_entries():
+    if D * D * k * k > fcs.MAX_WINDOW_ENTRIES:
         raise ResourceLimitError(
-            f"reflection-positivity Gram at window {m}, d={d}, k={k} exceeds "
-            "the configured cap"
-        )
+            f"reflection-positivity Gram at window {m}, d={d}, k={k} has "
+            f"{D * D * k * k} entries, over the cap of {fcs.MAX_WINDOW_ENTRIES}")
     V = state.kraus.v
     M = _products(np.einsum("ib,iqp->bpq", r0.conj(), V), m).transpose(0, 2, 1)
     L = _products(V, m)
@@ -223,14 +226,15 @@ def check_su2(state, rep, m, *, tol=1e-8):
     """Rotation invariance of the windows of length <= m.
 
     For each length and axis a, the defect is |A_a^T W - W conj(A_a)|_max,
-    with A_a the sum of the one-site generators S_a over the window: S_a^T
-    applied to each row site of W minus S_a^* applied to each column site,
-    one site at a time.  This is
-    the Lie-algebra form of u(g)^T W conj(u(g)) = W for the product action
-    u(g) = exp(i theta.S) on every site; SU(2) is connected, so a zero
-    defect certifies invariance under every rotation, not only sampled ones.
-    The entries of W are expectations of matrix units, so |W| <= 1 and the
-    defect is absolute.
+    with A_a the sum of the one-site generators S_a over the window.  It is
+    read as |X - X*|_max, X = A_a^T W the sum of S_a^T applied at each row
+    site: 3 l site passes at length l.  Precondition: W is Hermitian, so
+    that W conj(A_a) = X*, as it is whenever rho is (W[I, J] =
+    tr(v_J* rho v_I)).  This is the Lie-algebra form of u(g)^T W conj(u(g))
+    = W for the product action u(g) = exp(i theta.S) on every site; SU(2)
+    is connected, so a zero defect certifies invariance under every
+    rotation, not only sampled ones.  The entries of W are expectations of
+    matrix units, so |W| <= 1 and the defect is absolute.
     """
     _require_tol(tol)
     _require_window(m)

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fcspin import chains, cli
+from fcspin import chains, cli, fcs
 from fcspin.cli import main
 from fcspin.fcs import KrausFamily
 from fcspin.krausfile import dump_state, write_kraus
@@ -93,12 +93,6 @@ def test_unreadable_path_is_a_usage_error(command, tmp_path, capsys):
     assert out.err.startswith("error:")
 
 
-def test_audit_invalid_max_dim(monkeypatch, capsys):
-    monkeypatch.setenv("FCS_MAX_DIM", "abc")
-    assert main(["audit", "@aklt"]) == 2
-    assert "FCS_MAX_DIM" in capsys.readouterr().err
-
-
 def test_audit_d7_covariant_passes_at_defaults(tmp_path, capsys):
     # the length-4 window of d = 7 has 7^8 entries, above the default cap;
     # the bond-space RP Gram never builds it
@@ -108,10 +102,33 @@ def test_audit_d7_covariant_passes_at_defaults(tmp_path, capsys):
     assert "overall pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("window, code", [(3, 0), (4, 4)])
+def test_audit_d7_covariant_window_cap(window, code, tmp_path, capsys):
+    # at the default cap the length-3 window fits (7^6 entries), length 4 not
+    path = tmp_path / "cov-s3-j3_2.kraus"
+    path.write_text(dump_state(covariant_state(3, Fraction(3, 2)), name="cov"))
+    assert main(["audit", str(path), "--window", str(window)]) == code
+    out = capsys.readouterr()
+    if code == 0:
+        assert out.out.splitlines()[-1] == "overall pass"
+    else:
+        assert "cap of 12 sites or 4000000 entries" in out.err
+
+
 def test_audit_refused_by_max_dim(monkeypatch, capsys):
-    monkeypatch.setenv("FCS_MAX_DIM", "100")
+    monkeypatch.setattr(fcs, "MAX_WINDOW_ENTRIES", 100)
     assert main(["audit", "@aklt"]) == 4
-    assert "refused" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "refused" in err
+    assert "cap of 100" in err
+
+
+@pytest.mark.parametrize("value", ["100", "1", "abc"])
+def test_audit_ignores_the_environment_for_its_cap(value, monkeypatch, capsys):
+    # the window cap is a module constant; no environment variable moves it
+    monkeypatch.setenv("FCS_MAX_DIM", value)
+    assert main(["audit", "@aklt"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall pass"
 
 
 def test_audit_deterministic(capsys):

@@ -24,6 +24,7 @@ from fcspin import (
     random_fcs_state,
     random_unital_kraus,
 )
+from fcspin import fcs
 from fcspin.chains import build_chain, gibbs, rp_gram_check
 from fcspin.errors import ResourceLimitError
 from fcspin.fcs import (
@@ -31,7 +32,6 @@ from fcspin.fcs import (
     _hermitian_transfer,
     _products,
     fixed_point,
-    max_window_entries,
     modular_data,
     validate,
     window_expectations,
@@ -367,21 +367,20 @@ def test_window_expectations_memory():
     assert peak < 64e6
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
-def test_max_window_entries_invalid(value, monkeypatch):
-    monkeypatch.setenv("FCS_MAX_DIM", value)
-    with pytest.raises(ValueError, match="FCS_MAX_DIM"):
-        max_window_entries()
-    with pytest.raises(ValueError, match="FCS_MAX_DIM"):
-        window_expectations(aklt_state(), 1)
-
-
 def test_max_window_entries_override(monkeypatch):
-    monkeypatch.setenv("FCS_MAX_DIM", "81")  # 3^4 entries: window 2 fits
-    assert max_window_entries() == 81
+    monkeypatch.setattr(fcs, "MAX_WINDOW_ENTRIES", 81)  # 3^4 entries: window 2 fits
     assert window_expectations(aklt_state(), 2).shape == (9, 9)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="cap of 12 sites or 81 entries"):
         window_expectations(aklt_state(), 3)
+
+
+def test_default_window_cap_refuses_d7_length_4():
+    # 7^8 = 5764801 entries, over the default 4000000; length 3 fits
+    st = covariant_state(3, Fraction(7, 2))
+    assert fcs.MAX_WINDOW_ENTRIES == 4_000_000
+    assert window_expectations(st, 3).shape == (343, 343)
+    with pytest.raises(ResourceLimitError, match="cap of 12 sites or 4000000 entries"):
+        window_expectations(st, 4)
 
 
 def test_modular_data_aklt_trivial():

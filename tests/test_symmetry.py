@@ -196,9 +196,17 @@ def test_reflection_positive_product_with_fixed_vector(twist3):
 def test_reflection_positive_refused_by_window_cap(aklt, twist3, monkeypatch):
     # the bond-space factor A has D^2 k^2 = 81 * 4 = 324 entries at m = 2,
     # above a cap of 100
-    monkeypatch.setenv("FCS_MAX_DIM", "100")
-    with pytest.raises(ResourceLimitError):
+    monkeypatch.setattr(fcs, "MAX_WINDOW_ENTRIES", 100)
+    with pytest.raises(ResourceLimitError, match="324 entries, over the cap of 100"):
         check_reflection_positive(aklt, twist3, 2)
+
+
+def test_reflection_positive_default_cap_refuses_d7_k8_length_3():
+    # A has 7^6 * 8^2 = 7529536 entries at m = 3, over the default 4000000
+    st = covariant_state(3, Fraction(7, 2))
+    assert st.k == 8
+    with pytest.raises(ResourceLimitError, match="over the cap of 4000000"):
+        check_reflection_positive(st, _twist_for(st), 3)
 
 
 def test_su2_aklt(aklt, rep3):
@@ -349,6 +357,36 @@ def test_site_wise_checks_match_dense_reference_d7(gauge):
     _assert_details_match(check_su2(st, rep, 3).details, _dense_su2_details(st, rep, 3))
     _assert_details_match(check_lattice_twist(st, r0, 3).details,
                           _dense_lattice_twist_details(st, r0, 3))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", list(_ORACLE_FAMILIES))
+def test_windowed_checks_act_at_row_sites_only(family, m, monkeypatch):
+    st = _ORACLE_FAMILIES[family]()
+    rep = build_spin_rep(st.d)
+    r0 = build_twist(rep).r0
+    calls = []
+    at_site = symmetry._at_site
+
+    def spy(W, op, p):
+        length = round(np.log(W.shape[0]) / np.log(st.d))
+        assert W.shape == (st.d ** length,) * 2
+        calls.append((length, p))
+        return at_site(W, op, p)
+
+    monkeypatch.setattr(symmetry, "_at_site", spy)
+    check_su2(st, rep, m)
+    # 3 axes, one pass per row site, at each length
+    assert sorted(calls) == sorted((l, p) for l in range(1, m + 1)
+                                   for p in range(l) for _ in range(3))
+    calls.clear()
+    check_lattice_twist(st, r0, m)
+    assert sorted(calls) == sorted((l, p) for l in range(1, m + 1)
+                                   for p in range(l) for _ in range(2))
+    calls.clear()
+    theorem_audit(st, rep, r0, windows=m)
+    assert len(calls) == 5 * m * (m + 1) // 2
+    assert all(p < length for length, p in calls)
 
 
 @pytest.mark.parametrize("family", list(_ORACLE_FAMILIES))
