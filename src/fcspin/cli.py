@@ -157,6 +157,12 @@ def cmd_spectrum(args):
 
 
 def cmd_ed(args):
+    # the library refuses both too, but only after the chain is solved
+    if args.rp and args.n % 2 != 0:
+        raise ValueError(
+            "reflection about the central bond needs an even chain")
+    if args.r_max is not None and args.r_max >= args.n:
+        raise ValueError("r_max must be smaller than the number of sites")
     system = build_chain(args.d, args.n, args.J, not args.open, args.model)
     rep = ground(system)
     if args.beta is not None or args.rp:

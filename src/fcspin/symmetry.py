@@ -144,19 +144,24 @@ def check_lattice_twist(state, twist, m, tol=1e-9):
                      [("lattice-twist", partial(_lattice_defects, r0))])[0]
 
 
-def _rp_gram_verdict(blocks, m, tol, zero_mode):
+def _rp_gram_verdict(blocks, m, tol, zero_mode, counts=None):
     """Reflection-positivity verdict of a square Gram matrix C, given as
     the list of its diagonal blocks (C is zero off them).
 
     C is the Gram form itself or its compression to a subspace holding the
     range of both G and G*; zero_mode says that the complement is nonzero,
-    so 0 is also an eigenvalue of the hermitized form.  The verdict requires
-    the hermitized matrix, hermitized block by block, to have smallest
-    eigenvalue >= -tol and the Frobenius norm of C - C* to be at most
-    100 tol.
+    so 0 is also an eigenvalue of the hermitized form.  counts, one per
+    block (1 by default), is how many diagonal blocks of C each stands
+    for: a block standing for two is a similar copy of the other, so it is
+    diagonalized once and counted twice in |C - C*|_F.  The verdict
+    requires the hermitized matrix, hermitized block by block, to have
+    smallest eigenvalue >= -tol and the Frobenius norm of C - C* to be at
+    most 100 tol.
     """
+    counts = [1] * len(blocks) if counts is None else counts
     herm_defect = float(np.sqrt(sum(
-        np.linalg.norm(B - B.conj().T) ** 2 for B in blocks)))
+        c * np.linalg.norm(B - B.conj().T) ** 2
+        for B, c in zip(blocks, counts))))
     min_eig = min(float(np.linalg.eigvalsh((B + B.conj().T) / 2).min())
                   for B in blocks)
     if zero_mode:

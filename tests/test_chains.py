@@ -416,15 +416,20 @@ def _reflect_twist_matrix(r0, m):
     return _kron_power(r0, m)[:, _site_reversal_perm(d, m)]
 
 
-def _rp_reference(system, rho, r0):
-    """Reference min eigenvalue and Hermiticity defect of the Gram matrix,
-    contracted from the density matrix itself rather than from the window
-    tensor rho.T that rp_gram_check shares with check_reflection_positive."""
+def _dense_gram(system, rho, r0):
+    """The Gram matrix, contracted from the density matrix itself rather
+    than from the window tensor rho.T that rp_gram_check shares with
+    check_reflection_positive."""
     m = system.n // 2
     D = system.d ** m
     Rr = _reflect_twist_matrix(r0, m)
-    G = np.einsum("ma,lb,lymx->abxy", Rr.conj(), Rr, rho.reshape(D, D, D, D),
-                  optimize=True).reshape(D * D, D * D)
+    return np.einsum("ma,lb,lymx->abxy", Rr.conj(), Rr, rho.reshape(D, D, D, D),
+                     optimize=True).reshape(D * D, D * D)
+
+
+def _rp_reference(system, rho, r0):
+    """Reference min eigenvalue and Hermiticity defect of the Gram matrix."""
+    G = _dense_gram(system, rho, r0)
     herm_defect = float(np.linalg.norm(G - G.conj().T))
     return float(np.linalg.eigvalsh((G + G.conj().T) / 2).min()), herm_defect
 
@@ -469,6 +474,163 @@ def test_rp_gram_matches_density_matrix_contraction(d, kind, generic):
     assert v.passed == (max(0.0, -min_eig) <= 1e-9 and herm_defect <= 1e-7)
     if not generic:
         assert v.passed == (kind in ("thermal", "open", "pure"))
+
+
+def _gram_components(G):
+    """The connected components of G's pattern: their number, each node's
+    component, and the component that the node flip P(a, b) =
+    (D-1-a, D-1-b) maps each one onto."""
+    count, comp = sp.csgraph.connected_components(sp.csr_matrix(G != 0),
+                                                  directed=False)
+    image = comp[::-1]  # the component of P of each node
+    partner = np.array([image[comp == c][0] for c in range(count)])
+    assert all((image[comp == c] == partner[c]).all() for c in range(count))
+    return count, comp, partner
+
+
+@pytest.mark.parametrize("d, n, periodic", [
+    (2, 4, True), (2, 6, True), (2, 8, True), (3, 4, True), (3, 6, True),
+    (2, 6, False)])
+def test_rp_gram_components_left_out_have_their_partners_spectra(d, n,
+                                                                periodic):
+    # of two Gram components that P exchanges, rp_gram_check diagonalizes
+    # one; the other's dense block, from the contraction of rho itself, has
+    # the same spectrum
+    system = build_chain(d, n, periodic=periodic)
+    state = gibbs(system, 0.9)
+    r0 = build_twist(build_spin_rep(d)).r0
+    G = _dense_gram(system, _dense_rho(system, state), r0)
+    count, comp, partner = _gram_components(G)
+    v = rp_gram_check(system, state, r0)
+    assert v.details["components"] == count
+    assert v.details["decided"] == np.sum(partner >= np.arange(count)) < count
+    assert 0.0 <= v.details["flip_defect"] <= 16 * np.finfo(float).eps
+    H = (G + G.conj().T) / 2
+    for c in np.flatnonzero(partner < np.arange(count)):
+        left_out, decided = comp == c, comp == partner[c]
+        w = np.linalg.eigvalsh(H[np.ix_(left_out, left_out)])
+        w_decided = np.linalg.eigvalsh(H[np.ix_(decided, decided)])
+        assert np.abs(w - w_decided).max() <= 1e-13
+
+
+def _flip_image(idx, dim):
+    return (dim - 1 - idx)[::-1]
+
+
+@pytest.mark.parametrize("case", ["two states", "not symmetric"])
+def test_rp_gram_pairs_hand_built_flip_copies(case):
+    # the flip route on states gibbs does not write.  A block on the
+    # states 0001 and 0010 and its flip copy: the copy's placements are not
+    # those of the original moved by P, so only the P-join links them to
+    # the original's components.  An original that is not
+    # reflection-symmetric, with its exact copy, makes G - G* nonzero in
+    # components that P exchanges, so the one left out adds its share of
+    # |G - G*|_F
+    system = build_chain(2, 4)
+    dim = system.dim
+    if case == "two states":
+        rho = np.array([[0.3, 0.1], [0.1, 0.2]])
+        blocks = [(np.array([1, 2]), rho),
+                  (np.array([13, 14]), rho[::-1, ::-1])]
+    else:
+        blocks = list(gibbs(system, 1.3).blocks)
+        b = next(b for b in range(1, len(blocks)) if blocks[b][0].size > 1
+                 and np.array_equal(blocks[b][0],
+                                    _flip_image(blocks[b - 1][0], dim)))
+        (idx, rho), (jdx, _) = blocks[b - 1], blocks[b]
+        rho = rho.copy()
+        rho[0, 2] += 1e-3
+        rho[2, 0] += 1e-3
+        blocks[b - 1:b + 1] = [(idx, rho), (jdx, rho[::-1, ::-1].copy())]
+    state = ThermalState(beta=1.3, blocks=tuple(blocks))
+    r0 = build_twist(build_spin_rep(2)).r0
+    v = rp_gram_check(system, state, r0)
+    assert v.details["decided"] < v.details["components"]
+    G = _dense_gram(system, _dense_rho(system, state), r0)
+    if case == "not symmetric":
+        _, comp, partner = _gram_components(G)
+        moved = comp[np.nonzero(np.abs(G - G.conj().T) > 1e-6)[0]]
+        assert moved.size and (partner[moved] != moved).all()
+    min_eig, herm_defect = _rp_reference(system, _dense_rho(system, state), r0)
+    assert abs(v.details["min_eig"] - min_eig) <= 1e-13
+    assert abs(v.details["herm_defect"] - herm_defect) <= 1e-13
+
+
+def _perturbed_copy(system, state):
+    """The state with one entry of a flip copy's rho moved by 1e-12."""
+    blocks = list(state.blocks)
+    b = next(b for b in range(1, len(blocks)) if np.array_equal(
+        blocks[b][0], _flip_image(blocks[b - 1][0], system.dim)))
+    idx, rho = blocks[b]
+    rho = rho.copy()
+    rho[0, 0] += 1e-12
+    blocks[b] = (idx, rho)
+    return ThermalState(beta=state.beta, blocks=tuple(blocks))
+
+
+def _perturbed_fixed_block(system, state):
+    """The state with its flip-invariant block made asymmetric by 1e-12."""
+    blocks = list(state.blocks)
+    b = next(b for b, (idx, _) in enumerate(blocks)
+             if np.array_equal(idx, _flip_image(idx, system.dim)))
+    idx, rho = blocks[b]
+    rho = rho.copy()
+    rho[0, 1] += 1e-12
+    rho[1, 0] += 1e-12
+    blocks[b] = (idx, rho)
+    return ThermalState(beta=state.beta, blocks=tuple(blocks))
+
+
+@pytest.mark.parametrize("case", ["copy", "fixed", "twist"])
+def test_rp_gram_takes_the_unpaired_route_off_the_flip(case):
+    # a copy that is not bit for bit one, a flip-invariant block off by
+    # more than 16 eps, and a monomial twist that does not commute with the
+    # flip (the transposition of states 0 and 1 at d = 3) each decide every
+    # component, and the answer is still the dense contraction's
+    d, n = (2, 6) if case != "twist" else (3, 4)
+    system = build_chain(d, n)
+    state = gibbs(system, 1.3)
+    r0 = build_twist(build_spin_rep(d)).r0
+    paired = rp_gram_check(system, state, r0).details
+    assert paired["decided"] < paired["components"]
+    if case == "copy":
+        state = _perturbed_copy(system, state)
+    elif case == "fixed":
+        state = _perturbed_fixed_block(system, state)
+    else:
+        r0 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    v = rp_gram_check(system, state, r0)
+    assert v.details["decided"] == v.details["components"]
+    assert v.details["flip_defect"] == 0.0
+    min_eig, herm_defect = _rp_reference(system, _dense_rho(system, state), r0)
+    assert abs(v.details["min_eig"] - min_eig) <= 1e-13
+    assert abs(v.details["herm_defect"] - herm_defect) <= 1e-13
+
+
+@st_.composite
+def _rp_chains(draw):
+    """(d, n, J, periodic, field, beta): an even chain of at most 729
+    states, with no field, one along x (which keeps the spin flip) or one
+    along z (which breaks it)."""
+    d = draw(st_.sampled_from([2, 3]))
+    f = draw(st_.floats(0.05, 1.5))
+    return (d, draw(st_.sampled_from([2, 4, 6])),
+            draw(st_.sampled_from([1.0, -1.0])), draw(st_.booleans()),
+            draw(st_.sampled_from([None, (f, 0.0, 0.0), (0.0, 0.0, f)])),
+            draw(st_.floats(0.1, 2.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_rp_chains())
+def test_rp_gram_check_matches_the_dense_contraction(case):
+    d, n, J, periodic, field, beta = case
+    system = build_chain(d, n, J=J, periodic=periodic, field=field)
+    state = gibbs(system, beta)
+    r0 = build_twist(build_spin_rep(d)).r0
+    min_eig, herm_defect = _rp_reference(system, _dense_rho(system, state), r0)
+    v = rp_gram_check(system, state, r0)
+    assert abs(v.details["min_eig"] - min_eig) <= 1e-12
+    assert v.passed == (max(0.0, -min_eig) <= 1e-9 and herm_defect <= 1e-7)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -586,14 +748,17 @@ def _gram_block_sizes(monkeypatch):
 
 
 def test_rp_gram_check_diagonalizes_block_by_block(monkeypatch):
-    # d = 3, n = 6: the 729 x 729 Gram splits into 13 blocks of <= 141 rows
+    # d = 3, n = 6: the 729 x 729 Gram splits into 13 blocks of <= 141 rows,
+    # six flip pairs and the self-paired block of 141, so 7 blocks of 435
+    # rows in all are diagonalized
     system = build_chain(3, 6)
     state = gibbs(system, 0.9)
     sizes = _gram_block_sizes(monkeypatch)
     v = rp_gram_check(system, state, build_twist(build_spin_rep(3)))
     assert v.passed
-    assert sum(sizes) == 729
-    assert len(sizes) == 13 and max(sizes) == 141
+    assert sum(sizes) == 435
+    assert len(sizes) == 7 and max(sizes) == 141
+    assert v.details["components"] == 13 and v.details["decided"] == 7
 
 
 def test_rp_gram_block_cap_refuses_before_the_gather(monkeypatch):
@@ -641,10 +806,13 @@ def test_thermal_path_answers_on_the_largest_chain(monkeypatch):
     # the Gibbs state is SU(2)-invariant, so <S0 . Sr> = 3 <Sz_0 Sz_r>
     for row in correlation_profile(system, state, 7):
         assert abs(row.total - 3 * row.zz) <= 1e-12
+    # the 6561 Gram rows fall in 17 blocks, 8 flip pairs and the
+    # self-paired block of 1107: one of each pair is diagonalized
     sizes = _gram_block_sizes(monkeypatch)
     v = rp_gram_check(system, state, build_twist(build_spin_rep(3)))
     assert v.passed
-    assert sum(sizes) == 6561 and max(sizes) == 1107
+    assert sum(sizes) == 3834 and max(sizes) == 1107
+    assert v.details["components"] == 17 and v.details["decided"] == 9
 
 
 def test_gibbs_block_cap_refuses_before_allocating():

@@ -340,6 +340,24 @@ def test_ed_error_prints_no_partial_report(argv, code, capsys):
     assert captured.err != ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ed", "--d", "3", "--n", "7", "--rp"],
+     "reflection about the central bond needs an even chain"),
+    (["ed", "--d", "2", "--n", "4", "--r-max", "4"],
+     "r_max must be smaller than the number of sites"),
+])
+def test_ed_refuses_bad_options_before_building_the_chain(argv, message,
+                                                          monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_chain reached")
+
+    monkeypatch.setattr(cli, "build_chain", unreachable)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_ed_thermal_rp_on_the_largest_chain(capsys):
     # 6561 states: the Gibbs state and the RP Gram are held by blocks
     assert main(["ed", "--d", "3", "--n", "8", "--beta", "1", "--rp"]) == 0
